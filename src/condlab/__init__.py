@@ -88,6 +88,8 @@ from .spectral import (
     DecayCurve,
     DiffusivityEstimates,
     PowerLawFit,
+    QUADRATURE_RTOL,
+    Quadrature,
     SpectralMeasure,
     TailDecayAgreement,
     additive_variance,
@@ -95,8 +97,9 @@ from .spectral import (
     corrector_error_term,
     diffusivity_estimators,
     finite_time_deficit,
+    fourier_measure,
     load_measure_csv,
-    rate_scale,
+    quadrature_measure,
     resolvent_second_moment,
     save_measure_csv,
     spectral_measure,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-import scipy.stats
 
 from .errors import BackendError, ParameterError, SolverError
 
@@ -162,6 +161,9 @@ def semigroup_apply(op, g, t, backend="auto"):
 
 
 def _uniformized_apply(op, v, t, tail_mass=1e-12):
+    # imported here: scipy.stats is slow to import and only this backend needs it
+    import scipy.stats
+
     rate = op.max_rate
     s = rate * t
     if s == 0.0:
@@ -179,6 +181,46 @@ def _uniformized_apply(op, v, t, tail_mass=1e-12):
         if k < k_hi:
             term = term + (op.matrix @ term) / rate
     return out
+
+
+def _lanczos(op, v):
+    """Lanczos recurrence for -L started at v, with full reorthogonalization.
+
+    v must have site mean 0.  Every new vector is swept against all earlier
+    ones and re-centered, so the constants (the kernel of -L on a connected
+    torus) never re-enter through rounding.  After step k this yields
+    (alphas, betas, exact): the k diagonal entries of the Jacobi matrix, the
+    k residual norms (the first k-1 are its off-diagonal, the last couples it
+    to the next vector), and whether the recurrence has ended.  It ends at
+    breakdown, or once the mean-free subspace is exhausted; either way the
+    Jacobi matrix then carries the projected spectrum of v exactly.
+    """
+    n = op.lattice.n_sites
+    # a residual this small against the Gershgorin bound on |L| is rounding
+    breakdown = 1e-12 * 2.0 * op.max_rate
+    basis = np.empty((min(n - 1, 64), n))
+    basis[0] = v / np.linalg.norm(v)
+    alphas, betas = [], []
+    while True:
+        k = len(alphas)
+        q = basis[k]
+        w = -(op.matrix @ q)
+        if k:
+            w -= betas[-1] * basis[k - 1]
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        w -= w.mean()
+        betas.append(float(np.linalg.norm(w)))
+        exact = betas[-1] <= breakdown or k + 1 == n - 1
+        yield np.array(alphas), np.array(betas), exact
+        if exact:
+            return
+        if k + 1 == len(basis):
+            grown = np.empty((min(n - 1, 2 * len(basis)), n))
+            grown[: k + 1] = basis
+            basis = grown
+        basis[k + 1] = w / betas[-1]
 
 
 def resolvent_solve(op, g, mu, rtol=1e-10):

@@ -2,22 +2,30 @@
 
 On a finite torus the spectral measure of -L projected on a site function is
 purely atomic, so variances, resolvent moments, and effective-diffusivity
-error terms are all exact finite sums over (eigenvalue, weight) atoms.  No
-quadrature enters anywhere in this module.
+error terms are all finite sums over (eigenvalue, weight) atoms.  Three
+engines produce such measures: dense diagonalization (exact; the oracle, and
+capped at DENSE_LIMIT sites), the Fourier transform (exact, simple walk
+only), and Lanczos quadrature (conductance walk at any size).  The last is
+the only approximation: a Gauss rule, certified at the requested times by a
+Gauss-Radau bracket of relative width at most QUADRATURE_RTOL.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonergodicError, ParameterError
-from .operators import as_values, dirichlet_form
+from .errors import NonergodicError, ParameterError, SolverError
+from .operators import _lanczos, as_values, dirichlet_form
 
 __all__ = [
     "SpectralMeasure",
     "spectral_measure",
+    "fourier_measure",
+    "QUADRATURE_RTOL",
+    "Quadrature",
+    "quadrature_measure",
     "PowerLawFit",
     "DecayCurve",
     "variance_curve",
@@ -25,7 +33,6 @@ __all__ = [
     "asymptotic_variance",
     "finite_time_deficit",
     "additive_variance",
-    "rate_scale",
     "corrector_error_term",
     "resolvent_second_moment",
     "DiffusivityEstimates",
@@ -88,6 +95,117 @@ def spectral_measure(op, g, center=True):
     lam, vec = op.eigensystem()
     w = (vec.T @ v) ** 2 / op.lattice.n_sites
     return SpectralMeasure(lam, w, centered=center, removed_mean=mean if center else 0.0)
+
+
+def fourier_measure(lattice, g):
+    """Exact measure of g under the rate-1 (simple) walk, by FFT.
+
+    Plane waves diagonalize the simple-walk generator: the atom of wave k
+    sits at 2 sum_i (1 - cos 2 pi k_i / n) with weight |fft(g)(k)|^2 / N^2,
+    so the total mass is mean(g^2), as for spectral_measure(center=False).
+    Atoms are sorted stably by eigenvalue.
+    """
+    n, d = lattice.n, lattice.d
+    v = as_values(g)
+    if v.shape != (lattice.n_sites,):
+        raise ParameterError(f"function has {v.shape} values for {lattice.n_sites} sites")
+    ring = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    lam = np.zeros(lattice.shape)
+    for axis in range(d):
+        lam += ring.reshape((n,) + (1,) * (d - 1 - axis))
+    w = np.abs(np.fft.fftn(v.reshape(lattice.shape))) ** 2 / lattice.n_sites**2
+    order = np.argsort(lam, axis=None, kind="stable")
+    return SpectralMeasure(lam.ravel()[order], w.ravel()[order])
+
+
+# relative width of the Gauss/Gauss-Radau bracket that certifies a quadrature measure
+QUADRATURE_RTOL = 1e-10
+# Lanczos steps after which an open bracket is an error (memory is steps x sites)
+QUADRATURE_MAX_STEPS = 1000
+# Lanczos steps between two bracket evaluations
+_CHECK_EVERY = 10
+
+
+class Quadrature(NamedTuple):
+    """A quadrature measure with its certificate."""
+
+    measure: SpectralMeasure
+    width: float  # max relative width of the bracket over the requested times
+    steps: int  # Lanczos steps taken
+
+
+def _jacobi_eig(alphas, betas):
+    """Eigenvalues and eigenvectors of the Jacobi matrix (alphas, betas)."""
+    return np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+
+
+def _gauss_radau(alphas, betas, times):
+    """Gauss and Gauss-Radau rules after k Lanczos steps, for unit mass.
+
+    alphas and betas are as yielded by the Lanczos recurrence (betas[-1]
+    couples to the next vector).  Returns the Gauss nodes and weights, and
+    the values of both rules for e^{-2 lambda t} at the times: the Gauss rule
+    from below, the Radau rule with a node fixed at 0 from above.
+    """
+    nodes, vecs = _jacobi_eig(alphas, betas[:-1])
+    if nodes[0] <= 0.0:
+        raise SolverError(f"Jacobi matrix lost positivity after {len(alphas)} Lanczos steps")
+    # border the Jacobi matrix so that 0 becomes an eigenvalue
+    corner = betas[-1] ** 2 * float(np.sum(vecs[-1] ** 2 / nodes))
+    radau_nodes, radau_vecs = _jacobi_eig(np.append(alphas, corner), betas)
+    weights = vecs[0] ** 2
+    lower = np.exp(-2.0 * np.outer(times, nodes)) @ weights
+    upper = np.exp(-2.0 * np.outer(times, np.maximum(radau_nodes, 0.0))) @ radau_vecs[0] ** 2
+    return nodes, weights, lower, upper
+
+
+def quadrature_measure(op, g, times):
+    """Measure of g under -L from Lanczos quadrature, certified at the given times.
+
+    The constant part of g is exact: an atom of weight mean(g)^2 at 0.  The
+    rest starts a fully reorthogonalized Lanczos recurrence, whose Jacobi
+    matrix gives the Gauss rule: Ritz values as atoms, squared first
+    eigenvector components (times the mass) as weights.  Because
+    e^{-2 lambda t} is completely monotone, that rule undershoots the curve
+    sum_i w_i e^{-2 lambda_i t} while the Gauss-Radau rule with a node fixed
+    at 0 <= spec(-L) overshoots it.  Every 10 steps both are evaluated at all
+    times, and the recurrence stops once the bracket's relative width is at
+    most QUADRATURE_RTOL; at breakdown, or when the Krylov space fills the
+    torus, the rule is exact and the width is 0.  A bracket still open after
+    QUADRATURE_MAX_STEPS steps raises SolverError, so no uncertified measure
+    is returned.  As for spectral_measure(center=False), the total mass is
+    mean(g^2).  The operator must be connected (all weights positive).
+    """
+    t = np.asarray(times, dtype=float)
+    if np.any(t < 0):
+        raise ParameterError("times must be >= 0")
+    v = as_values(g)
+    mean = float(v.mean())
+    zero = mean * mean
+    v = v - mean
+    mass = float(v @ v) / v.size
+    if mass == 0.0:
+        return Quadrature(SpectralMeasure(np.zeros(1), np.array([zero])), 0.0, 0)
+    for alphas, betas, exact in _lanczos(op, v):
+        k = len(alphas)
+        if not exact and k % _CHECK_EVERY:
+            continue
+        nodes, weights, lower, upper = _gauss_radau(alphas, betas, t)
+        if exact:
+            width = 0.0
+            break
+        lower, upper = zero + mass * lower, zero + mass * upper
+        width = float(np.max(np.abs(upper - lower) / np.maximum(upper, np.finfo(float).tiny)))
+        if width <= QUADRATURE_RTOL:
+            break
+        if k >= QUADRATURE_MAX_STEPS:
+            raise SolverError(
+                f"quadrature bracket still {width:.3e} wide after {k} Lanczos steps "
+                f"(target {QUADRATURE_RTOL:g})"
+            )
+    lam = np.concatenate(([0.0], nodes))
+    w = np.concatenate(([zero], mass * weights))
+    return Quadrature(SpectralMeasure(lam, w), width, k)
 
 
 def _positive_atoms(m):
@@ -192,20 +310,6 @@ def additive_variance(m, t):
         x = lp * t
         out += 2.0 * float(np.sum(wp * (np.expm1(-x) + x) / (lp * lp)))
     return out
-
-
-def rate_scale(alpha, t):
-    """Growth scale of additive-functional variance: t^(alpha-1) below alpha=2,
-    t/ln+(t) at 2, linear t above 2."""
-    if alpha <= 1:
-        raise ParameterError(f"exponent must be > 1, got {alpha}")
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
-    if alpha < 2:
-        return t ** (alpha - 1.0)
-    if alpha == 2:
-        return t / max(1.0, math.log(t)) if t > 0 else 0.0
-    return t
 
 
 def corrector_error_term(m, k, mu):

@@ -6,9 +6,12 @@ written, 3 backend gave up) are exercised through main() in process.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import condlab
 from condlab.cli import main, parse_config
 from condlab.errors import ConfigError
 
@@ -245,3 +248,15 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the startup time and only the uniformization
+    # backend needs it, so a fresh interpreter must not load it with the CLI
+    src = os.path.dirname(os.path.dirname(os.path.abspath(condlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, condlab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

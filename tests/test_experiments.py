@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
-from condlab.environment import Constant, TwoPoint, Uniform
+from condlab.environment import Constant, Lattice, TwoPoint, Uniform, sample_field
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
     ExperimentReport,
+    _field_seed,
     contract_exact_moments,
     contractivity_experiment,
     decay_fit,
@@ -18,6 +20,8 @@ from condlab.experiments import (
     variance_decay_experiment,
     write_report,
 )
+from condlab.functionals import centered_edge, evaluate_all
+from condlab.operators import build_generator
 from condlab.spectral import DecayCurve
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
@@ -125,8 +129,36 @@ def test_decay_experiment_validation():
         variance_decay_experiment(LAW, 1, 12, "edge", "conductance", np.array([2.0, 1.0]), 2, 0)
     with pytest.raises(ConfigError):
         variance_decay_experiment(LAW, 1, 12, "edge", "conductance", times, 2, 0, method="magic")
-    with pytest.raises(ConfigError):
-        variance_decay_experiment(LAW, 1, 5000, "edge", "conductance", times, 2, 0)
+
+
+def test_decay_experiment_runs_beyond_the_dense_limit():
+    times = np.array([1.0, 2.0])
+    curve, report = variance_decay_experiment(LAW, 1, 5000, "edge", "conductance", times, 2, 0)
+    lat = Lattice(1, 5000)
+    refs = []
+    for r in range(2):
+        field = sample_field(LAW, lat, _field_seed(0, r))
+        v, prev, ref = evaluate_all(centered_edge(1, LAW), field), 0.0, []
+        for t in times:
+            v = expm_multiply(build_generator(field).matrix * (t - prev), v)
+            prev = t
+            ref.append(float(v @ v) / v.size)
+        refs.append(ref)
+    assert np.allclose(curve.values, np.mean(refs, axis=0), rtol=1e-8, atol=0.0)
+    assert any(note.startswith("spectral engine: Lanczos") for note in report.notes)
+
+
+def test_decay_report_does_not_depend_on_workers(tmp_path):
+    times = np.geomspace(0.2, 5.0, 6)
+    for workers in (1, 2):
+        _, report = variance_decay_experiment(LAW, 2, 10, "edge", "conductance", times, 3, 4,
+                                              workers=workers)
+        write_report(report, tmp_path / str(workers))
+    files = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert {"config.txt", "summary.txt", "curve.csv"} <= set(files)
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_decay_experiment_notes_a_vanishing_functional():

@@ -1,23 +1,45 @@
 """Spectral measures, decay/tail statistics, diffusivity estimators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
-from condlab.environment import Lattice, TwoPoint, Uniform, sample_field
-from condlab.errors import NonergodicError, ParameterError
+from condlab import spectral
+from condlab.environment import (
+    BoundedPareto,
+    Constant,
+    Lattice,
+    TwoPoint,
+    Uniform,
+    sample_field,
+)
+from condlab.errors import NonergodicError, ParameterError, SolverError
 from condlab.functionals import centered_edge, evaluate_all, local_drift
-from condlab.operators import build_generator, resolvent_solve, semigroup_apply
+from condlab.operators import (
+    _lanczos,
+    build_generator,
+    resolvent_solve,
+    semigroup_apply,
+    simple_generator,
+)
 from condlab.spectral import (
+    QUADRATURE_RTOL,
     DecayCurve,
     SpectralMeasure,
+    _gauss_radau,
     additive_variance,
     asymptotic_variance,
     corrector_error_term,
     diffusivity_estimators,
     finite_time_deficit,
+    fourier_measure,
     load_measure_csv,
+    quadrature_measure,
     resolvent_second_moment,
     save_measure_csv,
     spectral_measure,
@@ -214,3 +236,127 @@ def test_decay_curve_validation():
     c = DecayCurve(np.array([0.5, 1.0]), np.array([1.0, 0.5]),
                    stderrs=np.array([0.1, 0.05]), label="demo")
     assert c.label == "demo"
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free engines against the dense oracle
+
+ORACLE_LAWS = {
+    "constant": Constant(1.5),
+    "uniform": Uniform(1.0, 3.0),
+    "twopoint": TwoPoint(0.5, 1.0, 4.0),
+    "pareto": BoundedPareto(0.3, 0.5, 1e3),
+}
+# largest period per dimension that keeps a torus within 512 sites
+ORACLE_MAX_N = {1: 512, 2: 22, 3: 8}
+
+
+@st.composite
+def _oracle_case(draw):
+    law = ORACLE_LAWS[draw(st.sampled_from(sorted(ORACLE_LAWS)))]
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, ORACLE_MAX_N[d]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    field = sample_field(law, Lattice(d, n), seed)
+    rng = np.random.default_rng(seed)
+    # an uncentered g, so the exact zero atom is exercised too
+    g = rng.normal(size=field.lattice.n_sites) + draw(st.sampled_from([0.0, 0.3]))
+    t_max = draw(st.sampled_from([0.5, 5.0, 50.0]))
+    return build_generator(field, "conductance"), g, np.geomspace(0.01, t_max, 12)
+
+
+def _dense_curve(op, g, times):
+    return variance_curve(spectral_measure(op, g, center=False), times).values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_oracle_case())
+def test_gauss_and_radau_rules_bracket_the_dense_curve(case):
+    op, g, times = case
+    v = g - g.mean()
+    mass = float(v @ v) / v.size
+    zero = float(g.mean()) ** 2
+    exact = _dense_curve(op, g, times)
+    # rounding allowance: the bracket is an inequality between exact sums
+    slack = 1e-12 * exact + 1e-14 * mass
+    # the bracket is open, hence informative, over the first steps
+    for alphas, betas, _ in itertools.islice(_lanczos(op, v), 60):
+        _, _, lower, upper = _gauss_radau(alphas, betas, times)
+        assert np.all(zero + mass * lower <= exact + slack), len(alphas)
+        assert np.all(exact <= zero + mass * upper + slack), len(alphas)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_oracle_case())
+def test_quadrature_curve_is_within_its_tolerance_of_the_dense_oracle(case):
+    op, g, times = case
+    quad = quadrature_measure(op, g, times)
+    exact = _dense_curve(op, g, times)
+    assert quad.width <= QUADRATURE_RTOL
+    assert 0 < quad.steps < op.lattice.n_sites
+    assert quad.measure.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-12)
+    got = variance_curve(quad.measure, times).values
+    # 1e-13 of the mass covers the dense oracle's own rounding
+    assert np.all(np.abs(got - exact) <= QUADRATURE_RTOL * exact + 1e-13 * quad.measure.total_mass)
+
+
+def test_quadrature_of_zero_is_the_zero_measure():
+    op = build_generator(sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 6), 0))
+    quad = quadrature_measure(op, np.zeros(36), [0.5, 1.0])
+    assert (quad.width, quad.steps, quad.measure.total_mass) == (0.0, 0, 0.0)
+    assert np.array_equal(variance_curve(quad.measure, [0.5, 1.0]).values, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
+def test_quadrature_is_exact_at_early_breakdown_on_the_constant_law(d, n):
+    # the lattice Laplacian has few distinct eigenvalues, so a point mass
+    # exhausts its Krylov space long before the site count
+    op = build_generator(sample_field(Constant(1.0), Lattice(d, n), 0))
+    g = np.zeros(op.lattice.n_sites)
+    g[0] = 1.0
+    times = np.geomspace(0.1, 10.0, 9)
+    quad = quadrature_measure(op, g, times)
+    distinct = len(np.unique(np.round(op.eigensystem()[0], 9)))
+    assert quad.width == 0.0
+    assert quad.steps == distinct - 1
+    exact = _dense_curve(op, g, times)
+    assert np.allclose(variance_curve(quad.measure, times).values, exact, rtol=1e-12, atol=0.0)
+
+
+def test_quadrature_beyond_the_dense_limit_matches_expm_multiply():
+    law = TwoPoint(0.5, 1.0, 4.0)
+    field = sample_field(law, Lattice(2, 128), 4)
+    op = build_generator(field)
+    g = evaluate_all(centered_edge(2, law), field)
+    times = np.geomspace(0.1, 20.0, 9)
+    quad = quadrature_measure(op, g, times)
+    assert quad.width <= QUADRATURE_RTOL
+    got = variance_curve(quad.measure, times).values
+    v, prev, ref = g, 0.0, []
+    for t in times:
+        v = expm_multiply(op.matrix * (t - prev), v)
+        prev = t
+        ref.append(float(v @ v) / v.size)
+    assert np.allclose(got, ref, rtol=1e-8, atol=0.0)
+
+
+def test_quadrature_refuses_to_return_an_open_bracket(monkeypatch):
+    _, op, g, _ = _field_measure(2, 12, 5, fname="edge")
+    times = np.geomspace(0.1, 20.0, 9)
+    assert quadrature_measure(op, g, times).steps > 10
+    monkeypatch.setattr(spectral, "QUADRATURE_MAX_STEPS", 10)
+    with pytest.raises(SolverError, match="after 10 Lanczos steps"):
+        quadrature_measure(op, g, times)
+
+
+@pytest.mark.parametrize("d,n", [(1, 17), (2, 6), (3, 4)])
+def test_fourier_measure_is_the_simple_walk_spectrum(d, n):
+    lat = Lattice(d, n)
+    g = evaluate_all(centered_edge(d, LAW), sample_field(LAW, lat, 2))
+    fast = fourier_measure(lat, g)
+    dense = spectral_measure(simple_generator(lat), g, center=False)
+    assert np.allclose(fast.lambdas, dense.lambdas, rtol=0.0, atol=1e-12)
+    times = np.geomspace(0.01, 10.0, 15)
+    assert np.allclose(variance_curve(fast, times).values, variance_curve(dense, times).values,
+                       rtol=1e-13, atol=1e-15)
+    assert fast.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-13)
