@@ -317,12 +317,6 @@ class ConductanceField:
         self.seed = seed
         self._rates = None
 
-    def edge_value(self, site, axis, sign=1):
-        """Conductance of the edge from site toward +/- e_axis."""
-        if sign > 0:
-            return float(self.omega[axis, site])
-        return float(self.omega[axis, self.lattice.shift(site, axis, -1)])
-
     def rates(self):
         """Total jump rate p(x) at every site, as one array."""
         if self._rates is None:

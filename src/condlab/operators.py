@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BackendError, ParameterError, SolverError
 
@@ -19,6 +18,7 @@ __all__ = [
     "DENSE_LIMIT",
     "TorusOperator",
     "FieldFunction",
+    "ShiftedSolutions",
     "as_values",
     "build_generator",
     "simple_generator",
@@ -223,31 +223,115 @@ def _lanczos(op, v):
         basis[k + 1] = w / betas[-1]
 
 
-def resolvent_solve(op, g, mu, rtol=1e-10):
-    """Solve (mu I - L) u = g by preconditioned conjugate gradients.
+class ShiftedSolutions(np.ndarray):
+    """Solutions of one multi-shift resolvent solve, one row per mu.
 
-    The residual is re-verified by back-substitution after the solve; a
-    relative residual above rtol raises instead of returning a bad vector.
+    A plain array of shape (len(mu), n_sites) that also carries the solve's
+    statistics: `iterations`, the conjugate-gradient steps of the shared
+    Krylov run, and `residual`, the worst verified relative residual.
     """
-    if mu <= 0:
+
+    def __new__(cls, rows, iterations, residual):
+        out = np.asarray(rows).view(cls)
+        out.iterations = iterations
+        out.residual = residual
+        return out
+
+    def __array_finalize__(self, obj):
+        self.iterations = getattr(obj, "iterations", None)
+        self.residual = getattr(obj, "residual", None)
+
+
+def _multishift_cg(op, b, shifts, tol, maxiter):
+    """Conjugate gradients on (shifts[-1] I - L) x = b, carrying every shift along.
+
+    shifts must be descending.  All shifted systems share the Krylov space
+    of -L started at b, so shift i's residual is zeta_i times the seed's and
+    its iterate and search direction follow from the seed's residual through
+    scalar recurrences (Jegerlehner, hep-lat/9612014).  |zeta_i| falls as the
+    shift grows, so shifts retire from the front once |zeta_i| |r| <= tol and
+    the active rows stay one contiguous slice.  Returns the iterates, one row
+    per shift, and the number of steps taken.
+    """
+    seed = shifts[-1]
+    delta = shifts - seed
+    m = len(shifts)
+    x = np.zeros((m, b.size))
+    p = np.tile(b, (m, 1))
+    r = b.copy()
+    rr = float(r @ r)
+    zeta = np.ones(m)
+    zeta_prev = np.ones(m)
+    alpha_prev, beta_prev = 1.0, 0.0
+    start = 0
+    steps = 0
+    while steps < maxiter:
+        norm_r = math.sqrt(rr)
+        while start < m and abs(zeta[start]) * norm_r <= tol:
+            start += 1
+        if start == m:
+            break
+        # the seed has zeta == 1 exactly, so p[-1] is the seed's own direction
+        q = seed * p[-1] - op.matrix @ p[-1]
+        alpha = rr / float(p[-1] @ q)
+        act = slice(start, m)
+        z, z_prev = zeta[act], zeta_prev[act]
+        z_next = z * z_prev * alpha_prev / (
+            alpha * beta_prev * (z_prev - z) + z_prev * alpha_prev * (1.0 + delta[act] * alpha)
+        )
+        ratio = z_next / z
+        x[act] += (alpha * ratio)[:, None] * p[act]
+        r -= alpha * q
+        rr_next = float(r @ r)
+        beta = rr_next / rr
+        p[act] *= (beta * ratio * ratio)[:, None]
+        p[act] += z_next[:, None] * r
+        zeta_prev[act] = z
+        zeta[act] = z_next
+        alpha_prev, beta_prev, rr = alpha, beta, rr_next
+        steps += 1
+    return x, steps
+
+
+def resolvent_solve(op, g, mu, rtol=1e-10):
+    """Solve (mu I - L) u = g for one mu or for a sequence of them at once.
+
+    Every mu is served by one multi-shift conjugate-gradient run on -L whose
+    seed system is the smallest mu; a shift retires once its residual is
+    below rtol/2 of |g|, and the run stops after 50 sqrt(n_sites) + 1 steps
+    at the latest.  Each solution is then re-verified by back-substitution:
+    a relative residual above rtol raises SolverError, naming the worst mu,
+    instead of returning a bad vector.
+
+    A scalar mu returns a FieldFunction.  A sequence returns a
+    ShiftedSolutions array of shape (len(mu), n_sites), rows in input order.
+    """
+    mus = np.asarray(mu, dtype=float)
+    if mus.ndim > 1 or mus.size == 0:
+        raise ParameterError(f"mu must be a number or a nonempty 1-D sequence, got shape {mus.shape}")
+    if not np.all(mus > 0):
         raise ParameterError(f"resolvent parameter must be > 0, got {mu}")
     v = as_values(g)
     n = op.lattice.n_sites
+    shifts, order = np.unique(mus, return_inverse=True)
     norm_g = float(np.linalg.norm(v))
-    if norm_g == 0.0:
-        return FieldFunction(np.zeros(n), op.lattice)
-    a = (sp.identity(n, format="csr") * mu) - op.matrix
-    precond = sp.diags(1.0 / (mu + op.rates))
     maxiter = int(50 * math.sqrt(n)) + 1
-    x0 = v / (mu + op.rates)
-    u, _ = spla.cg(a, v, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
-    residual = float(np.linalg.norm(a @ u - v)) / norm_g
-    if residual > rtol:
-        raise SolverError(
-            f"resolvent solve at mu={mu:g} stopped at relative residual {residual:.3e} "
-            f"(target {rtol:g}, cap {maxiter} iterations)"
-        )
-    return FieldFunction(u, op.lattice)
+    if norm_g == 0.0:
+        u, steps, worst = np.zeros((len(shifts), n)), 0, 0.0
+    else:
+        u, steps = _multishift_cg(op, v, shifts[::-1], 0.5 * rtol * norm_g, maxiter)
+        u = u[::-1]
+        residuals = np.linalg.norm(shifts[:, None] * u - (op.matrix @ u.T).T - v, axis=1) / norm_g
+        i = int(np.argmax(residuals))
+        worst = float(residuals[i])
+        if not worst <= rtol:
+            raise SolverError(
+                f"resolvent solve at mu={shifts[i]:g} stopped at relative residual {worst:.3e} "
+                f"(target {rtol:g}, {steps} iterations, cap {maxiter})"
+            )
+    if mus.ndim == 0:
+        return FieldFunction(u[0], op.lattice)
+    return ShiftedSolutions(u[order], steps, worst)
 
 
 def dirichlet_form(op, g):

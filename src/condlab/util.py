@@ -16,16 +16,9 @@ def child_rng(master_seed, *path):
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(p) for p in path)))
 
 
-def stable_sum(values):
-    """Order-independent float sum (exact accumulation via math.fsum)."""
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
-
-
-def stable_mean(values):
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("mean of empty array")
-    return stable_sum(arr) / arr.size
+def field_seed(master_seed, index):
+    """Integer seed of field realization index under a master seed."""
+    return int(np.random.SeedSequence((int(master_seed), int(index))).generate_state(1)[0])
 
 
 def mean_and_stderr(samples, axis=0):

@@ -15,7 +15,7 @@ import numpy as np
 from .environment import sample_field
 from .errors import ParameterError
 from .functionals import evaluate_at_sites
-from .util import child_rng, mean_and_stderr
+from .util import child_rng, field_seed, mean_and_stderr
 
 __all__ = [
     "Trajectory",
@@ -245,8 +245,7 @@ def msd_estimate(config):
     rate_means = []
     for r in range(config.realizations):
         if config.kind == "conductance":
-            field_seed = int(np.random.SeedSequence((config.seed, r)).generate_state(1)[0])
-            field = sample_field(config.law, lat, field_seed)
+            field = sample_field(config.law, lat, field_seed(config.seed, r))
             tables = _walk_tables(lat, field.omega)
             rate_means.append(float(field.rates().mean()))
         else:

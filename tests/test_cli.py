@@ -250,13 +250,24 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the startup time and only the uniformization
-    # backend needs it, so a fresh interpreter must not load it with the CLI
+def _loaded_by_cli_import(module):
+    """Whether a fresh interpreter has module loaded after `import condlab.cli`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(condlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, condlab.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, condlab.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the startup time and only the uniformization
+    # backend needs it, so a fresh interpreter must not load it with the CLI
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
+    # the resolvent is a hand-written multi-shift CG, so nothing needs the
+    # scipy solvers, and loading them costs tens of milliseconds per start
+    assert not _loaded_by_cli_import("scipy.sparse.linalg")

@@ -10,7 +10,6 @@ from condlab.environment import Constant, Lattice, TwoPoint, Uniform, sample_fie
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
     ExperimentReport,
-    _field_seed,
     contract_exact_moments,
     contractivity_experiment,
     decay_fit,
@@ -23,6 +22,7 @@ from condlab.experiments import (
 from condlab.functionals import centered_edge, evaluate_all
 from condlab.operators import build_generator
 from condlab.spectral import DecayCurve
+from condlab.util import field_seed
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
@@ -137,7 +137,7 @@ def test_decay_experiment_runs_beyond_the_dense_limit():
     lat = Lattice(1, 5000)
     refs = []
     for r in range(2):
-        field = sample_field(LAW, lat, _field_seed(0, r))
+        field = sample_field(LAW, lat, field_seed(0, r))
         v, prev, ref = evaluate_all(centered_edge(1, LAW), field), 0.0, []
         for t in times:
             v = expm_multiply(build_generator(field).matrix * (t - prev), v)
@@ -148,17 +148,45 @@ def test_decay_experiment_runs_beyond_the_dense_limit():
     assert any(note.startswith("spectral engine: Lanczos") for note in report.notes)
 
 
-def test_decay_report_does_not_depend_on_workers(tmp_path):
-    times = np.geomspace(0.2, 5.0, 6)
+def _assert_report_does_not_depend_on_workers(tmp_path, run, tables):
+    """Write run(workers) for workers 1 and 2 and compare the files byte for byte."""
     for workers in (1, 2):
-        _, report = variance_decay_experiment(LAW, 2, 10, "edge", "conductance", times, 3, 4,
-                                              workers=workers)
-        write_report(report, tmp_path / str(workers))
+        write_report(run(workers), tmp_path / str(workers))
     files = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
-    assert {"config.txt", "summary.txt", "curve.csv"} <= set(files)
+    assert {"config.txt", "summary.txt"} | {f"{t}.csv" for t in tables} <= set(files)
     for name in files:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_decay_report_does_not_depend_on_workers(tmp_path):
+    times = np.geomspace(0.2, 5.0, 6)
+    _assert_report_does_not_depend_on_workers(
+        tmp_path,
+        lambda workers: variance_decay_experiment(LAW, 2, 10, "edge", "conductance", times, 3, 4,
+                                                  workers=workers)[1],
+        ["curve"],
+    )
+
+
+def test_diffusivity_report_does_not_depend_on_workers(tmp_path):
+    _assert_report_does_not_depend_on_workers(
+        tmp_path,
+        lambda workers: diffusivity_experiment(LAW, 2, 8, [1.0, 0.5, 0.25, 0.05], 4, 3,
+                                               workers=workers)[0],
+        ["estimators"],
+    )
+
+
+def test_msd_report_does_not_depend_on_workers(tmp_path):
+    # workers reach the corrector sweep that supplies sigma2
+    _assert_report_does_not_depend_on_workers(
+        tmp_path,
+        lambda workers: msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20,
+                                       seed=4, sigma2_realizations=3, trend_check=False,
+                                       workers=workers)[0],
+        ["msd"],
+    )
 
 
 def test_decay_experiment_notes_a_vanishing_functional():
@@ -185,6 +213,8 @@ def test_diffusivity_experiment_chain_order_and_extrapolation():
     assert sigma2_se >= 0.0
     assert report.config["sigma2"] == sigma2
     assert "mu_order" in report.fits
+    solves = [note for note in report.notes if note.startswith("corrector solves: multi-shift CG")]
+    assert len(solves) == 1 and "worst verified residual" in solves[0]
 
 
 def test_diffusivity_constant_law_has_no_order_to_fit():

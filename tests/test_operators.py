@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condlab.environment import ConductanceField, Constant, Lattice, TwoPoint, Uniform, sample_field
+from condlab.environment import (
+    BoundedPareto,
+    ConductanceField,
+    Constant,
+    Lattice,
+    TwoPoint,
+    Uniform,
+    sample_field,
+)
 from condlab.errors import BackendError, ParameterError, SolverError
 from condlab.operators import (
     DENSE_LIMIT,
@@ -132,6 +142,81 @@ def test_resolvent_zero_input_short_circuits():
     _, op = _random_op(1, 6, 9)
     out = resolvent_solve(op, np.zeros(6), 1.0).values
     assert np.array_equal(out, np.zeros(6))
+    rows = resolvent_solve(op, np.zeros(6), [0.5, 2.0])
+    assert np.array_equal(rows, np.zeros((2, 6)))
+    assert (rows.iterations, rows.residual) == (0, 0.0)
+
+
+RESOLVENT_LAWS = {
+    "constant": Constant(1.5),
+    "uniform": Uniform(1.0, 3.0),
+    "twopoint": TwoPoint(0.5, 1.0, 4.0),
+    "pareto": BoundedPareto(0.3, 0.5, 1e3),
+}
+# largest period per dimension that keeps a torus within 512 sites
+RESOLVENT_MAX_N = {1: 512, 2: 22, 3: 8}
+
+
+@st.composite
+def _resolvent_case(draw):
+    law = RESOLVENT_LAWS[draw(st.sampled_from(sorted(RESOLVENT_LAWS)))]
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, RESOLVENT_MAX_N[d]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    field = sample_field(law, Lattice(d, n), seed)
+    # a few fixed values make repeated mus likely; the list order is arbitrary
+    mu = st.one_of(st.sampled_from([1e-3, 0.01, 1.0, 10.0]), st.floats(1e-3, 10.0))
+    mus = draw(st.lists(mu, min_size=1, max_size=8))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=field.lattice.n_sites) + draw(st.sampled_from([0.3, -2.0]))
+    return build_generator(field, "conductance"), g, mus
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_resolvent_case())
+def test_multishift_resolvent_matches_dense_solves(case):
+    op, g, mus = case
+    dense = op.matrix.toarray()
+    eye = np.eye(len(g))
+    rows = resolvent_solve(op, g, mus)
+    assert rows.shape == (len(mus), len(g))
+    assert rows.residual <= 1e-10
+    assert 0 < rows.iterations <= int(50 * math.sqrt(len(g))) + 1
+    for mu, u in zip(mus, rows):
+        ref = np.linalg.solve(mu * eye - dense, g)
+        assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref), mu
+
+
+def test_resolvent_of_a_constant_terminates_after_one_step():
+    # -L kills constants, so the first step already solves every shift exactly
+    _, op = _random_op(2, 6, 5, law=TwoPoint(0.5, 1.0, 4.0))
+    g = np.full(36, 2.0)
+    rows = resolvent_solve(op, g, [0.1, 1.0, 3.0])
+    assert rows.iterations == 1
+    for mu, u in zip([0.1, 1.0, 3.0], rows):
+        assert np.allclose(u, 2.0 / mu, rtol=1e-12)
+
+
+def test_single_mu_sequence_equals_the_scalar_call_bit_for_bit():
+    _, op = _random_op(2, 8, 6)
+    g = np.random.default_rng(6).normal(size=64)
+    for mu in (2.0, 0.01):
+        assert np.array_equal(resolvent_solve(op, g, [mu])[0], resolvent_solve(op, g, mu).values)
+
+
+def test_unreachable_resolvent_tolerance_names_a_mu():
+    _, op = _random_op(2, 6, 7)
+    g = np.random.default_rng(7).normal(size=36)
+    with pytest.raises(SolverError, match=r"mu=(0\.05|0\.5|5)\b"):
+        resolvent_solve(op, g, [0.5, 0.05, 5.0], rtol=1e-18)
+
+
+def test_resolvent_rejects_bad_mu_sequences():
+    _, op = _random_op(1, 6, 9)
+    g = np.ones(6)
+    for bad in ([1.0, 0.0], [0.5, -1.0], [], [[1.0]], [1.0, np.nan]):
+        with pytest.raises(ParameterError):
+            resolvent_solve(op, g, bad)
 
 
 def test_eigensystem_refuses_oversize_dense_work():
