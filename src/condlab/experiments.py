@@ -349,7 +349,7 @@ def _diffusivity_one_field(args):
     field = sample_field(law, lat, seed)
     op = build_generator(field, "conductance")
     g = evaluate_all(local_drift(d, law), field)
-    phis = resolvent_solve(op, g, mus)
+    phis, iterations, residual = resolvent_solve(op, g, mus)
     rows = []
     worst = 0.0
     for mu, phi in zip(mus, phis):
@@ -357,7 +357,7 @@ def _diffusivity_one_field(args):
         r1, r2 = est.chain_residuals(mu)
         worst = max(worst, r1, r2)
         rows.append((est.a0, est.a1, est.a2, est.phi_second_moment))
-    return np.array(rows), worst, phis.iterations, phis.residual
+    return np.array(rows), worst, iterations, residual
 
 
 def diffusivity_experiment(

@@ -18,7 +18,6 @@ __all__ = [
     "DENSE_LIMIT",
     "TorusOperator",
     "FieldFunction",
-    "ShiftedSolutions",
     "as_values",
     "build_generator",
     "simple_generator",
@@ -223,25 +222,6 @@ def _lanczos(op, v):
         basis[k + 1] = w / betas[-1]
 
 
-class ShiftedSolutions(np.ndarray):
-    """Solutions of one multi-shift resolvent solve, one row per mu.
-
-    A plain array of shape (len(mu), n_sites) that also carries the solve's
-    statistics: `iterations`, the conjugate-gradient steps of the shared
-    Krylov run, and `residual`, the worst verified relative residual.
-    """
-
-    def __new__(cls, rows, iterations, residual):
-        out = np.asarray(rows).view(cls)
-        out.iterations = iterations
-        out.residual = residual
-        return out
-
-    def __array_finalize__(self, obj):
-        self.iterations = getattr(obj, "iterations", None)
-        self.residual = getattr(obj, "residual", None)
-
-
 def _multishift_cg(op, b, shifts, tol, maxiter):
     """Conjugate gradients on (shifts[-1] I - L) x = b, carrying every shift along.
 
@@ -303,8 +283,10 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
     a relative residual above rtol raises SolverError, naming the worst mu,
     instead of returning a bad vector.
 
-    A scalar mu returns a FieldFunction.  A sequence returns a
-    ShiftedSolutions array of shape (len(mu), n_sites), rows in input order.
+    A scalar mu returns a FieldFunction.  A sequence returns a tuple
+    (rows, iterations, residual): the solutions as an array of shape
+    (len(mu), n_sites) in input order, the conjugate-gradient steps of the
+    shared Krylov run, and the worst verified relative residual.
     """
     mus = np.asarray(mu, dtype=float)
     if mus.ndim > 1 or mus.size == 0:
@@ -331,7 +313,7 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
             )
     if mus.ndim == 0:
         return FieldFunction(u[0], op.lattice)
-    return ShiftedSolutions(u[order], steps, worst)
+    return u[order], steps, worst
 
 
 def dirichlet_form(op, g):
