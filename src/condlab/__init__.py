@@ -72,7 +72,6 @@ from .functionals import (
     total_oscillation,
 )
 from .operators import (
-    FieldFunction,
     TorusOperator,
     box_spectral_gap,
     build_generator,

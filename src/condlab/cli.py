@@ -31,7 +31,6 @@ from .errors import (
     BackendError,
     ConfigError,
     DeclarationError,
-    FitError,
     NonergodicError,
     ParameterError,
     SaturationError,
@@ -77,7 +76,8 @@ _KEYS = {
     "method": ("choice:spectral,mc", None, None),
     "times": ("floats", lambda v: _increasing(v) and v[0] > 0,
               "times must be positive and strictly increasing"),
-    "mu": ("floats", lambda v: len(v) > 0 and min(v) > 0, "all mu values must be > 0"),
+    "mu": ("floats", lambda v: len(v) > 0 and bool(np.all(np.array(v) > 0)),
+           "all mu values must be > 0"),
     "t-grid": ("floats", lambda v: _increasing(v) and v[0] >= 0,
                "t-grid must be nonnegative and strictly increasing"),
     "fit-window": ("floats", lambda v: len(v) == 2 and 0 < v[0] < v[1],
@@ -133,6 +133,8 @@ def _convert(key, raw, location):
         kind = {"int": "an integer", "float": "a number",
                 "floats": "comma-separated numbers", "ints": "comma-separated integers"}[tag]
         raise ConfigError([(location, f"{key} expects {kind}, got {raw!r}")])
+    if tag in ("float", "floats") and not np.all(np.isfinite(value)):
+        raise ConfigError([(location, f"{key} must be finite, got {raw!r}")])
     if constraint is not None and not constraint(value):
         raise ConfigError([(location, message)])
     return value
@@ -497,9 +499,6 @@ def main(argv=None):
     except (BackendError, SolverError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 3
-    except FitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 1
     out = cfg["out"]
     paths = write_report(report, out)
     for extra in extras:

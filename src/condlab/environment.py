@@ -8,6 +8,7 @@ the heat-kernel experiments.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +40,17 @@ __all__ = [
 
 
 class Lattice:
-    """Periodic integer lattice (Z/nZ)^d.
+    """Periodic integer lattice (Z/nZ)^d and its edge structure.
 
     Sites are indexed 0..n^d-1 in C order over coordinates (x_0, ..., x_{d-1}).
-    The undirected edge from site x to x + e_axis is stored at (axis, x); the
-    edge toward x - e_axis therefore lives at (axis, x - e_axis).  Periods
-    below 3 are rejected so the torus never has parallel edges.
+    Edge (axis, x) joins site x to x + e_axis and has index axis * n^d + x;
+    every per-edge array, conductances included, has shape (d, n^d) in that
+    order.  The edge toward x - e_axis is therefore (axis, x - e_axis).
+    Periods below 3 are rejected so the torus never has parallel edges.
+
+    Everything the walks need is derived from this one structure: the signed
+    incidence matrix (incidence), its per-site rows (star), and the unit
+    weights of the simple walk (unit_weights), each built on first use.
     """
 
     def __init__(self, d, n):
@@ -59,14 +65,62 @@ class Lattice:
         self.n_edges = d * self.n_sites
         self.shape = (n,) * d
         self._coords = np.indices(self.shape).reshape(d, self.n_sites)
-        self._fwd = np.empty((d, self.n_sites), dtype=np.int64)
-        self._bwd = np.empty((d, self.n_sites), dtype=np.int64)
-        for axis in range(d):
-            rolled = self._coords.copy()
-            rolled[axis] = (rolled[axis] + 1) % n
-            self._fwd[axis] = np.ravel_multi_index(tuple(rolled), self.shape)
-            rolled[axis] = (self._coords[axis] - 1) % n
-            self._bwd[axis] = np.ravel_multi_index(tuple(rolled), self.shape)
+        grid = np.arange(self.n_sites, dtype=np.int64).reshape(self.shape)
+        # the site x + e_axis (x - e_axis) of every x, one row per axis
+        self._fwd = np.stack([np.roll(grid, -1, axis).ravel() for axis in range(d)])
+        self._bwd = np.stack([np.roll(grid, 1, axis).ravel() for axis in range(d)])
+
+    @cached_property
+    def star(self):
+        """The 2d edges at every site and the sites across them.
+
+        Returns (neighbours, edges), two n_sites x 2d index arrays whose
+        columns are ordered (+e_0, -e_0, +e_1, -e_1, ...): column 2a holds the
+        site's own edge (a, x) and x + e_a, column 2a + 1 the edge (a, x - e_a)
+        and x - e_a.  This is the column order of the walker's jump tables.
+        """
+        base = np.arange(self.d) * self.n_sites
+        sites = np.empty((self.n_sites, 2 * self.d), dtype=np.int64)
+        sites[:, 0::2], sites[:, 1::2] = self._fwd.T, self._bwd.T
+        edges = np.empty_like(sites)
+        edges[:, 0::2], edges[:, 1::2] = np.arange(self.n_sites)[:, None] + base, self._bwd.T + base
+        for table in (sites, edges):
+            table.setflags(write=False)
+        return sites, edges
+
+    @cached_property
+    def incidence(self):
+        """Signed incidence matrix B, n_edges x n_sites (CSR).
+
+        Row axis * n^d + x is -1 at x and +1 at x + e_axis, so (B g)_e is the
+        increment of g along edge e.  With edge weights w, L = -B^T diag(w) B
+        is the walk generator, |B|^T w the sites' total jump rates, and
+        sum_e w_e (B g)_e^2 the Dirichlet form.  Row x of B^T is the star of x.
+        """
+        # imported here: loaded at the top of this module, scipy.sparse slowed
+        # `import condlab.cli` by about 40 ms (2-core x86-64 box)
+        import scipy.sparse as sp
+
+        ends = np.stack((np.tile(np.arange(self.n_sites), self.d), self._fwd.ravel()), axis=1)
+        indptr = np.arange(0, 2 * self.n_edges + 1, 2)
+        signs = np.tile([-1.0, 1.0], self.n_edges)
+        return sp.csr_matrix((signs, ends.ravel(), indptr), shape=(self.n_edges, self.n_sites))
+
+    @cached_property
+    def unit_weights(self):
+        """All-ones edge weights: the conductances of the simple (rate-1) walk."""
+        ones = np.ones((self.d, self.n_sites))
+        ones.setflags(write=False)
+        return ones
+
+    def jump_rates(self, weights):
+        """Total weight of the edges at each site, |B|^T w.
+
+        Summed left to right along each star, as the walker accumulates its
+        jump table and the generator its diagonal.
+        """
+        table = np.asarray(weights, dtype=float).ravel()[self.star[1]]
+        return np.cumsum(table, axis=1)[:, -1].copy()
 
     def site_index(self, coords):
         """Index of the site at the given integer coordinates, wrapped."""
@@ -91,11 +145,7 @@ class Lattice:
 
     def neighbors(self, site):
         """The 2d neighbour indices, ordered (+0, -0, +1, -1, ...)."""
-        out = np.empty(2 * self.d, dtype=np.int64)
-        for axis in range(self.d):
-            out[2 * axis] = self._fwd[axis][site]
-            out[2 * axis + 1] = self._bwd[axis][site]
-        return out
+        return self.star[0][site]
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and (self.d, self.n) == (other.d, other.n)
@@ -320,13 +370,8 @@ class ConductanceField:
     def rates(self):
         """Total jump rate p(x) at every site, as one array."""
         if self._rates is None:
-            lat = self.lattice
-            total = np.zeros(lat.n_sites)
-            for axis in range(lat.d):
-                total += self.omega[axis]
-                total += self.omega[axis][lat._bwd[axis]]
-            total.setflags(write=False)
-            self._rates = total
+            self._rates = self.lattice.jump_rates(self.omega)
+            self._rates.setflags(write=False)
         return self._rates
 
 
@@ -539,23 +584,19 @@ def w_statistic(field, eta, origin=0):
     if any(len(c) == lat.n_sites for c in comps):
         raise SaturationError("a bad component covers the whole torus; raise eta or enlarge n")
     # closure of each component: members plus all their neighbours
-    closures = []
-    for members in comps:
-        ext = set(int(v) for v in members)
-        for u in members:
-            ext.update(int(v) for v in lat.neighbors(u))
-        closures.append(ext)
+    neighbours = lat.star[0]
+    closures = [set(members.tolist()) | set(neighbours[members].ravel().tolist())
+                for members in comps]
     total = 0
-    for axis in range(lat.d):
-        for u in range(lat.n_sites):
-            v = int(lat._fwd[axis][u])
-            ext = {u, v}
-            if not good[u]:
-                ext |= closures[comp[u]]
-            if not good[v]:
-                ext |= closures[comp[v]]
-            if origin in ext:
-                total += len(ext)
+    # edge (axis, u) joins u to u + e_axis
+    for u, v in zip(np.tile(np.arange(lat.n_sites), lat.d).tolist(), lat._fwd.ravel().tolist()):
+        ext = {u, v}
+        if not good[u]:
+            ext |= closures[comp[u]]
+        if not good[v]:
+            ext |= closures[comp[v]]
+        if origin in ext:
+            total += len(ext)
     return float(total)
 
 

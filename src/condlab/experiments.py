@@ -213,8 +213,7 @@ def _decay_mc_one(args):
     lat = Lattice(d, n)
     f = functional_by_name(fname, d, law)
     field = sample_field(law, lat, seed)
-    weights = field.omega if kind == "conductance" else np.ones((lat.d, lat.n_sites))
-    tables = _walk_tables(lat, weights)
+    tables = _walk_tables(lat, field.omega if kind == "conductance" else lat.unit_weights)
     horizon = 2.0 * times[-1]
     vals = evaluate_all(f, field)
     sample_times = 2.0 * np.asarray(times)
@@ -353,7 +352,7 @@ def _diffusivity_one_field(args):
     rows = []
     worst = 0.0
     for mu, phi in zip(mus, phis):
-        est = diffusivity_estimators(field, phi, op)
+        est = diffusivity_estimators(field, phi)
         r1, r2 = est.chain_residuals(mu)
         worst = max(worst, r1, r2)
         rows.append((est.a0, est.a1, est.a2, est.phi_second_moment))
@@ -382,8 +381,11 @@ def diffusivity_experiment(
     over the fields and the worst verified residual.
     """
     mus = np.sort(np.asarray(mus, dtype=float))[::-1]
-    if np.any(mus <= 0):
+    if not np.all(mus > 0):
         raise ConfigError([("mu", "all mu values must be > 0")])
+    repeated = mus[1:][np.diff(mus) == 0]
+    if repeated.size:
+        raise ConfigError([("mu", f"mu value {float(repeated[0])!r} is repeated")])
     if len(mus) < 3:
         raise ConfigError([("mu", "need at least 3 mu values (fit points plus baseline)")])
     if realizations < 2:
@@ -443,10 +445,14 @@ def diffusivity_experiment(
     sigma2_se = 2.0 * a_ses[-1, 2]
     if np.max(np.abs(d_mean)) < 1e-14:
         report.notes.append("corrector vanishes; A2 constant in mu, no order to fit")
-        fit = None
+    elif np.any(d_mean <= 0):
+        report.check(
+            "mu-order-fit",
+            False,
+            "nonpositive A2 differences; mu grid too close to baseline noise, "
+            "sigma2 not extrapolated",
+        )
     else:
-        if np.any(d_mean <= 0):
-            raise FitError("nonpositive A2 differences; mu grid too close to baseline noise")
         slope, intercept, resid = _loglog_fit(mus[fit_idx], d_mean)
         rng = np.random.default_rng(1)
         boots, boot_sigma = [], []
@@ -458,7 +464,7 @@ def diffusivity_experiment(
             s, c, _ = _loglog_fit(mus[fit_idx], bm)
             boots.append(s)
             base = stack[pick, -1, 2].mean()
-            boot_sigma.append(2.0 * (base - math.exp(c) * mus[-1] ** s))
+            boot_sigma.append(2.0 * (base - math.exp(c + s * math.log(mus[-1]))))
         ci = np.percentile(boots, [2.5, 97.5]) if boots else (math.nan, math.nan)
         fit = PowerLawFit(
             exponent=float(slope),
@@ -470,7 +476,7 @@ def diffusivity_experiment(
         )
         report.fits["mu_order"] = fit
         # extrapolate the fitted power below the baseline to shave its bias
-        sigma2 = 2.0 * (a_means[-1, 2] - math.exp(intercept) * mus[-1] ** slope)
+        sigma2 = 2.0 * (a_means[-1, 2] - math.exp(intercept + slope * math.log(mus[-1])))
         if boot_sigma:
             sigma2_se = float(np.std(boot_sigma, ddof=1))
         if expected_order is not None:
@@ -531,9 +537,10 @@ def msd_experiment(
         else:
             if mus is None:
                 mus = np.concatenate((np.geomspace(1.0, 0.177, 6), [0.01]))
-            _, sigma2, sigma2_se = diffusivity_experiment(
+            sub, sigma2, sigma2_se = diffusivity_experiment(
                 law, d, n, mus, sigma2_realizations, seed + 1, workers=workers
             )
+            report.targets.extend(t for t in sub.targets if not t.passed)
     report.config["sigma2"] = sigma2
     cfg = EnsembleConfig(
         law=law,
@@ -740,7 +747,7 @@ def contractivity_experiment(
         fld = sample_field(law, lat, field_seed(seed + 77, k))
         g = evaluate_all(f, fld)
         for i, t in enumerate(t_grid):
-            s = box_sum_field(semigroup_apply(op, g, t).values, lat, 1)
+            s = box_sum_field(semigroup_apply(op, g, t), lat, 1)
             curves[k, i] = float(np.mean(s * s))
         steps = np.diff(curves[k])
         if np.any(steps > 1e-10 * max(curves[k, 0], 1.0)):

@@ -7,7 +7,6 @@ algebra on n^d points.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,8 +16,6 @@ from .errors import BackendError, ParameterError, SolverError
 __all__ = [
     "DENSE_LIMIT",
     "TorusOperator",
-    "FieldFunction",
-    "as_values",
     "build_generator",
     "simple_generator",
     "semigroup_apply",
@@ -34,33 +31,6 @@ __all__ = [
 DENSE_LIMIT = 4096
 
 
-@dataclass
-class FieldFunction:
-    """A function of the environment realized site by site on one torus."""
-
-    values: np.ndarray
-    lattice: object
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.lattice.n_sites,):
-            raise ParameterError(
-                f"function has {self.values.shape} values for {self.lattice.n_sites} sites"
-            )
-
-    def mean(self):
-        return float(self.values.mean())
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype)
-
-
-def as_values(g):
-    if isinstance(g, FieldFunction):
-        return g.values
-    return np.asarray(g, dtype=float)
-
-
 class TorusOperator:
     """Walk generator L on one torus, kept as a sparse symmetric matrix.
 
@@ -74,30 +44,19 @@ class TorusOperator:
         weights = np.asarray(weights, dtype=float)
         weights.setflags(write=False)
         self.weights = weights
-        n = lattice.n_sites
-        rows, cols, data = [], [], []
-        sites = np.arange(n)
-        for axis in range(lattice.d):
-            nb = lattice._fwd[axis]
-            w = weights[axis]
-            rows.append(sites)
-            cols.append(nb)
-            data.append(w)
-            rows.append(nb)
-            cols.append(sites)
-            data.append(w)
-        diag = np.zeros(n)
-        for axis in range(lattice.d):
-            diag += weights[axis]
-            diag += weights[axis][lattice._bwd[axis]]
-        rows.append(sites)
-        cols.append(sites)
-        data.append(-diag)
-        self.matrix = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ).tocsr()
-        self.rates = diag
-        self.max_rate = float(diag.max())
+        # L = -B^T diag(w) B, with the rows of -B^T diag(w) laid out as the
+        # stars: x is the tail (B = -1) of the edge in star column 2a and the
+        # head (B = +1) of the one in column 2a + 1.  The product then sums
+        # each diagonal entry in star order, as the rates do: -diag(L) == rates.
+        _, edges = lattice.star
+        star = weights.ravel()[edges] * np.tile([1.0, -1.0], lattice.d)
+        indptr = np.arange(0, star.size + 1, 2 * lattice.d)
+        shape = (lattice.n_sites, lattice.n_edges)
+        minus_bt_w = sp.csr_matrix((star.ravel(), edges.ravel(), indptr), shape=shape)
+        self.matrix = minus_bt_w @ lattice.incidence
+        self.matrix.sort_indices()
+        self.rates = lattice.jump_rates(weights)
+        self.max_rate = float(self.rates.max())
         self._eig = None
 
     def eigensystem(self):
@@ -115,9 +74,6 @@ class TorusOperator:
             self._eig = (lam, vec)
         return self._eig
 
-    def apply(self, g):
-        return self.matrix @ as_values(g)
-
     def __repr__(self):
         return f"TorusOperator(kind={self.kind!r}, {self.lattice!r})"
 
@@ -127,17 +83,17 @@ def build_generator(field, kind="conductance"):
     if kind == "conductance":
         return TorusOperator(field.lattice, field.omega, kind)
     if kind == "simple":
-        return TorusOperator(field.lattice, np.ones((field.lattice.d, field.lattice.n_sites)), kind)
+        return simple_generator(field.lattice)
     raise ParameterError(f"kind must be 'conductance' or 'simple', got {kind!r}")
 
 
 def simple_generator(lattice):
     """Rate-1 walk generator; needs no field."""
-    return TorusOperator(lattice, np.ones((lattice.d, lattice.n_sites)), "simple")
+    return TorusOperator(lattice, lattice.unit_weights, "simple")
 
 
-def semigroup_apply(op, g, t, backend="auto"):
-    """Apply e^{tL} to g.
+def semigroup_apply(op, g, t):
+    """Apply e^{tL} to the site array g.
 
     Dense eigendecomposition up to DENSE_LIMIT sites; beyond that the action
     is assembled by uniformization (a Poisson mixture over powers of the
@@ -146,17 +102,11 @@ def semigroup_apply(op, g, t, backend="auto"):
     """
     if t < 0:
         raise ParameterError(f"time must be >= 0, got {t}")
-    v = as_values(g)
-    if backend == "auto":
-        backend = "dense" if op.lattice.n_sites <= DENSE_LIMIT else "uniformization"
-    if backend == "dense":
-        lam, vec = op.eigensystem()
-        out = vec @ (np.exp(-lam * t) * (vec.T @ v))
-    elif backend == "uniformization":
-        out = _uniformized_apply(op, v, t)
-    else:
-        raise ParameterError(f"unknown backend {backend!r}")
-    return FieldFunction(out, op.lattice)
+    v = np.asarray(g, dtype=float)
+    if op.lattice.n_sites > DENSE_LIMIT:
+        return _uniformized_apply(op, v, t)
+    lam, vec = op.eigensystem()
+    return vec @ (np.exp(-lam * t) * (vec.T @ v))
 
 
 def _uniformized_apply(op, v, t, tail_mass=1e-12):
@@ -283,7 +233,7 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
     a relative residual above rtol raises SolverError, naming the worst mu,
     instead of returning a bad vector.
 
-    A scalar mu returns a FieldFunction.  A sequence returns a tuple
+    A scalar mu returns the solution array.  A sequence returns a tuple
     (rows, iterations, residual): the solutions as an array of shape
     (len(mu), n_sites) in input order, the conjugate-gradient steps of the
     shared Krylov run, and the worst verified relative residual.
@@ -293,7 +243,7 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
         raise ParameterError(f"mu must be a number or a nonempty 1-D sequence, got shape {mus.shape}")
     if not np.all(mus > 0):
         raise ParameterError(f"resolvent parameter must be > 0, got {mu}")
-    v = as_values(g)
+    v = np.asarray(g, dtype=float)
     n = op.lattice.n_sites
     shifts, order = np.unique(mus, return_inverse=True)
     norm_g = float(np.linalg.norm(v))
@@ -312,19 +262,14 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
                 f"(target {rtol:g}, {steps} iterations, cap {maxiter})"
             )
     if mus.ndim == 0:
-        return FieldFunction(u[0], op.lattice)
+        return u[0]
     return u[order], steps, worst
 
 
 def dirichlet_form(op, g):
-    """Site-averaged energy sum_edges w_e (g(y)-g(x))^2 / n_sites; always >= 0."""
-    v = as_values(g)
-    lat = op.lattice
-    total = 0.0
-    for axis in range(lat.d):
-        diff = v[lat._fwd[axis]] - v
-        total += float(np.dot(op.weights[axis], diff * diff))
-    return total / lat.n_sites
+    """Site-averaged energy sum_e w_e (B g)_e^2 / n_sites; always >= 0."""
+    grad = op.lattice.incidence @ np.asarray(g, dtype=float)
+    return float(np.dot(op.weights.ravel(), grad * grad)) / op.lattice.n_sites
 
 
 def box_spectral_gap(d, n):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonergodicError, ParameterError, SolverError
-from .operators import _lanczos, as_values, dirichlet_form
+from .operators import _lanczos
 
 __all__ = [
     "SpectralMeasure",
@@ -88,7 +88,7 @@ def spectral_measure(op, g, center=True):
     subtracted first unless center=False; the removed mean is reported on
     the result.
     """
-    v = as_values(g).copy()
+    v = np.array(g, dtype=float)
     mean = float(v.mean())
     if center:
         v -= mean
@@ -106,7 +106,7 @@ def fourier_measure(lattice, g):
     Atoms are sorted stably by eigenvalue.
     """
     n, d = lattice.n, lattice.d
-    v = as_values(g)
+    v = np.asarray(g, dtype=float)
     if v.shape != (lattice.n_sites,):
         raise ParameterError(f"function has {v.shape} values for {lattice.n_sites} sites")
     ring = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -179,7 +179,7 @@ def quadrature_measure(op, g, times):
     t = np.asarray(times, dtype=float)
     if np.any(t < 0):
         raise ParameterError("times must be >= 0")
-    v = as_values(g)
+    v = np.asarray(g, dtype=float)
     mean = float(v.mean())
     zero = mean * mean
     v = v - mean
@@ -351,32 +351,29 @@ class DiffusivityEstimates:
         return r1, r2
 
 
-def diffusivity_estimators(field, phi, op=None):
+def diffusivity_estimators(field, phi):
     """Evaluate the three diffusivity estimators at a trial corrector phi.
 
     All expectations are site averages over the torus; axis 0 plays the role
-    of the distinguished direction.
+    of the distinguished direction.  With grad = B phi the edge increments,
+    a0 = E[w_0] - energy, a1 = E[w_0 (1 + grad_0)], and a2 = E[w_0 (1 +
+    grad_0)^2] + E[w_a grad_a^2] over the other axes, which expands to
+    E[w_0] + 2 E[w_0 grad_0] + energy.
     """
-    from .operators import build_generator
-
     lat = field.lattice
-    v = as_values(phi)
+    v = np.asarray(phi, dtype=float)
     if v.shape != (lat.n_sites,):
         raise ParameterError(f"corrector has {v.shape} values for {lat.n_sites} sites")
-    if op is None:
-        op = build_generator(field, "conductance")
     n = lat.n_sites
+    grad = lat.incidence @ v
     w0 = field.omega[0]
-    grad0 = v[lat._fwd[0]] - v
     edge_mean = float(w0.mean())
-    energy = dirichlet_form(op, v)
-    a0 = edge_mean - energy
-    a1 = float(np.dot(w0, 1.0 + grad0)) / n
-    a2 = float(np.dot(w0, (1.0 + grad0) ** 2)) / n
-    for axis in range(1, lat.d):
-        diff = v[lat._fwd[axis]] - v
-        a2 += float(np.dot(field.omega[axis], diff * diff)) / n
+    energy = float(np.dot(field.omega.ravel(), grad * grad)) / n
+    drift = float(np.dot(w0, grad[:n])) / n
     phi_sq = float(np.dot(v, v)) / n
+    a0 = edge_mean - energy
+    a1 = edge_mean + drift
+    a2 = edge_mean + 2.0 * drift + energy
     return DiffusivityEstimates(a0, a1, a2, phi_sq, energy, edge_mean)
 
 

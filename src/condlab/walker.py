@@ -92,25 +92,18 @@ def _as_rng(rng):
 
 
 def _walk_tables(lattice, weights):
-    """Neighbour indices and per-site jump-rate tables for the kernel.
+    """Neighbour indices and cumulative jump rates per site, in star order.
 
-    Columns are ordered (+axis0, -axis0, +axis1, ...); the rate toward
-    -axis a at x is the weight stored on the edge based at x - e_a.
+    Column k of a site's row is the k-th edge of its star (+e_0, -e_0, +e_1,
+    ...), so each uniform draw maps to the same jump for the same weights.
     """
-    n, d = lattice.n_sites, lattice.d
-    neighbors = np.empty((n, 2 * d), dtype=np.int64)
-    rates = np.empty((n, 2 * d))
-    for axis in range(d):
-        neighbors[:, 2 * axis] = lattice._fwd[axis]
-        neighbors[:, 2 * axis + 1] = lattice._bwd[axis]
-        rates[:, 2 * axis] = weights[axis]
-        rates[:, 2 * axis + 1] = weights[axis][lattice._bwd[axis]]
-    return neighbors, rates.cumsum(axis=1)
+    sites, edges = lattice.star
+    return sites, np.asarray(weights, dtype=float).ravel()[edges].cumsum(axis=1)
 
 
 def _simulate(lattice, tables, start, horizon, rng):
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
     neighbors, cum = tables
     d = lattice.d
     x = int(start)
@@ -143,17 +136,16 @@ def _simulate(lattice, tables, start, horizon, rng):
     )
 
 
-def simulate_vsrw(field, start, horizon, rng, _tables=None):
+def simulate_vsrw(field, start, horizon, rng):
     """Walk with jump rate across each edge equal to its conductance."""
-    tables = _tables if _tables is not None else _walk_tables(field.lattice, field.omega)
+    tables = _walk_tables(field.lattice, field.omega)
     return _simulate(field.lattice, tables, start, horizon, _as_rng(rng))
 
 
-def simulate_srw(lattice, start, horizon, rng, _tables=None):
+def simulate_srw(lattice, start, horizon, rng):
     """Rate-1 walk; takes no field at all."""
-    if _tables is None:
-        _tables = _walk_tables(lattice, np.ones((lattice.d, lattice.n_sites)))
-    return _simulate(lattice, _tables, start, horizon, _as_rng(rng))
+    tables = _walk_tables(lattice, lattice.unit_weights)
+    return _simulate(lattice, tables, start, horizon, _as_rng(rng))
 
 
 def env_samples(field, functional, trajectory, times):
@@ -250,7 +242,7 @@ def msd_estimate(config):
             rate_means.append(float(field.rates().mean()))
         else:
             field = None
-            tables = _walk_tables(lat, np.ones((lat.d, lat.n_sites)))
+            tables = _walk_tables(lat, lat.unit_weights)
             rate_means.append(2.0 * lat.d)
         per_walk = np.empty((config.walks, len(config.times)))
         for j in range(config.walks):

@@ -91,6 +91,61 @@ def test_bad_mu_exits_2_and_writes_nothing(tmp_path, capsys):
     assert "config error (--mu): all mu values must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--law", "constant:1", "--horizon", "inf"],
+         "(--horizon): horizon must be finite"),
+        (["simulate", "--law", "constant:1", "--horizon", "nan"],
+         "(--horizon): horizon must be finite"),
+        (["msd", "--law", "constant:1", "--times", "0.5,1,inf"], "(--times): times must be finite"),
+        (["decay", "--law", "constant:1", "--functional", "edge", "--times", "1,nan,4"],
+         "(--times): times must be finite"),
+        (["diffusivity", "--law", "constant:1", "--mu", "nan,1,0.5"], "(--mu): mu must be finite"),
+        (["diffusivity", "--law", "constant:1", "--mu", "1,0.5,nan"], "(--mu): mu must be finite"),
+        (["diffusivity", "--law", "constant:1", "--mu", "1,0.5,-inf"], "(--mu): mu must be finite"),
+        (["diffusivity", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5,0.5"],
+         "(mu): mu value 0.5 is repeated"),
+        (["msd", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5,0.25,0.5"],
+         "(mu): mu value 0.5 is repeated"),
+    ],
+)
+def test_nonfinite_and_repeated_values_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error {message}" in capsys.readouterr().err
+
+
+def test_diffusivity_fit_failure_and_overflow_still_write_a_report(tmp_path, capsys):
+    # A2(mu) equals its baseline at the next float up: a nonpositive difference
+    out = tmp_path / "flat"
+    rc = main(["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4",
+               "--realizations", "2", "--mu", "2,0.10000000000000002,0.1",
+               "--workers", "1", "--out", str(out)])
+    assert rc == 1
+    summary = (out / "summary.txt").read_text()
+    assert "FAIL mu-order-fit: nonpositive A2 differences" in summary
+    assert "result: fail" in summary
+    # msd estimates its sigma2 from the same sweep and carries the failure over
+    out = tmp_path / "msd"
+    rc = main(["msd", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4", "--times", "0.5,1",
+               "--realizations", "2", "--walks", "4", "--mu", "2,0.10000000000000002,0.1",
+               "--no-trend", "--workers", "1", "--out", str(out)])
+    assert rc == 1
+    assert "FAIL mu-order-fit: nonpositive A2 differences" in (out / "summary.txt").read_text()
+    # three nearly equal mus fit an order near 1e4; extrapolating it must not overflow
+    out = tmp_path / "steep"
+    rc = main(["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "1", "--n", "6",
+               "--realizations", "2", "--mu", "1e-3,1.0000001e-3,9.999e-4",
+               "--workers", "1", "--out", str(out)])
+    assert rc == 0
+    config = (out / "config.txt").read_text()
+    sigma2 = float(next(line for line in config.splitlines() if line.startswith("sigma2="))[7:])
+    assert 0.0 < sigma2 < 10.0
+    capsys.readouterr()
+
+
 def test_config_experiment_mismatch_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment=decay\nlaw=constant:1\n")
@@ -271,3 +326,9 @@ def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
     # the resolvent is a hand-written multi-shift CG, so nothing needs the
     # scipy solvers, and loading them costs tens of milliseconds per start
     assert not _loaded_by_cli_import("scipy.sparse.linalg")
+
+
+def test_cli_import_leaves_scipy_sparse_csgraph_unloaded():
+    # the cluster diagnostics walk the lattice's star directly; csgraph would
+    # add about 0.1 s to every start
+    assert not _loaded_by_cli_import("scipy.sparse.csgraph")

@@ -232,6 +232,8 @@ def test_diffusivity_validation():
         diffusivity_experiment(LAW, 1, 8, [1.0, -0.5, 0.1], 4, 0)
     with pytest.raises(ConfigError):
         diffusivity_experiment(LAW, 1, 8, [1.0, 0.5, 0.1], 1, 0)  # no spread
+    with pytest.raises(ConfigError, match=r"mu value 0\.5 is repeated"):
+        diffusivity_experiment(LAW, 1, 8, [0.5, 1.0, 0.1, 0.5], 4, 0)
 
 
 def test_msd_constant_law_uses_the_exact_diffusivity():

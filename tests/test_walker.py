@@ -57,6 +57,23 @@ def test_matched_seed_unit_field_walk_equals_simple_walk():
     assert np.array_equal(a.displacements, b.displacements)
 
 
+def test_seeded_conductance_walk_path_is_pinned():
+    # recorded before the walker tables were derived from the lattice's edge
+    # structure; the same draws must still map to the same jumps
+    field = sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 9), 3)
+    traj = simulate_vsrw(field, 4, 25.0, np.random.default_rng(2024))
+    assert traj.jump_count == 280
+    assert traj.sites[-1] == 63
+    assert traj.displacements[-1].tolist() == [16, -4]
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+def test_walks_reject_a_nonfinite_or_empty_horizon(horizon):
+    lat = Lattice(1, 8)
+    with pytest.raises(ParameterError):
+        simulate_srw(lat, 0, horizon, np.random.default_rng(0))
+
+
 def test_heavier_edges_attract_jumps():
     # one enormous edge; the first jump from its endpoint crosses it mostly
     lat = Lattice(1, 8)
