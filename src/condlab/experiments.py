@@ -37,7 +37,7 @@ from .spectral import (
     variance_curve,
 )
 from .util import child_rng, field_seed, mean_and_stderr, parallel_map
-from .walker import EnsembleConfig, _simulate, _walk_tables, msd_estimate
+from .walker import EnsembleConfig, _field_batch, _walk_tables, msd_estimate
 
 __all__ = [
     "TargetCheck",
@@ -208,22 +208,21 @@ def _decay_spectral_one(args):
     return variance_curve(m, times).values, width, steps
 
 
+def _walker_note(walks, jumps):
+    return f"walker: {walks} walks, {jumps} jumps simulated"
+
+
 def _decay_mc_one(args):
+    """One field's two-time correlation from its walk batch, with the batch's jump count."""
     law, d, n, fname, kind, times, seed, master, r, walks = args
     lat = Lattice(d, n)
     f = functional_by_name(fname, d, law)
     field = sample_field(law, lat, seed)
     tables = _walk_tables(lat, field.omega if kind == "conductance" else lat.unit_weights)
-    horizon = 2.0 * times[-1]
     vals = evaluate_all(f, field)
     sample_times = 2.0 * np.asarray(times)
-    acc = np.zeros(len(times))
-    for j in range(walks):
-        rng = child_rng(master, 2, r, j)
-        start = int(rng.integers(lat.n_sites))
-        traj = _simulate(lat, tables, start, horizon, rng)
-        acc += vals[start] * vals[traj.site_at(sample_times)]
-    return acc / walks
+    starts, batch = _field_batch(lat, tables, walks, sample_times[-1], sample_times, master, 2, r)
+    return (vals[starts][:, None] * vals[batch.sites]).mean(axis=0), int(batch.jumps.sum())
 
 
 def variance_decay_experiment(
@@ -273,13 +272,13 @@ def variance_decay_experiment(
             [(law, d, n, fname, kind, times, s) for s in seeds],
             workers,
         )
-        curves = [r[0] for r in results]
     else:
-        curves = parallel_map(
+        results = parallel_map(
             _decay_mc_one,
             [(law, d, n, fname, kind, times, seeds[r], seed, r, walks) for r in range(realizations)],
             workers,
         )
+    curves = [r[0] for r in results]
     samples = np.stack(curves)
     mean, se = mean_and_stderr(samples, axis=0)
     clipped = int(np.count_nonzero(mean < 0))
@@ -313,6 +312,8 @@ def variance_decay_experiment(
             f"{max(r[2] for r in results)} steps, max relative bracket width "
             f"{max(r[1] for r in results):.2g}"
         )
+    else:
+        report.notes.append(_walker_note(realizations * walks, sum(r[1] for r in results)))
     if clipped:
         report.notes.append(f"{clipped} noisy negative curve values clipped to 0")
     if float(np.max(curve.values)) < 1e-20:
@@ -443,9 +444,12 @@ def diffusivity_experiment(
 
     sigma2 = 2.0 * a_means[-1, 2]
     sigma2_se = 2.0 * a_ses[-1, 2]
+    not_extrapolated = None  # why sigma2 stays the baseline 2 A2(mu_min)
     if np.max(np.abs(d_mean)) < 1e-14:
         report.notes.append("corrector vanishes; A2 constant in mu, no order to fit")
+        not_extrapolated = "the corrector vanishes"
     elif np.any(d_mean <= 0):
+        not_extrapolated = "the mu-order fit failed"
         report.check(
             "mu-order-fit",
             False,
@@ -487,7 +491,14 @@ def diffusivity_experiment(
                 f"fitted order {slope:.4f}, expected {expected_order:g} +/- {order_tol:g}",
             )
     report.config["sigma2"] = sigma2
-    report.notes.append(f"extrapolated effective diffusivity {sigma2:.6g} +/- {sigma2_se:.2g}")
+    value = f"{sigma2:.6g} +/- {sigma2_se:.2g}"
+    if not_extrapolated is None:
+        report.notes.append(f"extrapolated effective diffusivity {value}")
+    else:
+        report.notes.append(
+            f"effective diffusivity {value} (baseline 2 A2(mu_min), not extrapolated: "
+            f"{not_extrapolated})"
+        )
     return report, float(sigma2), float(sigma2_se)
 
 
@@ -552,7 +563,7 @@ def msd_experiment(
         times=times,
         seed=seed,
     )
-    curve = msd_estimate(cfg)
+    curve = msd_estimate(cfg, workers)
     gap = curve.msd_over_t - d * sigma2
     se_total = np.sqrt(curve.stderr**2 + (d * sigma2_se) ** 2)
     report.add_table(
@@ -561,6 +572,7 @@ def msd_experiment(
         list(zip(times, curve.msd_over_t, curve.stderr, gap, se_total)),
     )
     report.notes.append(f"short-time rate mean E[p(0)] = {curve.short_time_rate:.6g}")
+    report.notes.append(_walker_note(curve.walks_total, curve.jumps_total))
     if constant_law:
         dev = np.abs(curve.msd_over_t - 2.0 * d * law.value) / np.maximum(curve.stderr, 1e-300)
         report.check(

@@ -5,6 +5,16 @@ rate and the destination is chosen proportional to the incident conductances,
 so there is no time-discretization bias anywhere downstream.  The simple
 (rate-1) walk runs through the same kernel, which makes matched-seed
 comparisons against a constant field exact.
+
+One lockstep kernel, _simulate_batch, makes one numpy step per jump of every
+walk of a field still short of the horizon; ensembles keep only the sample-time
+sites and displacements and each walk's jump count.  A single trajectory is
+the batch of one and draws exactly what a lone event-driven walk draws.  Field
+r of an ensemble under master seed s has one generator, child_rng(s, stream,
+r), that draws all start sites first and then drives the batch (stream 1 for
+msd_estimate, 2 for the mc decay method), so results do not depend on workers.
+On a 2-core x86-64 box: about 2e6 jumps/s for 256 walks per field, 4e4 for a
+batch of one, where numpy's per-call cost dominates.
 """
 
 import math
@@ -12,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import sample_field
+from .environment import Constant, sample_field
 from .errors import ParameterError
 from .functionals import evaluate_at_sites
-from .util import child_rng, field_seed, mean_and_stderr
+from .util import child_rng, field_seed, mean_and_stderr, parallel_map
 
 __all__ = [
     "Trajectory",
@@ -101,39 +111,136 @@ def _walk_tables(lattice, weights):
     return sites, np.asarray(weights, dtype=float).ravel()[edges].cumsum(axis=1)
 
 
-def _simulate(lattice, tables, start, horizon, rng):
+def _moves(d):
+    """Displacement of each jump column: +e_0, -e_0, +e_1, ..."""
+    moves = np.repeat(np.eye(d, dtype=np.int64), 2, axis=0)
+    moves[1::2] *= -1
+    return moves
+
+
+@dataclass
+class Batch:
+    """What a lockstep batch of walks leaves behind.
+
+    sites[w, j] and displacements[w, j] hold walk w at the j-th sample time,
+    jumps[w] its number of jumps up to the horizon.  With path recording,
+    path holds every jump of the batch in step order as (walk, time, site,
+    column) arrays, column k being the k-th edge of the star.
+    """
+
+    sites: np.ndarray
+    displacements: np.ndarray
+    jumps: np.ndarray
+    path: tuple = None
+
+
+def _simulate_batch(lattice, tables, starts, horizon, rng, times=(), path=False):
+    """Advance every walk of one field together, one jump per active walk per step.
+
+    Each step draws standard exponentials for the k active walks, then
+    uniforms for those whose next jump still falls within the horizon, each
+    in walk order.  A walk at x waits E * (1 / total_rate[x]) and then takes
+    the jump column given by the number of cumulative rates <= u *
+    total_rate[x], at most 2d - 1.  As its clock passes a sample time the
+    walk's site and displacement are recorded, so ensembles keep no per-jump
+    path.  A batch of one draws exactly what a single event-driven walk does.
+    """
     if not 0 < horizon < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
     neighbors, cum = tables
     d = lattice.d
-    x = int(start)
-    if not 0 <= x < lattice.n_sites:
-        raise ParameterError(f"start site {x} out of range")
-    t = 0.0
-    disp = np.zeros(d, dtype=np.int64)
-    times, sites, disps = [], [], []
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.ndim != 1 or np.any((starts < 0) | (starts >= lattice.n_sites)):
+        raise ParameterError(f"start sites must lie in [0, {lattice.n_sites})")
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) <= 0) or np.any((times < 0) | (times > horizon)):
+        raise ParameterError(f"sample times must increase within [0, {horizon}]")
     last = 2 * d - 1
-    while True:
-        row = cum[x]
-        t += rng.exponential(1.0 / row[last])
-        if t > horizon:
-            break
-        k = int(np.searchsorted(row, rng.random() * row[last], side="right"))
-        if k > last:
-            k = last
-        x = int(neighbors[x, k])
-        disp[k // 2] += 1 - 2 * (k % 2)
-        times.append(t)
-        sites.append(x)
-        disps.append(disp.copy())
+    # per site: the first 2d - 1 cumulative rates, an infinite sentinel, the
+    # total rate and its reciprocal; the first of the 2d columns above u *
+    # total is the number of those cumulative rates <= u * total
+    total = cum[:, last]
+    table = np.column_stack((cum[:, :last], np.full(total.size, math.inf), total, 1.0 / total))
+    moves = _moves(d)
+    stops = np.append(times, math.inf)
+
+    walks = starts.size
+    sites = np.empty((walks, times.size), dtype=np.int64)
+    displacements = np.empty((walks, times.size, d), dtype=np.int64)
+    jumps = np.empty(walks, dtype=np.int64)
+    ids = np.arange(walks)
+    x = starts.copy()
+    t = np.zeros(walks)
+    disp = np.zeros((walks, d), dtype=np.int64)
+    nxt = np.zeros(walks, dtype=np.intp)
+    # a walk needs attention once its clock passes its next sample time or,
+    # with none left, the horizon
+    gate = np.full(walks, min(stops[0], horizon))
+    # with path recording: (walk, time, site, column) per step, concatenated
+    # every 4096 steps so a long path does not hold one-element arrays
+    chunks, steps = [], [(ids[:0], t[:0], x[:0], ids[:0])]
+    step = 0
+    while ids.size:
+        row = table[x]
+        tn = t + rng.standard_exponential(ids.size) * row[:, last + 2]
+        if (tn > gate).any():
+            cross = tn > stops[nxt]
+            while cross.any():
+                c = np.flatnonzero(cross)
+                sites[ids[c], nxt[c]] = x[c]
+                displacements[ids[c], nxt[c]] = disp[c]
+                nxt[c] += 1
+                cross[c] = tn[c] > stops[nxt[c]]
+            gate = np.minimum(stops[nxt], horizon)
+            done = tn > horizon
+            if done.any():
+                jumps[ids[done]] = step
+                keep = ~done
+                ids, x, row, tn, disp, nxt, gate = (
+                    a[keep] for a in (ids, x, row, tn, disp, nxt, gate)
+                )
+                if not ids.size:
+                    break
+        v = rng.random(ids.size) * row[:, last + 1]
+        k = (row[:, : last + 1] > v[:, None]).argmax(axis=1)
+        x = neighbors[x, k]
+        if times.size:  # displacements are only ever read at sample times
+            disp += moves[k]
+        t = tn
+        step += 1
+        if path:
+            steps.append((ids, tn, x, k))
+            if len(steps) == 4096:
+                chunks.append(tuple(map(np.concatenate, zip(*steps))))
+                steps = []
+    record = tuple(map(np.concatenate, zip(*chunks, *steps))) if path else None
+    return Batch(sites, displacements, jumps, record)
+
+
+def _simulate(lattice, tables, start, horizon, rng):
+    """One walk's path, as the batch of one."""
+    batch = _simulate_batch(lattice, tables, [int(start)], horizon, rng, path=True)
+    _, times, sites, columns = batch.path
     return Trajectory(
         start=int(start),
         horizon=float(horizon),
-        times=np.array(times),
-        sites=np.array(sites, dtype=np.int64),
-        displacements=np.array(disps, dtype=np.int64).reshape(len(disps), d),
+        times=times,
+        sites=sites,
+        displacements=np.cumsum(_moves(lattice.d)[columns], axis=0),
         lattice=lattice,
     )
+
+
+def _field_batch(lattice, tables, walks, horizon, times, seed, stream, r):
+    """The walks of field r of an ensemble, on that field's one generator.
+
+    child_rng(seed, stream, r) first draws the uniform start sites, then
+    drives the whole batch, so results depend on neither the order in which
+    fields run nor on the number of workers.
+    """
+    rng = child_rng(seed, stream, r)
+    starts = rng.integers(lattice.n_sites, size=walks)
+    return starts, _simulate_batch(lattice, tables, starts, horizon, rng, times)
 
 
 def simulate_vsrw(field, start, horizon, rng):
@@ -222,47 +329,52 @@ class MsdCurve:
     msd_over_t: np.ndarray
     stderr: np.ndarray
     walks_total: int
+    jumps_total: int
     short_time_rate: float
 
 
-def msd_estimate(config):
+def _msd_field(args):
+    """Squared displacement of each walk of field r at the sample times."""
+    config, r = args
+    lat = config.lattice
+    if config.kind == "conductance":
+        field = sample_field(config.law, lat, field_seed(config.seed, r))
+        tables = _walk_tables(lat, field.omega)
+        rate_mean = float(field.rates().mean())
+    else:
+        tables = _walk_tables(lat, lat.unit_weights)
+        rate_mean = 2.0 * lat.d
+    _, batch = _field_batch(lat, tables, config.walks, config.horizon, config.times,
+                            config.seed, 1, r)
+    squares = np.sum(batch.displacements.astype(float) ** 2, axis=2)
+    return squares, rate_mean, int(batch.jumps.sum())
+
+
+def msd_estimate(config, workers=1):
     """Ensemble- and path-averaged mean square displacement over time.
 
     Walk starts are uniform over sites, matching the stationary environment
     measure.  Standard errors come from the spread across independent field
-    realizations (across walks when there is a single field).
+    realizations, or across all walks when the fields cannot differ (a
+    single field, a constant law, or the simple walk): there every walk is an
+    independent sample, and the spread of a few field means would estimate
+    the same error from far fewer degrees of freedom.  Fields run through
+    parallel_map; the result does not depend on workers.
     """
-    lat = config.lattice
-    group_curves = []
-    rate_means = []
-    for r in range(config.realizations):
-        if config.kind == "conductance":
-            field = sample_field(config.law, lat, field_seed(config.seed, r))
-            tables = _walk_tables(lat, field.omega)
-            rate_means.append(float(field.rates().mean()))
-        else:
-            field = None
-            tables = _walk_tables(lat, lat.unit_weights)
-            rate_means.append(2.0 * lat.d)
-        per_walk = np.empty((config.walks, len(config.times)))
-        for j in range(config.walks):
-            rng = child_rng(config.seed, 1, r, j)
-            start = int(rng.integers(lat.n_sites))
-            traj = _simulate(lat, tables, start, config.horizon, rng)
-            disp = traj.displacement_at(config.times)
-            per_walk[j] = np.sum(disp.astype(float) ** 2, axis=1)
-        group_curves.append(per_walk.mean(axis=0) if config.realizations > 1 else per_walk)
-    if config.realizations > 1:
-        samples = np.stack(group_curves)
+    results = parallel_map(_msd_field, [(config, r) for r in range(config.realizations)], workers)
+    fields_differ = config.kind == "conductance" and not isinstance(config.law, Constant)
+    if config.realizations > 1 and fields_differ:
+        samples = np.stack([squares.mean(axis=0) for squares, _, _ in results])
     else:
-        samples = group_curves[0]
+        samples = np.concatenate([squares for squares, _, _ in results])
     mean, se = mean_and_stderr(samples, axis=0)
     return MsdCurve(
         times=config.times,
         msd_over_t=mean / config.times,
         stderr=se / config.times,
         walks_total=config.realizations * config.walks,
-        short_time_rate=float(np.mean(rate_means)),
+        jumps_total=sum(jumps for _, _, jumps in results),
+        short_time_rate=float(np.mean([rate for _, rate, _ in results])),
     )
 
 

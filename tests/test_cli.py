@@ -117,6 +117,30 @@ def test_nonfinite_and_repeated_values_exit_2(tmp_path, capsys, argv, message):
     assert f"config error {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, note",
+    [
+        (["--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4", "--realizations", "2",
+          "--mu", "2,0.10000000000000002,0.1"],
+         "note: effective diffusivity 4.97617 +/- 0.37 (baseline 2 A2(mu_min), "
+         "not extrapolated: the mu-order fit failed)"),
+        (["--law", "constant:2", "--d", "2", "--n", "4", "--realizations", "2"],
+         "note: effective diffusivity 4 +/- 0 (baseline 2 A2(mu_min), "
+         "not extrapolated: the corrector vanishes)"),
+        (["--law", "twopoint:0.5,1,4", "--d", "1", "--n", "6", "--realizations", "2",
+          "--mu", "1,0.5,0.25,0.01"],
+         "note: extrapolated effective diffusivity "),
+    ],
+)
+def test_diffusivity_note_says_whether_sigma2_was_extrapolated(tmp_path, capsys, flags, note):
+    out = tmp_path / "run"
+    main(["diffusivity"] + flags + ["--workers", "1", "--out", str(out)])
+    notes = [line for line in (out / "summary.txt").read_text().splitlines()
+             if "effective diffusivity" in line]
+    assert len(notes) == 1 and notes[0].startswith(note)
+    capsys.readouterr()
+
+
 def test_diffusivity_fit_failure_and_overflow_still_write_a_report(tmp_path, capsys):
     # A2(mu) equals its baseline at the next float up: a nonpositive difference
     out = tmp_path / "flat"

@@ -178,8 +178,18 @@ def test_diffusivity_report_does_not_depend_on_workers(tmp_path):
     )
 
 
+def test_decay_mc_report_does_not_depend_on_workers(tmp_path):
+    times = np.array([0.25, 0.5, 1.0, 2.0])
+    _assert_report_does_not_depend_on_workers(
+        tmp_path,
+        lambda workers: variance_decay_experiment(LAW, 2, 6, "edge", "conductance", times, 3, 4,
+                                                  method="mc", walks=50, workers=workers)[1],
+        ["curve"],
+    )
+
+
 def test_msd_report_does_not_depend_on_workers(tmp_path):
-    # workers reach the corrector sweep that supplies sigma2
+    # workers reach the corrector sweep that supplies sigma2 and the walker's fields
     _assert_report_does_not_depend_on_workers(
         tmp_path,
         lambda workers: msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20,

@@ -4,13 +4,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 
-from condlab.environment import ConductanceField, Constant, Lattice, TwoPoint, sample_field
+from condlab.environment import (
+    ConductanceField,
+    Constant,
+    Lattice,
+    TwoPoint,
+    parse_law,
+    sample_field,
+)
 from condlab.errors import ParameterError
+from condlab.experiments import msd_experiment, variance_decay_experiment
 from condlab.functionals import centered_edge, evaluate_all
+from condlab.operators import build_generator
+from condlab.util import child_rng, field_seed
 from condlab.walker import (
     EnsembleConfig,
     Trajectory,
+    _simulate_batch,
+    _walk_tables,
     additive_functional,
     env_samples,
     msd_estimate,
@@ -209,3 +223,162 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == 3 + traj.jump_count
     last = lines[-1].split(",")
     assert int(last[1]) == traj.sites[-1]
+
+
+# Recorded with the per-walk jump loop that preceded the lockstep kernel:
+# (law, d, n, field seed, start, jumps, final site, final displacement,
+# last jump time, sum of visited sites), horizon 6, rng seed 100 + field seed.
+RECORDED_PATHS = [
+    ("twopoint:0.5,1,4", 1, 11, 1, 7, 25, 4, [-3], 5.848502509778082, 132),
+    ("twopoint:0.5,1,4", 1, 11, 2, 3, 26, 10, [-4], 5.44520338405667, 46),
+    ("twopoint:0.5,1,4", 2, 6, 1, 7, 50, 7, [0, 0], 5.976056645317619, 326),
+    ("twopoint:0.5,1,4", 2, 6, 2, 14, 47, 13, [0, -1], 5.9099398541560815, 411),
+    ("twopoint:0.5,1,4", 3, 4, 1, 7, 73, 44, [-14, -6, -3], 5.969014437148676, 2494),
+    ("twopoint:0.5,1,4", 3, 4, 2, 14, 70, 63, [-5, 12, 5], 5.966133471071736, 2130),
+    ("boundedpareto:0.3,0.5,1000", 1, 11, 1, 7, 5, 8, [1], 4.398380110572829, 36),
+    ("boundedpareto:0.3,0.5,1000", 1, 11, 2, 3, 11, 9, [-5], 5.852648034446776, 41),
+    ("boundedpareto:0.3,0.5,1000", 2, 6, 1, 7, 12, 33, [-2, 2], 5.128077642629691, 151),
+    ("boundedpareto:0.3,0.5,1000", 2, 6, 2, 14, 22, 0, [4, 4], 5.911822209100309, 298),
+    ("boundedpareto:0.3,0.5,1000", 3, 4, 1, 7, 28, 2, [0, 3, 3], 5.934582935467688, 769),
+    ("boundedpareto:0.3,0.5,1000", 3, 4, 2, 14, 28, 53, [3, -6, 3], 5.94929566731691, 984),
+]
+
+# The same for the simple walk: (d, n, jumps, final site, final displacement,
+# last jump time, sum of visited sites), start 5, horizon 6, rng seed 77.
+RECORDED_SIMPLE_PATHS = [
+    (1, 11, 6, 5, [0], 5.928594142057373, 33),
+    (2, 6, 17, 4, [0, -1], 5.884057566922887, 386),
+    (3, 4, 34, 47, [2, 6, 2], 5.75601300588397, 1196),
+]
+
+
+def _assert_path(traj, jumps, site, disp, last_time, site_sum):
+    assert traj.jump_count == jumps
+    assert traj.sites[-1] == site
+    assert traj.displacements[-1].tolist() == disp
+    assert traj.times[-1] == last_time
+    assert int(traj.sites.sum()) == site_sum
+
+
+@pytest.mark.parametrize("law, d, n, seed, start, jumps, site, disp, last_time, site_sum",
+                         RECORDED_PATHS)
+def test_batch_of_one_replays_recorded_conductance_paths(law, d, n, seed, start, jumps, site,
+                                                         disp, last_time, site_sum):
+    field = sample_field(parse_law(law), Lattice(d, n), seed)
+    traj = simulate_vsrw(field, start, 6.0, np.random.default_rng(100 + seed))
+    _assert_path(traj, jumps, site, disp, last_time, site_sum)
+
+
+@pytest.mark.parametrize("d, n, jumps, site, disp, last_time, site_sum", RECORDED_SIMPLE_PATHS)
+def test_batch_of_one_replays_recorded_simple_paths(d, n, jumps, site, disp, last_time, site_sum):
+    traj = simulate_srw(Lattice(d, n), 5, 6.0, np.random.default_rng(77))
+    _assert_path(traj, jumps, site, disp, last_time, site_sum)
+
+
+def test_batch_of_one_replays_a_recorded_path_of_several_chunks():
+    # 5617 jumps: the path is recorded in more than one 4096-step chunk; the
+    # next draw shows that the walk consumed exactly the recorded draws
+    field = sample_field(LAW, Lattice(2, 6), 1)
+    rng = np.random.default_rng(101)
+    traj = simulate_vsrw(field, 7, 600.0, rng)
+    _assert_path(traj, 5617, 20, [56, 49], 599.4862758867854, 100092)
+    assert int(traj.displacements.sum()) == 279171
+    assert float(traj.times.sum()) == 1702006.4591858163
+    assert rng.random() == 0.689216482960237
+
+
+def test_sample_time_records_match_the_path():
+    # sample times do not change the draws, so a batch of one sampled at
+    # chosen times must agree with its own path, right-continuously at a jump
+    field = sample_field(LAW, Lattice(2, 6), 4)
+    tables = _walk_tables(field.lattice, field.omega)
+    traj = simulate_vsrw(field, 9, 8.0, np.random.default_rng(5))
+    times = np.array([0.0, 0.3, traj.times[10], 4.0, 8.0])
+    batch = _simulate_batch(field.lattice, tables, [9], 8.0, np.random.default_rng(5), times)
+    assert batch.jumps.tolist() == [traj.jump_count]
+    assert batch.sites[0].tolist() == traj.site_at(times).tolist()
+    assert batch.displacements[0].tolist() == traj.displacement_at(times).tolist()
+    assert batch.sites[0, 2] == traj.sites[10]
+
+
+@pytest.mark.parametrize("law, d, n, t", [
+    ("twopoint:0.5,1,4", 1, 16, 1.5),
+    ("uniform:1,3", 2, 8, 0.6),
+    ("boundedpareto:0.3,0.5,1000", 2, 8, 0.6),
+    ("twopoint:0.5,1,4", 3, 4, 0.4),
+    ("constant:1", 3, 4, 0.5),
+])
+def test_batched_end_sites_follow_the_heat_kernel(law, d, n, t):
+    # 20000 walks from one start against the row exp(tL)[start]; bins with
+    # fewer than 5 expected walks are pooled
+    field = sample_field(parse_law(law), Lattice(d, n), 7)
+    tables = _walk_tables(field.lattice, field.omega)
+    walks, start = 20000, 3
+    batch = _simulate_batch(field.lattice, tables, np.full(walks, start), t,
+                            np.random.default_rng(11), [t])
+    expected = walks * scipy.linalg.expm(t * build_generator(field).matrix.toarray())[start]
+    observed = np.bincount(batch.sites[:, 0], minlength=field.lattice.n_sites)
+    big = expected >= 5.0
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    if exp[-1] == 0:
+        obs, exp = obs[:-1], exp[:-1]
+    assert obs.sum() == walks
+    assert scipy.stats.chisquare(obs, exp * walks / exp.sum()).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_simple_walk_jump_counts_are_poisson(d):
+    lat, t, walks = Lattice(d, 5), 1.5, 20000
+    batch = _simulate_batch(lat, _walk_tables(lat, lat.unit_weights),
+                            np.zeros(walks, dtype=int), t, np.random.default_rng(d))
+    pmf = scipy.stats.poisson(2 * d * t)
+    edges = np.arange(int(pmf.ppf(0.999)) + 1)
+    expected = walks * np.append(np.diff(np.append(0.0, pmf.cdf(edges[:-1]))), pmf.sf(edges[-2]))
+    observed = np.bincount(np.minimum(batch.jumps, edges[-1]), minlength=edges.size)
+    assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_batches_reject_bad_horizons_starts_and_sample_times():
+    lat = Lattice(2, 4)
+    tables = _walk_tables(lat, lat.unit_weights)
+    rng = np.random.default_rng(0)
+    for horizon in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError):
+            _simulate_batch(lat, tables, [0, 1], horizon, rng)
+    for starts in ([0, 16], [-1, 3], [[0, 1]]):
+        with pytest.raises(ParameterError):
+            _simulate_batch(lat, tables, starts, 1.0, rng)
+    for times in ([0.5, 0.5], [0.5, 1.5], [-0.1]):
+        with pytest.raises(ParameterError):
+            _simulate_batch(lat, tables, [0, 1], 1.0, rng, times)
+    with pytest.raises(ParameterError):
+        simulate_vsrw(sample_field(LAW, lat, 0), 16, 1.0, rng)
+
+
+def _walker_note(report):
+    (note,) = [n for n in report.notes if n.startswith("walker: ")]
+    return note
+
+
+def test_walker_notes_count_the_jumps_of_batches_of_one():
+    # with one walk per field each field's batch is a batch of one, replayed
+    # here by hand from the seed tree: the start is drawn first
+    d, n, realizations, seed = 2, 5, 4, 13
+    lat = Lattice(d, n)
+    fields = [sample_field(LAW, lat, field_seed(seed, r)) for r in range(realizations)]
+
+    def replay(stream, horizon):
+        jumps = 0
+        for r, field in enumerate(fields):
+            rng = child_rng(seed, stream, r)
+            start = int(rng.integers(lat.n_sites, size=1)[0])
+            jumps += simulate_vsrw(field, start, horizon, rng).jump_count
+        return jumps
+
+    report, _ = msd_experiment(LAW, d, n, (0.5, 2.0), realizations, 1, seed,
+                               sigma2=4.0, sigma2_se=0.1, trend_check=False)
+    assert _walker_note(report) == f"walker: {realizations} walks, {replay(1, 2.0)} jumps simulated"
+    _, report = variance_decay_experiment(LAW, d, n, "edge", "conductance", [0.5, 1.5],
+                                          realizations, seed, method="mc", walks=1)
+    assert _walker_note(report) == f"walker: {realizations} walks, {replay(2, 3.0)} jumps simulated"
