@@ -49,8 +49,9 @@ class Lattice:
     Periods below 3 are rejected so the torus never has parallel edges.
 
     Everything the walks need is derived from this one structure: the signed
-    incidence matrix (incidence), its per-site rows (star), and the unit
-    weights of the simple walk (unit_weights), each built on first use.
+    incidence matrix (incidence), its per-site rows (star), the generator's
+    sparse layout (generator_pattern), and the unit weights of the simple
+    walk (unit_weights), each built on first use.
     """
 
     def __init__(self, d, n):
@@ -87,6 +88,27 @@ class Lattice:
         for table in (sites, edges):
             table.setflags(write=False)
         return sites, edges
+
+    @cached_property
+    def generator_pattern(self):
+        """CSR layout of the generator L, shared by every field on this torus.
+
+        Returns (indptr, indices, source): row x holds the 2d neighbours of x
+        and x itself, in ascending column order.  Stored entry k is element
+        source[k] of concatenate((weights.ravel(), diagonal)): the index of
+        the edge joining the two sites off the diagonal, n_edges + x at (x, x).
+        """
+        sites, edges = self.star
+        here = np.arange(self.n_sites)[:, None]
+        columns = np.concatenate((sites, here), axis=1)
+        order = np.argsort(columns, axis=1)
+        indices = np.take_along_axis(columns, order, axis=1).ravel().astype(np.int32)
+        source = np.concatenate((edges, self.n_edges + here), axis=1)
+        source = np.take_along_axis(source, order, axis=1).ravel().astype(np.int32)
+        indptr = np.arange(0, indices.size + 1, columns.shape[1], dtype=np.int32)
+        for table in (indptr, indices, source):
+            table.setflags(write=False)
+        return indptr, indices, source
 
     @cached_property
     def incidence(self):

@@ -196,9 +196,8 @@ def decay_fit(curve, window=None):
 
 def _decay_spectral_one(args):
     """One field's variance curve, with its quadrature bracket width and Lanczos steps."""
-    law, d, n, fname, kind, times, seed = args
-    lat = Lattice(d, n)
-    f = functional_by_name(fname, d, law)
+    law, lat, fname, kind, times, seed = args
+    f = functional_by_name(fname, lat.d, law)
     field = sample_field(law, lat, seed)
     g = evaluate_all(f, field)
     if kind == "simple":
@@ -214,9 +213,8 @@ def _walker_note(walks, jumps):
 
 def _decay_mc_one(args):
     """One field's two-time correlation from its walk batch, with the batch's jump count."""
-    law, d, n, fname, kind, times, seed, master, r, walks = args
-    lat = Lattice(d, n)
-    f = functional_by_name(fname, d, law)
+    law, lat, fname, kind, times, seed, master, r, walks = args
+    f = functional_by_name(fname, lat.d, law)
     field = sample_field(law, lat, seed)
     tables = _walk_tables(lat, field.omega if kind == "conductance" else lat.unit_weights)
     vals = evaluate_all(f, field)
@@ -269,13 +267,13 @@ def variance_decay_experiment(
     if method == "spectral":
         results = parallel_map(
             _decay_spectral_one,
-            [(law, d, n, fname, kind, times, s) for s in seeds],
+            [(law, lat, fname, kind, times, s) for s in seeds],
             workers,
         )
     else:
         results = parallel_map(
             _decay_mc_one,
-            [(law, d, n, fname, kind, times, seeds[r], seed, r, walks) for r in range(realizations)],
+            [(law, lat, fname, kind, times, seeds[r], seed, r, walks) for r in range(realizations)],
             workers,
         )
     curves = [r[0] for r in results]
@@ -344,11 +342,10 @@ def variance_decay_experiment(
 
 
 def _diffusivity_one_field(args):
-    law, d, n, seed, mus = args
-    lat = Lattice(d, n)
+    law, lat, seed, mus = args
     field = sample_field(law, lat, seed)
     op = build_generator(field, "conductance")
-    g = evaluate_all(local_drift(d, law), field)
+    g = evaluate_all(local_drift(lat.d, law), field)
     phis, iterations, residual = resolvent_solve(op, g, mus)
     rows = []
     worst = 0.0
@@ -392,9 +389,8 @@ def diffusivity_experiment(
     if realizations < 2:
         raise ConfigError([("realizations", "need at least 2 realizations")])
     seeds = [field_seed(seed, r) for r in range(realizations)]
-    results = parallel_map(
-        _diffusivity_one_field, [(law, d, n, s, mus) for s in seeds], workers
-    )
+    lat = Lattice(d, n)
+    results = parallel_map(_diffusivity_one_field, [(law, lat, s, mus) for s in seeds], workers)
     stack = np.stack([r[0] for r in results])  # (fields, mus, 4)
     worst_chain = max(r[1] for r in results)
     cg_steps = max(r[2] for r in results)
@@ -829,13 +825,28 @@ def contractivity_experiment(
 # Box inequality chain
 
 
+def _nash_one_field(args):
+    """One field's E[g^2], simple-walk energy and mean squared box sum per box size."""
+    law, op0, fname, n_list, seed = args
+    lat = op0.lattice
+    field = sample_field(law, lat, seed)
+    g = evaluate_all(functional_by_name(fname, lat.d, law), field)
+    g = g - g.mean()
+    m2s = []
+    for nb in n_list:
+        s = box_sum_field(g, lat, nb)
+        m2s.append(float(np.mean(s * s)))
+    return float(np.mean(g * g)), dirichlet_form(op0, g), m2s
+
+
 def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=None, workers=1):
     """Verify the box variance inequality at each box size and locate its optimum.
 
     For centered g the bound E[g^2] <= C_S(n) n^2 E_simple(g,g)
     + 2 E[(S_n g)^2]/|B_n|^2 must hold pathwise; the report also compares
     the size minimizing the right side with the heuristic optimum
-    (N'/(2e E))^(1/(d+2)).
+    (N'/(2e E))^(1/(d+2)).  A functional object is looked up again by its
+    name in each field's task, as in variance_decay_experiment.
     """
     n_list = sorted(int(v) for v in n_list)
     if not n_list or n_list[0] < 1:
@@ -852,17 +863,15 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     slack_min = math.inf
     argmins = []
     w_opts = []
-    for r in range(realizations):
-        field = sample_field(law, lat, field_seed(seed, r))
-        g = evaluate_all(f, field)
-        g = g - g.mean()
-        ef2 = float(np.mean(g * g))
-        energy = dirichlet_form(op0, g)
+    results = parallel_map(
+        _nash_one_field,
+        [(law, op0, f.name, n_list, field_seed(seed, r)) for r in range(realizations)],
+        workers,
+    )
+    for ef2, energy, m2s in results:
         rhs_by_n = {}
         best_norm = ef2
-        for nb in n_list:
-            s = box_sum_field(g, lat, nb)
-            m2 = float(np.mean(s * s))
+        for nb, m2 in zip(n_list, m2s):
             size = (2 * nb + 1) ** d
             rhs = cs[nb] * nb * nb * energy + 2.0 * m2 / size**2
             rhs_by_n[nb] = rhs

@@ -44,18 +44,13 @@ class TorusOperator:
         weights = np.asarray(weights, dtype=float)
         weights.setflags(write=False)
         self.weights = weights
-        # L = -B^T diag(w) B, with the rows of -B^T diag(w) laid out as the
-        # stars: x is the tail (B = -1) of the edge in star column 2a and the
-        # head (B = +1) of the one in column 2a + 1.  The product then sums
-        # each diagonal entry in star order, as the rates do: -diag(L) == rates.
-        _, edges = lattice.star
-        star = weights.ravel()[edges] * np.tile([1.0, -1.0], lattice.d)
-        indptr = np.arange(0, star.size + 1, 2 * lattice.d)
-        shape = (lattice.n_sites, lattice.n_edges)
-        minus_bt_w = sp.csr_matrix((star.ravel(), edges.ravel(), indptr), shape=shape)
-        self.matrix = minus_bt_w @ lattice.incidence
-        self.matrix.sort_indices()
+        # L = -B^T diag(w) B: the weight of the edge joining x and y off the
+        # diagonal, and -rates, summed in star order, on it
         self.rates = lattice.jump_rates(weights)
+        indptr, indices, source = lattice.generator_pattern
+        data = np.concatenate((weights.ravel(), -self.rates))[source]
+        n = lattice.n_sites
+        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         self.max_rate = float(self.rates.max())
         self._eig = None
 
@@ -172,6 +167,12 @@ def _lanczos(op, v):
         basis[k + 1] = w / betas[-1]
 
 
+# seed residuals held between two folds into the shifts' iterates and directions
+_CG_BLOCK = 16
+# columns per tile of a fold, so its temporaries stay a few rows this wide
+_FOLD_COLUMNS = 4096
+
+
 def _multishift_cg(op, b, shifts, tol, maxiter):
     """Conjugate gradients on (shifts[-1] I - L) x = b, carrying every shift along.
 
@@ -182,44 +183,96 @@ def _multishift_cg(op, b, shifts, tol, maxiter):
     shift grows, so shifts retire from the front once |zeta_i| |r| <= tol and
     the active rows stay one contiguous slice.  Returns the iterates, one row
     per shift, and the number of steps taken.
+
+    Only the seed's direction is updated at every step.  Each shift, the
+    seed included, holds its iterate and direction as coefficients over its
+    direction at the last fold and the seed residuals since then, kept by
+    multiplication only, so exact termination and retired shifts stay
+    finite.  Every _CG_BLOCK steps, and once at the end, two matmuls
+    (shifts x held residuals times held residuals x sites, tiled over the
+    sites) fold the residuals into the iterates and directions.  A shift
+    whose coefficients equal the seed's (one a rounding step away from it)
+    thus goes through the seed's own arithmetic.  Memory is
+    O((len(shifts) + _CG_BLOCK) n_sites).
     """
     seed = shifts[-1]
     delta = shifts - seed
-    m = len(shifts)
-    x = np.zeros((m, b.size))
+    m, n = len(shifts), b.size
+    x = np.zeros((m, n))
     p = np.tile(b, (m, 1))
-    r = b.copy()
+    # the seed's direction now; the rows of p are the directions at the last fold
+    ps = b.copy()
+    q = np.empty(n)
+    # per shift, cx gives its iterate's growth since the last fold and cp its
+    # direction: column 0 multiplies its direction at the last fold, column
+    # j + 1 the seed residual res[j]
+    res = np.empty((_CG_BLOCK, n))
+    cx = np.zeros((m, _CG_BLOCK + 1))
+    cp = np.zeros((m, _CG_BLOCK + 1))
+    cp[:, 0] = 1.0
+    held = 0
+    folded = 0
+    r = b
     rr = float(r @ r)
     zeta = np.ones(m)
     zeta_prev = np.ones(m)
     alpha_prev, beta_prev = 1.0, 0.0
     start = 0
     steps = 0
+    # the fold writes each column tile's products here, allocating nothing
+    tile = np.empty((m, min(n, _FOLD_COLUMNS)))
+
+    def fold():
+        # rows from `folded` on have moved since the last fold
+        rows = slice(folded, m)
+        for lo in range(0, n, _FOLD_COLUMNS):
+            cols = slice(lo, lo + _FOLD_COLUMNS)
+            xs, pf, rs = x[rows, cols], p[rows, cols], res[:held, cols]
+            out = tile[: xs.shape[0], : xs.shape[1]]
+            xs += np.multiply(cx[rows, :1], pf, out=out)
+            xs += np.matmul(cx[rows, 1 : held + 1], rs, out=out)
+            pf *= cp[rows, :1]
+            pf += np.matmul(cp[rows, 1 : held + 1], rs, out=out)
+        cx.fill(0.0)
+        cp.fill(0.0)
+        cp[:, 0] = 1.0
+
     while steps < maxiter:
         norm_r = math.sqrt(rr)
         while start < m and abs(zeta[start]) * norm_r <= tol:
             start += 1
         if start == m:
             break
-        # the seed has zeta == 1 exactly, so p[-1] is the seed's own direction
-        q = seed * p[-1] - op.matrix @ p[-1]
-        alpha = rr / float(p[-1] @ q)
+        np.multiply(seed, ps, out=q)
+        q -= op.matrix @ ps
+        alpha = rr / float(ps @ q)
         act = slice(start, m)
         z, z_prev = zeta[act], zeta_prev[act]
         z_next = z * z_prev * alpha_prev / (
             alpha * beta_prev * (z_prev - z) + z_prev * alpha_prev * (1.0 + delta[act] * alpha)
         )
         ratio = z_next / z
-        x[act] += (alpha * ratio)[:, None] * p[act]
-        r -= alpha * q
+        q *= alpha
+        r = np.subtract(r, q, out=res[held])
         rr_next = float(r @ r)
         beta = rr_next / rr
-        p[act] *= (beta * ratio * ratio)[:, None]
-        p[act] += z_next[:, None] * r
+        # the seed has zeta == 1 exactly, so its ratio is 1
+        ps *= beta
+        ps += r
+        live = cp[act, : held + 1]
+        cx[act, : held + 1] += (alpha * ratio)[:, None] * live
+        live *= (beta * ratio * ratio)[:, None]
+        cp[act, held + 1] = z_next
+        held += 1
         zeta_prev[act] = z
         zeta[act] = z_next
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
         steps += 1
+        if held == _CG_BLOCK:
+            fold()
+            held, folded = 0, start
+    if held:
+        fold()
     return x, steps
 
 
@@ -229,9 +282,12 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
     Every mu is served by one multi-shift conjugate-gradient run on -L whose
     seed system is the smallest mu; a shift retires once its residual is
     below rtol/2 of |g|, and the run stops after 50 sqrt(n_sites) + 1 steps
-    at the latest.  Each solution is then re-verified by back-substitution:
-    a relative residual above rtol raises SolverError, naming the worst mu,
-    instead of returning a bad vector.
+    at the latest.  The iterates are not updated step by step: every
+    _CG_BLOCK steps the seed residuals are folded into them by two matmuls,
+    so the run needs O((len(mu) + _CG_BLOCK) n_sites) memory.  Each
+    solution is then re-verified by back-substitution: a relative residual
+    above rtol raises SolverError, naming the worst mu, instead of returning
+    a bad vector.
 
     A scalar mu returns the solution array.  A sequence returns a tuple
     (rows, iterations, residual): the solutions as an array of shape

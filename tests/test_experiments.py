@@ -188,6 +188,15 @@ def test_decay_mc_report_does_not_depend_on_workers(tmp_path):
     )
 
 
+def test_nash_check_report_does_not_depend_on_workers(tmp_path):
+    _assert_report_does_not_depend_on_workers(
+        tmp_path,
+        lambda workers: nash_chain_check(LAW, 2, [1, 2], "drift", realizations=3, seed=5,
+                                         workers=workers),
+        ["boxes"],
+    )
+
+
 def test_msd_report_does_not_depend_on_workers(tmp_path):
     # workers reach the corrector sweep that supplies sigma2 and the walker's fields
     _assert_report_does_not_depend_on_workers(

@@ -1,10 +1,12 @@
 """Generators, semigroups, resolvents, and the box constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,11 @@ from condlab.environment import (
     sample_field,
 )
 from condlab.errors import BackendError, ParameterError, SolverError
+from condlab.functionals import evaluate_all, local_drift
 from condlab.operators import (
+    _CG_BLOCK,
     DENSE_LIMIT,
+    _multishift_cg,
     _uniformized_apply,
     box_spectral_gap,
     build_generator,
@@ -31,6 +36,7 @@ from condlab.operators import (
     simple_generator,
     sobolev_constant,
 )
+from condlab.util import field_seed
 from condlab.walker import _walk_tables
 
 
@@ -236,6 +242,158 @@ def test_edge_structure_matches_an_edge_by_edge_oracle(case):
         assert np.array_equal(lat.neighbors(x), neighbors[x])
 
 
+@pytest.mark.parametrize("law", sorted(RESOLVENT_LAWS))
+@pytest.mark.parametrize("d, n", [(1, 3), (1, 7), (2, 3), (2, 5), (3, 3), (3, 4)])
+def test_generator_csr_equals_the_edge_by_edge_oracle_bit_for_bit(law, d, n):
+    field = sample_field(RESOLVENT_LAWS[law], Lattice(d, n), 17)
+    lat, w = field.lattice, field.omega
+    dense = np.zeros((lat.n_sites, lat.n_sites))
+    star = np.empty((lat.n_sites, 2 * d))
+    for axis in range(d):
+        for x in range(lat.n_sites):
+            y = lat.shift(x, axis, 1)
+            dense[x, y] = dense[y, x] = w[axis, x]
+            star[x, 2 * axis] = star[y, 2 * axis + 1] = w[axis, x]
+    for x in range(lat.n_sites):
+        # the diagonal is the site's rate, summed left to right along its star
+        total = 0.0
+        for value in star[x]:
+            total += value
+        dense[x, x] = -total
+    oracle = sp.csr_matrix(dense)
+    matrix = build_generator(field, "conductance").matrix
+    assert matrix.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, part), getattr(oracle, part)), part
+
+
+def _unfolded_multishift_cg(op, b, shifts, tol, maxiter):
+    """Multi-shift CG updating every shift's iterate and direction at every step.
+
+    The reference for _multishift_cg: the same seed recurrence, with no
+    fold.  Also returns, per shift, the step count at which it retired.
+    """
+    seed = shifts[-1]
+    delta = shifts - seed
+    m = len(shifts)
+    x = np.zeros((m, b.size))
+    p = np.tile(b, (m, 1))
+    r = b.copy()
+    rr = float(r @ r)
+    zeta, zeta_prev = np.ones(m), np.ones(m)
+    alpha_prev, beta_prev = 1.0, 0.0
+    start, steps, retired = 0, 0, []
+    while steps < maxiter:
+        while start < m and abs(zeta[start]) * math.sqrt(rr) <= tol:
+            start += 1
+            retired.append(steps)
+        if start == m:
+            break
+        q = seed * p[-1] - op.matrix @ p[-1]
+        alpha = rr / float(p[-1] @ q)
+        act = slice(start, m)
+        z, z_prev = zeta[act], zeta_prev[act]
+        z_next = z * z_prev * alpha_prev / (
+            alpha * beta_prev * (z_prev - z) + z_prev * alpha_prev * (1.0 + delta[act] * alpha)
+        )
+        ratio = z_next / z
+        x[act] += (alpha * ratio)[:, None] * p[act]
+        r -= alpha * q
+        rr_next = float(r @ r)
+        beta = rr_next / rr
+        p[act] *= (beta * ratio * ratio)[:, None]
+        p[act] += z_next[:, None] * r
+        zeta_prev[act], zeta[act] = z, z_next
+        alpha_prev, beta_prev, rr = alpha, beta, rr_next
+        steps += 1
+    return x, steps, retired
+
+
+def _check_folded_solve(op, g, mus):
+    """resolvent_solve against dense solves, _multishift_cg against the unfolded loop.
+
+    Returns the step count and the steps at which the shifts retired.
+    """
+    n = len(g)
+    rows, iterations, residual = resolvent_solve(op, g, mus)
+    dense = op.matrix.toarray()
+    for mu, u in zip(mus, rows):
+        ref = np.linalg.solve(mu * np.eye(n) - dense, g)
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref), mu
+    shifts = np.unique(mus)[::-1]
+    tol, cap = 0.5e-10 * np.linalg.norm(g), int(50 * math.sqrt(n)) + 1
+    folded, steps = _multishift_cg(op, g, shifts, tol, cap)
+    unfolded, ref_steps, retired = _unfolded_multishift_cg(op, g, shifts, tol, cap)
+    assert steps == ref_steps == iterations
+    scale = np.linalg.norm(unfolded, axis=1)
+    assert np.all(np.linalg.norm(folded - unfolded, axis=1) <= 1e-12 * scale)
+    return steps, retired
+
+
+def test_folded_resolvent_spanning_several_blocks():
+    _, op = _random_op(2, 12, 31, law=TwoPoint(0.5, 1.0, 4.0))
+    g = np.random.default_rng(31).normal(size=144)
+    steps, _ = _check_folded_solve(op, g, [5.0, 0.3, 0.02, 1e-3])
+    assert steps > 3 * _CG_BLOCK
+
+
+def test_folded_resolvent_ending_on_a_block_boundary():
+    # the unit ring of 64 sites has 32 distinct nonzero eigenvalues, so CG on
+    # a mean-free g ends by exact termination after two full blocks
+    _, op = _random_op(1, 64, 0, law=Constant(1.0))
+    g = np.random.default_rng(32).normal(size=64)
+    steps, _ = _check_folded_solve(op, g - g.mean(), [2.0, 0.1, 0.01])
+    assert steps == 2 * _CG_BLOCK
+
+
+def test_folded_resolvent_with_a_shift_retiring_mid_block():
+    _, op = _random_op(2, 10, 33, law=BoundedPareto(0.3, 0.5, 1e3))
+    g = np.random.default_rng(33).normal(size=100)
+    steps, retired = _check_folded_solve(op, g, [3.0, 0.3, 1e-3])
+    # both larger shifts retire after a fold, inside a block, before the run ends
+    assert _CG_BLOCK < retired[0] < retired[1] < steps
+    assert all(k % _CG_BLOCK for k in retired[:2])
+
+
+def test_folded_resolvent_on_a_torus_smaller_than_a_block():
+    _, op = _random_op(2, 3, 34, law=Uniform(1.0, 3.0))
+    g = np.random.default_rng(34).normal(size=9)
+    steps, _ = _check_folded_solve(op, g, [3.0, 0.2, 0.005])
+    # the Krylov space has at most 9 dimensions, so no block ever fills
+    assert steps < _CG_BLOCK
+
+
+# CG steps of the corrector sweep on the first three fields of seed 0 (d=3,
+# n=24, twopoint:0.5,1,4, mu = geomspace(1, 0.177, 6) and 0.01): the seed
+# recurrence of the multi-shift solver fixes them
+CORRECTOR_MUS = np.append(np.geomspace(1.0, 0.177, 6), 0.01)
+CORRECTOR_STEPS = [139, 141, 136]
+
+
+def _corrector_case(r):
+    law = TwoPoint(0.5, 1.0, 4.0)
+    field = sample_field(law, Lattice(3, 24), field_seed(0, r))
+    return build_generator(field, "conductance"), evaluate_all(local_drift(3, law), field)
+
+
+def test_corrector_cg_step_counts_are_pinned():
+    for r, expected in enumerate(CORRECTOR_STEPS):
+        op, g = _corrector_case(r)
+        assert resolvent_solve(op, g, CORRECTOR_MUS)[1] == expected, r
+
+
+def test_multishift_memory_stays_within_shifts_plus_block_rows():
+    op, g = _corrector_case(0)
+    n, m = len(g), len(CORRECTOR_MUS)
+    tracemalloc.start()
+    try:
+        resolvent_solve(op, g, CORRECTOR_MUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * m + _CG_BLOCK + 8) * n * 8
+
+
 def test_resolvent_of_a_constant_terminates_after_one_step():
     # -L kills constants, so the first step already solves every shift exactly
     _, op = _random_op(2, 6, 5, law=TwoPoint(0.5, 1.0, 4.0))
@@ -251,6 +409,15 @@ def test_single_mu_sequence_equals_the_scalar_call_bit_for_bit():
     g = np.random.default_rng(6).normal(size=64)
     for mu in (2.0, 0.01):
         assert np.array_equal(resolvent_solve(op, g, [mu])[0][0], resolvent_solve(op, g, mu))
+
+
+def test_a_shift_one_float_above_the_seed_gets_the_seed_solution_bit_for_bit():
+    # 1 + (mu' - mu) alpha rounds to 1, so that shift's zeta stays 1 like the seed's
+    _, op = _random_op(3, 20, 8)
+    g = np.random.default_rng(8).normal(size=8000)
+    rows, iterations, _ = resolvent_solve(op, g, [2.0, np.nextafter(0.1, 1.0), 0.1])
+    assert iterations > _CG_BLOCK
+    assert np.array_equal(rows[1], rows[2])
 
 
 def test_unreachable_resolvent_tolerance_names_a_mu():
