@@ -48,10 +48,11 @@ class Lattice:
     order.  The edge toward x - e_axis is therefore (axis, x - e_axis).
     Periods below 3 are rejected so the torus never has parallel edges.
 
-    Everything the walks need is derived from this one structure: the signed
-    incidence matrix (incidence), its per-site rows (star), the generator's
-    sparse layout (generator_pattern), and the unit weights of the simple
-    walk (unit_weights), each built on first use.
+    Everything the walks need is derived from this one structure: the edge
+    increments of a site array (gradient, the signed incidence matrix B
+    applied), the per-site rows of B (star), the generator's sparse layout
+    (generator_pattern), and the unit weights of the simple walk
+    (unit_weights), each table built on first use.
     """
 
     def __init__(self, d, n):
@@ -110,23 +111,15 @@ class Lattice:
             table.setflags(write=False)
         return indptr, indices, source
 
-    @cached_property
-    def incidence(self):
-        """Signed incidence matrix B, n_edges x n_sites (CSR).
+    def gradient(self, g):
+        """Increments of the site array g along every edge, (B g)_e = g(x + e_a) - g(x).
 
-        Row axis * n^d + x is -1 at x and +1 at x + e_axis, so (B g)_e is the
-        increment of g along edge e.  With edge weights w, L = -B^T diag(w) B
-        is the walk generator, |B|^T w the sites' total jump rates, and
-        sum_e w_e (B g)_e^2 the Dirichlet form.  Row x of B^T is the star of x.
+        B is the signed incidence matrix (edges x sites; row a * n^d + x is -1
+        at x and +1 at x + e_a), applied without being stored.  With edge
+        weights w, L = -B^T diag(w) B is the walk generator, |B|^T w the
+        sites' total jump rates, and sum_e w_e (B g)_e^2 the Dirichlet form.
         """
-        # imported here: loaded at the top of this module, scipy.sparse slowed
-        # `import condlab.cli` by about 40 ms (2-core x86-64 box)
-        import scipy.sparse as sp
-
-        ends = np.stack((np.tile(np.arange(self.n_sites), self.d), self._fwd.ravel()), axis=1)
-        indptr = np.arange(0, 2 * self.n_edges + 1, 2)
-        signs = np.tile([-1.0, 1.0], self.n_edges)
-        return sp.csr_matrix((signs, ends.ravel(), indptr), shape=(self.n_edges, self.n_sites))
+        return (g[self._fwd] - g).ravel()
 
     @cached_property
     def unit_weights(self):

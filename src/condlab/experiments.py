@@ -683,21 +683,40 @@ def contract_exact_moments(p, eps, cap):
     return mean, max(second - mean * mean, 0.0)
 
 
+# window rows drawn and reduced together: a block's arrays stay in cache,
+# where a chunk's 1e6 x 8 did not (4096 timed best of 4096, 16384 and 65536)
+_CONTRACT_BLOCK = 4096
+
+
+def _contract_uniforms(seed, chunk_idx, size):
+    """The chunk's uniforms (u, v), each (size, 8), yielded _CONTRACT_BLOCK rows at a time.
+
+    The chunk's stream holds all of u, then all of v, one 64-bit output per
+    double, so v is read from a second copy of the stream advanced past u.
+    """
+    urng, vrng = child_rng(seed, 3, chunk_idx), child_rng(seed, 3, chunk_idx)
+    vrng.bit_generator.advance(8 * size)
+    for lo in range(0, size, _CONTRACT_BLOCK):
+        rows = min(_CONTRACT_BLOCK, size - lo)
+        yield urng.random((rows, 8)), vrng.random((rows, 8))
+
+
 def _contract_mc_chunk(args):
     p, eps, cap, seed, chunk_idx, size = args
-    rng = child_rng(seed, 3, chunk_idx)
     a = 4.0 + eps
-    u = rng.random((size, 8))
-    v = rng.random((size, 8))
-    heavy = u < p
-    e = np.where(heavy, (1.0 - v * (1.0 - cap**-a)) ** (-1.0 / a), 0.0)
-    f = _contract_window_values(e)
-    s1f = f[-1] + f[0] + f[1]
-    s1lf = np.zeros(size)
-    for x in (-1, 0, 1):
-        s1lf += e[:, x + 3] * (f[x + 1] - f[x]) + e[:, x + 2] * (f[x - 1] - f[x])
-    h = s1lf * s1f
-    return float(h.sum()), float((h * h).sum()), size
+    h_sums, h2_sums = [], []
+    for u, v in _contract_uniforms(seed, chunk_idx, size):
+        heavy = u < p
+        e = np.where(heavy, (1.0 - v * (1.0 - cap**-a)) ** (-1.0 / a), 0.0)
+        f = _contract_window_values(e)
+        s1f = f[-1] + f[0] + f[1]
+        s1lf = np.zeros(len(e))
+        for x in (-1, 0, 1):
+            s1lf += e[:, x + 3] * (f[x + 1] - f[x]) + e[:, x + 2] * (f[x - 1] - f[x])
+        h = s1lf * s1f
+        h_sums.append(float(h.sum()))
+        h2_sums.append(float((h * h).sum()))
+    return math.fsum(h_sums), math.fsum(h2_sums), size
 
 
 def contractivity_experiment(

@@ -7,9 +7,9 @@ algebra on n^d points.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BackendError, ParameterError, SolverError
 
@@ -32,10 +32,12 @@ DENSE_LIMIT = 4096
 
 
 class TorusOperator:
-    """Walk generator L on one torus, kept as a sparse symmetric matrix.
+    """Walk generator L on one torus, kept as its entries in the lattice's CSR layout.
 
     Rows sum to zero and off-diagonal entries are the edge weights, so -L is
-    positive semidefinite with the constants as its kernel.
+    positive semidefinite with the constants as its kernel.  The entries are
+    gathered into `Lattice.generator_pattern` per field; the scipy matrix
+    over them (`matrix`) is built only when a sparse product asks for it.
     """
 
     def __init__(self, lattice, weights, kind):
@@ -47,12 +49,20 @@ class TorusOperator:
         # L = -B^T diag(w) B: the weight of the edge joining x and y off the
         # diagonal, and -rates, summed in star order, on it
         self.rates = lattice.jump_rates(weights)
-        indptr, indices, source = lattice.generator_pattern
-        data = np.concatenate((weights.ravel(), -self.rates))[source]
-        n = lattice.n_sites
-        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        self._data = np.concatenate((weights.ravel(), -self.rates))[lattice.generator_pattern[2]]
         self.max_rate = float(self.rates.max())
         self._eig = None
+
+    @cached_property
+    def matrix(self):
+        """L as a CSR matrix over the lattice's generator_pattern, built on first use."""
+        # imported here: scipy.sparse is about half of `import condlab.cli`, and
+        # only the sparse products (CG, Lanczos, uniformization) need it
+        import scipy.sparse as sp
+
+        indptr, indices, _ = self.lattice.generator_pattern
+        n = self.lattice.n_sites
+        return sp.csr_matrix((self._data, indices, indptr), shape=(n, n))
 
     def eigensystem(self):
         """Full eigendecomposition of -L: ascending eigenvalues, orthonormal columns.
@@ -64,7 +74,13 @@ class TorusOperator:
             n = self.lattice.n_sites
             if n > DENSE_LIMIT:
                 raise BackendError(f"dense backend capped at {DENSE_LIMIT} sites, operator has {n}")
-            lam, vec = np.linalg.eigh(-self.matrix.toarray())
+            # the pattern has no duplicate entries, so this is -matrix.toarray()
+            # bit for bit, down to the -0.0 off the pattern
+            _, indices, _ = self.lattice.generator_pattern
+            rows = np.repeat(np.arange(n), indices.size // n)
+            dense = np.full((n, n), -0.0)
+            dense[rows, indices] = -self._data
+            lam, vec = np.linalg.eigh(dense)
             lam = np.where(lam < 1e-12, 0.0, lam)
             self._eig = (lam, vec)
         return self._eig
@@ -324,7 +340,7 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
 
 def dirichlet_form(op, g):
     """Site-averaged energy sum_e w_e (B g)_e^2 / n_sites; always >= 0."""
-    grad = op.lattice.incidence @ np.asarray(g, dtype=float)
+    grad = op.lattice.gradient(np.asarray(g, dtype=float))
     return float(np.dot(op.weights.ravel(), grad * grad)) / op.lattice.n_sites
 
 

@@ -365,7 +365,7 @@ def diffusivity_estimators(field, phi):
     if v.shape != (lat.n_sites,):
         raise ParameterError(f"corrector has {v.shape} values for {lat.n_sites} sites")
     n = lat.n_sites
-    grad = lat.incidence @ v
+    grad = lat.gradient(v)
     w0 = field.omega[0]
     edge_mean = float(w0.mean())
     energy = float(np.dot(field.omega.ravel(), grad * grad)) / n

@@ -1,7 +1,6 @@
 """Seeding, reductions, and optional process-level parallelism."""
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -42,5 +41,8 @@ def parallel_map(fn, items, workers=1):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: concurrent.futures.process costs every CLI start 20-35 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

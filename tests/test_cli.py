@@ -5,6 +5,7 @@ and the exit code contract (0 pass, 1 target failed, 2 bad config with nothing
 written, 3 backend gave up) are exercised through main() in process.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -329,15 +330,20 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _loaded_by_cli_import(module):
-    """Whether a fresh interpreter has module loaded after `import condlab.cli`."""
+def _python_with_condlab(code, *args):
+    """Run code in a fresh interpreter that imports this checkout's condlab."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(condlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, condlab.cli; print({module!r} in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    return proc.stdout
+
+
+def _loaded_by_cli_import(module):
+    """Whether a fresh interpreter has module loaded after `import condlab.cli`."""
+    code = f"import sys, condlab.cli; print({module!r} in sys.modules)"
+    return _python_with_condlab(code).strip() == "True"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -356,3 +362,41 @@ def test_cli_import_leaves_scipy_sparse_csgraph_unloaded():
     # the cluster diagnostics walk the lattice's star directly; csgraph would
     # add about 0.1 s to every start
     assert not _loaded_by_cli_import("scipy.sparse.csgraph")
+
+
+def test_cli_import_leaves_every_scipy_module_unloaded():
+    # scipy.sparse alone was half of `import condlab.cli`; each scipy module
+    # is imported by the code that needs it, when it runs
+    assert not _loaded_by_cli_import("scipy")
+
+
+_SCIPY_AFTER_MAIN = """
+import contextlib, io, json, sys
+from condlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "8", "--horizon", "5"],
+    ["decay", "--law", "twopoint:0.5,1,4", "--functional", "edge", "--d", "1", "--n", "64",
+     "--kind", "simple", "--realizations", "4"],
+    ["spectrum", "--law", "uniform:1,2", "--d", "1", "--n", "16", "--functional", "edge"],
+    ["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--realizations", "5000",
+     "--fields", "2", "--torus-n", "8"],
+    ["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "1,2", "--realizations", "2"],
+    ["field-dump", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6"],
+    ["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6", "--realizations", "2"],
+], ids=lambda argv: argv[0])
+def test_only_sparse_solves_load_scipy(argv, tmp_path):
+    # the conjugate-gradient solves of diffusivity (and msd) multiply by the
+    # scipy CSR generator; the other commands never import scipy
+    argv = argv + ["--workers", "1", "--out", str(tmp_path)]
+    rc, loaded = json.loads(_python_with_condlab(_SCIPY_AFTER_MAIN, json.dumps(argv)))
+    assert rc == 0
+    if argv[0] == "diffusivity":
+        assert "scipy.sparse" in loaded
+    else:
+        assert loaded == []

@@ -1,6 +1,7 @@
 """Experiment drivers: fits, reports, and the cross-method oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from scipy.sparse.linalg import expm_multiply
 from condlab.environment import Constant, Lattice, TwoPoint, Uniform, sample_field
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
+    _CONTRACT_BLOCK,
     ExperimentReport,
+    _contract_mc_chunk,
+    _contract_uniforms,
     contract_exact_moments,
     contractivity_experiment,
     decay_fit,
@@ -22,7 +26,7 @@ from condlab.experiments import (
 from condlab.functionals import centered_edge, evaluate_all
 from condlab.operators import build_generator
 from condlab.spectral import DecayCurve
-from condlab.util import field_seed
+from condlab.util import child_rng, field_seed
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
@@ -100,6 +104,58 @@ def test_contractivity_rejects_heavy_stderr_hiding():
     assert res.exact_stderr > 100.0
     assert res.formula == pytest.approx(0.8811072891599946, rel=1e-12)
     assert any("stderr" in note for note in rep.notes)
+    # recorded when each chunk drew its 1e5 x 8 uniforms at once
+    assert res.mc_estimate == pytest.approx(-1.6909035487229493, rel=1e-12)
+    assert res.mc_stderr == pytest.approx(0.9008870502768779, rel=1e-12)
+
+
+def _one_shot_contract_chunk(p, eps, cap, seed, chunk_idx, size):
+    """The window estimand's sums over a chunk drawn in one piece: the reference."""
+    rng = child_rng(seed, 3, chunk_idx)
+    a = 4.0 + eps
+    u = rng.random((size, 8))
+    v = rng.random((size, 8))
+    e = np.where(u < p, (1.0 - v * (1.0 - cap**-a)) ** (-1.0 / a), 0.0)
+    f = {k: e[:, k + 2] + e[:, k + 5] ** 2 for k in range(-2, 3)}
+    s1f = f[-1] + f[0] + f[1]
+    s1lf = np.zeros(size)
+    for x in (-1, 0, 1):
+        s1lf += e[:, x + 3] * (f[x + 1] - f[x]) + e[:, x + 2] * (f[x - 1] - f[x])
+    h = s1lf * s1f
+    return float(h.sum()), float((h * h).sum()), u, v
+
+
+# a chunk that is not a multiple of the block, so the last block is short
+ODD_CHUNK = 10037
+
+
+def test_contract_blocks_replay_the_chunk_draws():
+    blocks = list(_contract_uniforms(4, 2, ODD_CHUNK))
+    assert [len(u) for u, _ in blocks[:-1]] == [_CONTRACT_BLOCK] * (len(blocks) - 1)
+    assert len(blocks[-1][0]) == ODD_CHUNK % _CONTRACT_BLOCK
+    _, _, u, v = _one_shot_contract_chunk(0.25, 0.1, 1e3, 4, 2, ODD_CHUNK)
+    assert np.array_equal(np.concatenate([u for u, _ in blocks]), u)
+    assert np.array_equal(np.concatenate([v for _, v in blocks]), v)
+
+
+@pytest.mark.parametrize("p, eps, cap", [(0.25, 0.1, 1e3), (0.9, 8.0, 3.0)])
+def test_contract_chunk_sums_match_the_one_shot_reference(p, eps, cap):
+    h, h2, size = _contract_mc_chunk((p, eps, cap, 4, 2, ODD_CHUNK))
+    ref_h, ref_h2, _, _ = _one_shot_contract_chunk(p, eps, cap, 4, 2, ODD_CHUNK)
+    assert size == ODD_CHUNK
+    assert h == pytest.approx(ref_h, rel=1e-12)
+    assert h2 == pytest.approx(ref_h2, rel=1e-12)
+
+
+def test_contract_chunk_memory_stays_within_a_few_blocks():
+    # one-shot draws of a 1e6-row chunk allocated about 300 MB
+    tracemalloc.start()
+    try:
+        _contract_mc_chunk((0.25, 0.1, 1e3, 0, 0, 1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_decay_spectral_and_mc_methods_agree_on_shared_fields():

@@ -36,6 +36,7 @@ from condlab.operators import (
     simple_generator,
     sobolev_constant,
 )
+from condlab.spectral import diffusivity_estimators
 from condlab.util import field_seed
 from condlab.walker import _walk_tables
 
@@ -265,6 +266,69 @@ def test_generator_csr_equals_the_edge_by_edge_oracle_bit_for_bit(law, d, n):
     assert matrix.has_sorted_indices
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(matrix, part), getattr(oracle, part)), part
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (1, 7), (2, 3), (2, 5), (3, 3), (3, 4)])
+def test_lattice_gradient_equals_the_signed_incidence_product_bit_for_bit(d, n):
+    lat = Lattice(d, n)
+    # B, edges x sites: row axis * n^d + x is -1 at x and +1 at x + e_axis
+    sites = np.arange(lat.n_sites)
+    rows = np.concatenate([axis * lat.n_sites + sites for axis in range(d)] * 2)
+    cols = np.concatenate([sites] * d + [lat.shift(sites, axis, 1) for axis in range(d)])
+    signs = np.repeat([-1.0, 1.0], lat.n_edges)
+    incidence = sp.csr_matrix((signs, (rows, cols)), shape=(lat.n_edges, lat.n_sites))
+    g = np.random.default_rng(d * 10 + n).normal(size=lat.n_sites)
+    assert lat.gradient(g).tobytes() == (incidence @ g).tobytes()
+
+
+@pytest.mark.parametrize("law", sorted(RESOLVENT_LAWS))
+@pytest.mark.parametrize("d, n", [(1, 3), (1, 7), (2, 3), (2, 5), (3, 3), (3, 4)])
+def test_eigensystem_diagonalizes_the_csr_matrix_bit_for_bit(law, d, n, monkeypatch):
+    op = build_generator(sample_field(RESOLVENT_LAWS[law], Lattice(d, n), 29), "conductance")
+    eigh = np.linalg.eigh
+    seen = []
+
+    def recording_eigh(a):
+        seen.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    op.eigensystem()
+    (dense,) = seen
+    # bytes, so that the -0.0 off the pattern counts too
+    assert dense.tobytes() == (-op.matrix.toarray()).tobytes()
+
+
+# (law, d, n) with dirichlet_form of the conductance and the simple walk, then
+# a0, a1, a2, phi_second_moment, energy and edge_mean of the estimators at a
+# normal trial corrector; recorded when both took B g from a CSR incidence matrix
+PINNED_ENERGIES = [
+    (Constant(1.5), 1, 7, (2.2024211657807897, 1.4682807771871929, -0.7024211657807897, 1.5,
+                           3.7024211657807897, 1.0648642371986934, 2.2024211657807897, 1.5)),
+    (Uniform(1.0, 3.0), 2, 5, (7.098111473795248, 3.6770824367805055, -5.117207503841,
+                               1.7790808197666246, 8.67536914337425, 0.8855631066082869,
+                               7.098111473795248, 1.9809039699542481)),
+    (TwoPoint(0.5, 1.0, 4.0), 3, 4, (11.977646759083129, 4.379560265783607, -9.524521759083129,
+                                     2.6674413667372434, 14.859404492557616, 0.6710910669672987,
+                                     11.977646759083129, 2.453125)),
+    (BoundedPareto(0.3, 0.5, 1e3), 2, 3, (5.9863978436406935, 5.299005861353767,
+                                          -4.890202057067107, 1.1549480184363392,
+                                          7.200098093939785, 1.3695191810758758,
+                                          5.9863978436406935, 1.0961957865735863)),
+]
+
+
+@pytest.mark.parametrize("law, d, n, expected", PINNED_ENERGIES)
+def test_dirichlet_form_and_estimators_are_pinned(law, d, n, expected):
+    field = sample_field(law, Lattice(d, n), 23)
+    g = np.random.default_rng(d * 10 + n).normal(size=field.lattice.n_sites)
+    est = diffusivity_estimators(field, g)
+    got = (
+        dirichlet_form(build_generator(field), g),
+        dirichlet_form(build_generator(field, "simple"), g),
+        est.a0, est.a1, est.a2, est.phi_second_moment, est.energy, est.edge_mean,
+    )
+    assert got == expected
 
 
 def _unfolded_multishift_cg(op, b, shifts, tol, maxiter):
