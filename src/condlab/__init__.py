@@ -57,6 +57,7 @@ from .experiments import (
 from .functionals import (
     BoxVarianceScan,
     LocalFunctional,
+    Polynomial,
     box_sites,
     box_sum_field,
     box_variance_scan,

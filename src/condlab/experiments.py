@@ -7,6 +7,7 @@ of it deterministically (no timestamps, fixed float formatting), so reruns of
 the same config produce byte-identical artifacts.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -15,7 +16,9 @@ import numpy as np
 from .environment import BoundedPareto, Constant, Lattice, sample_field
 from .errors import ConfigError, FitError
 from .functionals import (
+    Polynomial,
     box_sum_field,
+    contract_example,
     evaluate_all,
     functional_by_name,
     local_drift,
@@ -614,54 +617,16 @@ def _contract_window_values(e):
     return {u: e[:, u + 2] + e[:, u + 5] ** 2 for u in range(-2, 3)}
 
 
-# dict-of-exponent-tuples polynomials over the 8 window edges, used to take
-# exact expectations of the MC estimand and of its square
-
-
-def _poly_var(i):
-    key = [0] * 8
-    key[i] = 1
-    return {tuple(key): 1.0}
-
-
-def _poly_add(*polys):
-    out = {}
-    for poly in polys:
-        for key, c in poly.items():
-            out[key] = out.get(key, 0.0) + c
-    return out
-
-
-def _poly_scale(poly, s):
-    return {key: c * s for key, c in poly.items()}
-
-
-def _poly_mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _poly_expect(poly, moments):
-    return math.fsum(c * math.prod(moments[k] for k in key) for key, c in poly.items())
-
-
 def _contract_estimand_poly():
-    """S_1(Lf) S_1(f) as a polynomial in the 8 window edges."""
-    e = [_poly_var(i) for i in range(8)]
-    f = {u: _poly_add(e[u + 2], _poly_mul(e[u + 5], e[u + 5])) for u in range(-2, 3)}
-    s1f = _poly_add(f[-1], f[0], f[1])
-    s1lf = {}
+    """S_1(Lf) S_1(f) as a polynomial in the 8 window edges, offsets -3..4."""
+    f0 = contract_example().poly
+    f = {u: f0.shift((u,)) for u in range(-2, 3)}
+    s1f = f[-1] + f[0] + f[1]
+    s1lf = Polynomial()
     for x in (-1, 0, 1):
-        s1lf = _poly_add(
-            s1lf,
-            _poly_mul(e[x + 3], _poly_add(f[x + 1], _poly_scale(f[x], -1.0))),
-            _poly_mul(e[x + 2], _poly_add(f[x - 1], _poly_scale(f[x], -1.0))),
-        )
-    return _poly_mul(s1lf, s1f)
+        forward, backward = Polynomial.edge((x,), 0), Polynomial.edge((x - 1,), 0)
+        s1lf = s1lf + forward * (f[x + 1] - f[x]) + backward * (f[x - 1] - f[x])
+    return s1lf * s1f
 
 
 def contract_exact_moments(p, eps, cap):
@@ -674,12 +639,10 @@ def contract_exact_moments(p, eps, cap):
     too rare for an empirical estimate to see.
     """
     law = BoundedPareto(p, eps, cap)
+    moment = functools.cache(lambda k: p * law.pareto_moment(k) if p > 0 else 0.0)
     h = _contract_estimand_poly()
-    h2 = _poly_mul(h, h)
-    top = max(max(key) for key in h2)
-    moments = [1.0] + [p * law.pareto_moment(k) if p > 0 else 0.0 for k in range(1, top + 1)]
-    mean = _poly_expect(h, moments)
-    second = _poly_expect(h2, moments)
+    mean = h.expect(moment)
+    second = (h * h).expect(moment)
     return mean, max(second - mean * mean, 0.0)
 
 

@@ -1,9 +1,10 @@
 """Local functionals of the environment: declaration, evaluation, norms.
 
-A local functional reads finitely many edges around the origin (its stencil)
-and maps their conductances to a real number.  Spatial translates of one
-functional across a field produce the site functions that every operator and
-spectral routine consumes.
+Every local functional is a polynomial in the conductances of finitely many
+edges around the origin (its stencil).  One `Polynomial` type carries it, and
+its values, declared bounds and exact mean are all derived from that one
+object.  Spatial translates of one functional across a field produce the site
+functions that every operator and spectral routine consumes.
 """
 
 import math
@@ -17,6 +18,7 @@ from .errors import AliasingError, DeclarationError, ParameterError
 from .util import mean_and_stderr
 
 __all__ = [
+    "Polynomial",
     "LocalFunctional",
     "local_drift",
     "centered_edge",
@@ -36,43 +38,109 @@ __all__ = [
 ]
 
 
-class LocalFunctional:
-    """A finite-stencil function of the environment.
+class Polynomial(dict):
+    """A polynomial in edge conductances, as a dict from monomial to coefficient.
 
-    stencil is a tuple of (site offset, axis) pairs: entry k reads the edge
-    from offset to offset + e_axis, relative to the evaluation point.  The
-    evaluator maps the stencil's conductance values, stacked on axis 0 and
-    vectorized over any trailing shape, to the functional values.
-
-    oscillation[k] bounds how much the value can move when stencil edge k
-    alone changes over the law's support; sup_bound bounds |f| outright.
-    Both are optional, as is the analytic mean in mean_hint.
+    A monomial is a tuple of ((offset, axis), power) pairs sorted by edge,
+    where (offset, axis) is the edge from offset to offset + e_axis relative
+    to the evaluation point; the constant's monomial is ().  Terms keep the
+    order in which they first appeared.
     """
 
-    def __init__(self, name, stencil, evaluator, oscillation=None, sup_bound=None, mean_hint=None):
-        stencil = tuple((tuple(int(c) for c in off), int(axis)) for off, axis in stencil)
+    @classmethod
+    def edge(cls, offset, axis):
+        """The conductance of one edge."""
+        return cls({(((tuple(int(c) for c in offset), int(axis)), 1),): 1})
+
+    def __add__(self, other):
+        out = Polynomial(self)
+        for mono, c in _as_polynomial(other).items():
+            out[mono] = out.get(mono, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        other = _as_polynomial(other)
+        out = Polynomial()
+        for ma, ca in self.items():
+            for mb, cb in other.items():
+                powers = dict(ma)
+                for e, k in mb:
+                    powers[e] = powers.get(e, 0) + k
+                mono = tuple(sorted(powers.items()))
+                out[mono] = out.get(mono, 0) + ca * cb
+        return out
+
+    __rmul__ = __mul__
+
+    def shift(self, offset):
+        """The same polynomial read around the point `offset`."""
+        def moved(edge):
+            off, axis = edge
+            return tuple(a + b for a, b in zip(off, offset)), axis
+
+        return Polynomial({tuple((moved(e), k) for e, k in mono): c for mono, c in self.items()})
+
+    def expect(self, moment):
+        """Mean under i.i.d. edges whose k-th moment is moment(k)."""
+        return math.fsum(c * math.prod(moment(k) for _, k in mono) for mono, c in self.items())
+
+
+def _as_polynomial(value):
+    return value if isinstance(value, Polynomial) else Polynomial({(): value})
+
+
+class LocalFunctional:
+    """A local functional: a polynomial in the conductances of a finite stencil.
+
+    stencil is the sorted tuple of (site offset, axis) edges the polynomial
+    reads: each is the edge from offset to offset + e_axis, relative to the
+    evaluation point.  evaluator maps the stencil's conductance values,
+    stacked on axis 0 in stencil order and vectorized over any trailing
+    shape, to the functional values.
+
+    Given the law, the declared norms follow from the polynomial, because
+    conductances are >= 1 and so every monomial increases in each of its
+    edges: oscillation[k] bounds how much the value can move when stencil
+    edge k alone changes over the law's support, sup_bound bounds |f|
+    outright, and mean_hint is the exact mean under i.i.d. edges.  Without a
+    law all three are None.
+    """
+
+    def __init__(self, name, poly, law=None):
+        stencil = tuple(sorted({e for mono in poly for e, _ in mono}))
         if not stencil:
-            raise ParameterError("stencil must contain at least one edge")
+            raise ParameterError("polynomial reads no edges; use a constant functional instead")
         self.d = len(stencil[0][0])
         for off, axis in stencil:
             if len(off) != self.d:
                 raise ParameterError("all stencil offsets must share one dimension")
             if not 0 <= axis < self.d:
                 raise ParameterError(f"stencil axis {axis} out of range for d={self.d}")
-        if len(set(stencil)) != len(stencil):
-            raise ParameterError("stencil edges must be distinct")
         self.name = name
+        self.poly = poly
         self.stencil = stencil
-        self.evaluator = evaluator
-        if oscillation is not None:
-            oscillation = tuple(float(v) for v in oscillation)
-            if len(oscillation) != len(stencil):
-                raise ParameterError("need one oscillation bound per stencil edge")
-            if any(v < 0 for v in oscillation):
-                raise ParameterError("oscillation bounds must be >= 0")
-        self.oscillation = oscillation
-        self.sup_bound = None if sup_bound is None else float(sup_bound)
-        self.mean_hint = None if mean_hint is None else float(mean_hint)
+        self.oscillation = self.sup_bound = self.mean_hint = None
+        if law is not None:
+            lo, hi = law.support()
+            self.oscillation = tuple(_oscillation(poly, e, lo, hi) for e in stencil)
+            self.sup_bound = max(abs(_extreme(poly, hi, lo)), abs(_extreme(poly, lo, hi)))
+            self.mean_hint = poly.expect(law.moment)
+
+    def evaluator(self, reads):
+        """Functional values from the stencil's conductances stacked on axis 0."""
+        index = {e: i for i, e in enumerate(self.stencil)}
+        out = np.zeros(reads.shape[1:])
+        for mono, c in self.poly.items():
+            part = np.full(reads.shape[1:], float(c))
+            for e, k in mono:
+                part = part * reads[index[e]] ** k
+            out += part
+        return out
 
     @property
     def radius(self):
@@ -85,6 +153,24 @@ class LocalFunctional:
 
     def __repr__(self):
         return f"LocalFunctional({self.name!r}, {len(self.stencil)} edges, d={self.d})"
+
+
+def _oscillation(poly, edge, lo, hi):
+    # moving one edge over [lo, hi] moves c * e^k * rest by at most |c| (hi^k - lo^k) rest
+    bound = 0.0
+    for mono, c in poly.items():
+        powers = dict(mono)
+        if edge in powers:
+            k = powers.pop(edge)
+            bound += abs(c) * (hi**k - lo**k) * math.prod(hi**j for j in powers.values())
+    return bound
+
+
+def _extreme(poly, up, down):
+    # every edge at `up` in the positive terms and at `down` in the negative ones
+    return math.fsum(
+        c * math.prod((up if c > 0 else down) ** k for _, k in mono) for mono, c in poly.items()
+    )
 
 
 def _require_fit(f, lattice, extra=0):
@@ -105,7 +191,7 @@ def evaluate_at_sites(f, field, sites):
     reads = np.empty((len(f.stencil),) + sites.shape)
     for k, (off, axis) in enumerate(f.stencil):
         reads[k] = field.omega[axis][lat.offset_index(sites, off)]
-    return np.asarray(f.evaluator(reads), dtype=float)
+    return f.evaluator(reads)
 
 
 def evaluate_at(f, field, x):
@@ -154,77 +240,51 @@ def box_sum_field(values, lattice, n_box):
 # Registry
 
 
-def _zero_offset(d):
-    return (0,) * d
-
-
 def local_drift(d, law=None):
-    """Difference of the two axis-1 edges at the origin.
-
-    Mean zero under any i.i.d. law; bounds filled in when the law is given.
-    """
-    back = tuple(-1 if i == 0 else 0 for i in range(d))
-    stencil = ((_zero_offset(d), 0), (back, 0))
-    osc = sup = None
-    if law is not None:
-        lo, hi = law.support()
-        osc = (hi - lo, hi - lo)
-        sup = hi - lo
-    return LocalFunctional("drift", stencil, lambda v: v[0] - v[1], osc, sup, mean_hint=0.0)
+    """Difference of the two axis-1 edges at the origin: e(0) - e(-e_1)."""
+    origin = (0,) * d
+    back = (-1,) + (0,) * (d - 1)
+    return LocalFunctional("drift", Polynomial.edge(origin, 0) - Polynomial.edge(back, 0), law)
 
 
 def centered_edge(d, law):
     """The conductance of the origin's forward axis-1 edge, minus its mean."""
-    m = law.mean()
-    lo, hi = law.support()
-    return LocalFunctional(
-        "edge",
-        ((_zero_offset(d), 0),),
-        lambda v: v[0] - m,
-        oscillation=(hi - lo,),
-        sup_bound=max(hi - m, m - lo),
-        mean_hint=0.0,
-    )
+    return LocalFunctional("edge", Polynomial.edge((0,) * d, 0) - law.mean(), law)
 
 
 def contract_example(law=None):
     """The d=1 functional reading edge (-1,0) plus the square of edge (2,3)."""
-    stencil = (((-1,), 0), ((2,), 0))
-    osc = sup = hint = None
-    if law is not None:
-        lo, hi = law.support()
-        osc = (hi - lo, hi * hi - lo * lo)
-        sup = hi + hi * hi
-        hint = law.moment(1) + law.moment(2)
-    return LocalFunctional("contract-example", stencil, lambda v: v[0] + v[1] ** 2, osc, sup, hint)
+    far = Polynomial.edge((2,), 0)
+    return LocalFunctional("contract-example", Polynomial.edge((-1,), 0) + far * far, law)
 
 
 _EDGE_FACTOR = re.compile(r"^e\[(?P<off>-?\d+(?:,-?\d+)*);(?P<axis>\d+)\](?:\^(?P<pow>\d+))?$")
+
+# a term starts at every sign outside an edge's brackets and outside a
+# number's exponent (1e-3)
+_TERM_START = re.compile(r"(?<![\[,eE])(?=[+-])")
 
 
 def polynomial_functional(expr, d, law=None):
     """Polynomial in stencil edges from a descriptor string.
 
     Grammar: terms joined by + or -; a term is factors joined by '*'; a factor
-    is either a number or e[o1,...,od;axis] optionally raised with ^k.
-    Example for d=1: "e[0;0] + 2*e[1;0]^2 - 3.5".
+    is either a number or e[o1,...,od;axis] optionally raised with ^k, the
+    edge from offset (o1,...,od) to offset + e_axis, whose d coordinates may
+    be negative.  Example for d=1: "e[0;0] + 2*e[-1;0]^2 - 3.5".
     """
     body = expr.strip()
     if not body:
         raise ParameterError("empty polynomial descriptor")
-    chunks = re.split(r"(?=[+-])", body.replace(" ", ""))
-    terms = []
-    for chunk in chunks:
+    poly = Polynomial()
+    for chunk in _TERM_START.split(body.replace(" ", "")):
         if not chunk:
             continue
-        sign = 1.0
-        if chunk[0] in "+-":
-            sign = -1.0 if chunk[0] == "-" else 1.0
-            chunk = chunk[1:]
+        # a chunk carries at most one sign, since every top-level sign splits
+        term = Polynomial({(): -1.0 if chunk[0] == "-" else 1.0})
+        chunk = chunk.lstrip("+-")
         if not chunk:
             raise ParameterError(f"dangling sign in polynomial {expr!r}")
-        coef = sign
-        powers = {}
         for factor in chunk.split("*"):
             m = _EDGE_FACTOR.match(factor)
             if m:
@@ -234,43 +294,15 @@ def polynomial_functional(expr, d, law=None):
                 axis = int(m.group("axis"))
                 if axis >= d:
                     raise ParameterError(f"axis {axis} out of range for d={d}")
-                k = int(m.group("pow") or 1)
-                powers[(off, axis)] = powers.get((off, axis), 0) + k
+                for _ in range(int(m.group("pow") or 1)):
+                    term = term * Polynomial.edge(off, axis)
             else:
                 try:
-                    coef *= float(factor)
+                    term = term * float(factor)
                 except ValueError:
                     raise ParameterError(f"bad factor {factor!r} in polynomial {expr!r}")
-        terms.append((coef, powers))
-    edges = sorted({e for _, powers in terms for e in powers})
-    if not edges:
-        raise ParameterError("polynomial reads no edges; use a constant functional instead")
-    index = {e: i for i, e in enumerate(edges)}
-
-    def evaluator(v):
-        out = np.zeros(v.shape[1:])
-        for coef, powers in terms:
-            part = np.full(v.shape[1:], coef)
-            for e, k in powers.items():
-                part = part * v[index[e]] ** k
-            out += part
-        return out
-
-    osc = sup = hint = None
-    if law is not None:
-        lo, hi = law.support()
-        osc = []
-        for e in edges:
-            bound = 0.0
-            for coef, powers in terms:
-                if e in powers:
-                    rest = math.prod(hi**k for e2, k in powers.items() if e2 != e)
-                    bound += abs(coef) * (hi ** powers[e] - lo ** powers[e]) * rest
-            osc.append(bound)
-        sup = sum(abs(c) * math.prod(hi**k for k in p.values()) for c, p in terms)
-        hint = sum(c * math.prod(law.moment(k) for k in p.values()) for c, p in terms)
-    stencil = tuple(edges)
-    return LocalFunctional(f"poly:{body}", stencil, evaluator, osc, sup, hint)
+        poly = poly + term
+    return LocalFunctional(f"poly:{body}", poly, law)
 
 
 def functional_by_name(name, d, law=None):

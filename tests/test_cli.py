@@ -346,24 +346,6 @@ def _loaded_by_cli_import(module):
     return _python_with_condlab(code).strip() == "True"
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the startup time and only the uniformization
-    # backend needs it, so a fresh interpreter must not load it with the CLI
-    assert not _loaded_by_cli_import("scipy.stats")
-
-
-def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
-    # the resolvent is a hand-written multi-shift CG, so nothing needs the
-    # scipy solvers, and loading them costs tens of milliseconds per start
-    assert not _loaded_by_cli_import("scipy.sparse.linalg")
-
-
-def test_cli_import_leaves_scipy_sparse_csgraph_unloaded():
-    # the cluster diagnostics walk the lattice's star directly; csgraph would
-    # add about 0.1 s to every start
-    assert not _loaded_by_cli_import("scipy.sparse.csgraph")
-
-
 def test_cli_import_leaves_every_scipy_module_unloaded():
     # scipy.sparse alone was half of `import condlab.cli`; each scipy module
     # is imported by the code that needs it, when it runs

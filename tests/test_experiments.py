@@ -79,6 +79,9 @@ def test_exact_contract_moments_frozen_values():
     assert mean == pytest.approx(0.8811072891599946, rel=1e-12)
     assert math.sqrt(var) == pytest.approx(416089.19, abs=0.5)
     assert contract_exact_moments(0.0, 0.1, 1e3) == (0.0, 0.0)
+    # bit for bit as the separate dict algebra computed them
+    assert contract_exact_moments(0.25, 0.1, 1e3) == (0.8811072891599944, 173130216929.06308)
+    assert contract_exact_moments(0.9, 8, 3) == (-0.31635789651137003, 28.508208410276556)
 
 
 def test_contract_mc_matches_formula_when_tails_are_light():

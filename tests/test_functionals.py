@@ -1,14 +1,26 @@
 """Local functionals: stencils, registry, box sums, variance scan."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condlab.environment import ConductanceField, Lattice, TwoPoint, Uniform, sample_field
+from condlab.environment import (
+    BoundedPareto,
+    ConductanceField,
+    Constant,
+    Lattice,
+    TwoPoint,
+    Uniform,
+    sample_field,
+)
 from condlab.errors import AliasingError, DeclarationError, ParameterError
 from condlab.functionals import (
     LocalFunctional,
+    Polynomial,
     box_sum_field,
     box_variance_scan,
     centered_edge,
@@ -124,6 +136,21 @@ def test_polynomial_mean_hint_agrees_with_sampling():
     assert abs(vals.mean() - f.mean_hint) < 6 * se
 
 
+def test_polynomial_descriptors_take_negative_offsets_and_signed_exponents():
+    # a sign inside an edge's brackets or a number's exponent starts no term
+    for d, expr in ((1, "e[0;0] - e[-1;0]"), (2, "e[0,0;0] - e[-1,0;0]")):
+        field = sample_field(LAW, Lattice(d, 6), 2)
+        drift, g = local_drift(d, LAW), polynomial_functional(expr, d, LAW)
+        assert evaluate_all(g, field).tobytes() == evaluate_all(drift, field).tobytes()
+    f, g = contract_example(LAW), polynomial_functional("e[-1;0] + e[2;0]^2", 1, LAW)
+    assert (g.stencil, g.oscillation, g.sup_bound, g.mean_hint) == (
+        f.stencil, f.oscillation, f.sup_bound, f.mean_hint)
+    field = sample_field(LAW, Lattice(1, 9), 4)
+    assert evaluate_all(g, field).tobytes() == evaluate_all(f, field).tobytes()
+    for text, value in (("1e-3", 1e-3), ("2.5e+2", 250.0)):
+        assert polynomial_functional(f"e[0;0] + {text}", 1, LAW).mean_hint == LAW.mean() + value
+
+
 def test_polynomial_functional_rejects_bad_descriptors():
     for bad in ("", "e[0;0]*", "e[0,0;0]", "e[0;1]", "q[0;0]", "3.5", "+", "e[0;0]^-1"):
         with pytest.raises(ParameterError):
@@ -189,14 +216,92 @@ def test_declared_norms_and_their_absence():
 
 
 def test_stencil_validation():
+    e = Polynomial.edge
     with pytest.raises(ParameterError):
-        LocalFunctional("empty", (), lambda v: v)
+        LocalFunctional("constant", Polynomial({(): 2.0}))
     with pytest.raises(ParameterError):
-        LocalFunctional("dup", (((0,), 0), ((0,), 0)), lambda v: v[0])
+        LocalFunctional("axis", e((0, 0), 2))
     with pytest.raises(ParameterError):
-        LocalFunctional("axis", (((0, 0), 2),), lambda v: v[0])
-    with pytest.raises(ParameterError):
-        LocalFunctional("mixed", (((0,), 0), ((0, 0), 0)), lambda v: v[0])
+        LocalFunctional("mixed", e((0,), 0) + e((0, 0), 0))
+    repeated = LocalFunctional("repeated", e((1,), 0) * e((1,), 0) - 3 * e((1,), 0))
+    assert repeated.stencil == (((1,), 0),)
+
+
+PIN_LAWS = (Constant(2.0), Uniform(1.0, 3.0), TwoPoint(0.3, 1.0, 5.0), BoundedPareto(0.25, 0.1, 1e3))
+
+
+@pytest.mark.parametrize("law", PIN_LAWS, ids=lambda law: law.descriptor())
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_named_functionals_keep_their_closed_forms(law, d):
+    # the hand-written values and bounds the named functionals had before
+    # they were derived from one polynomial, compared bit for bit
+    lo, hi = law.support()
+    m = law.mean()
+    lat = Lattice(d, 7)
+    field = sample_field(law, lat, 3)
+    w = field.omega[0].reshape(lat.shape)
+    origin, back = (0,) * d, (-1,) + (0,) * (d - 1)
+    cases = [
+        (local_drift(d, law), {(origin, 0): hi - lo, (back, 0): hi - lo}, hi - lo, 0.0,
+         w - np.roll(w, 1, axis=0)),
+        (centered_edge(d, law), {(origin, 0): hi - lo}, max(hi - m, m - lo), 0.0, w - m),
+    ]
+    if d == 1:
+        cases.append((contract_example(law), {((-1,), 0): hi - lo, ((2,), 0): hi * hi - lo * lo},
+                      hi + hi * hi, law.moment(1) + law.moment(2), np.roll(w, 1) + np.roll(w, -2) ** 2))
+    for f, oscillation, sup, mean, values in cases:
+        assert dict(zip(f.stencil, f.oscillation)) == oscillation
+        assert f.sup_bound == sup
+        assert f.mean_hint == mean
+        assert evaluate_all(f, field).tobytes() == values.ravel().tobytes()
+
+
+_ORACLE_EDGES = [((a, b), axis) for a in (-1, 0, 1) for b in (-1, 0, 1) for axis in (0, 1)]
+
+
+@st.composite
+def _polynomial_case(draw):
+    edges = draw(st.lists(st.sampled_from(_ORACLE_EDGES), min_size=1, max_size=4, unique=True))
+    coefficient = st.floats(-3.0, 3.0)
+    factors = st.lists(st.tuples(st.sampled_from(edges), st.integers(1, 3)), min_size=1, max_size=3)
+    terms = [(draw(coefficient), draw(factors)) for _ in range(draw(st.integers(1, 5)))]
+    lo = draw(st.floats(1.0, 3.0))
+    law = TwoPoint(draw(st.floats(0.05, 0.95)), lo, lo + draw(st.floats(0.1, 3.0)))
+    return draw(coefficient), terms, law
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polynomial_case())
+def test_derived_bounds_and_moments_match_enumeration(case):
+    constant, terms, law = case
+    poly = Polynomial() + constant
+    for c, factors in terms:
+        term = Polynomial() + c
+        for e, power in factors:
+            for _ in range(power):
+                term = term * Polynomial.edge(*e)
+        poly = poly + term
+    f = LocalFunctional("oracle", poly, law)
+    k = len(f.stencil)
+    # every configuration of the stencil on the two-point support; bit j of
+    # the configuration index puts stencil edge j at hi
+    configs = np.array(list(itertools.product((0, 1), repeat=k)))[:, ::-1].T
+    reads = np.where(configs == 1, law.hi, law.lo).astype(float)
+    x = dict(zip(f.stencil, reads))
+    values = constant + sum(c * np.prod([x[e] ** p for e, p in factors], axis=0) for c, factors in terms)
+    probs = np.prod(np.where(configs == 1, law.p, 1.0 - law.p), axis=0)
+    # rounding stays within 1e-12 of the largest magnitude the terms can reach
+    size = abs(constant) + sum(abs(c) * law.hi ** sum(p for _, p in factors) for c, factors in terms)
+    tol = 1e-12 * size
+    assert np.allclose(f.evaluator(reads), values, rtol=0.0, atol=tol)
+    mean = math.fsum((probs * values).tolist())
+    second = math.fsum((probs * values**2).tolist())
+    assert f.mean_hint == pytest.approx(mean, rel=1e-12, abs=tol)
+    assert (poly * poly).expect(law.moment) == pytest.approx(second, rel=1e-12, abs=tol * size)
+    assert np.all(np.abs(values) <= f.sup_bound + tol)
+    for j in range(k):
+        flipped = values[np.arange(2**k) ^ (1 << j)]
+        assert np.all(np.abs(values - flipped) <= f.oscillation[j] + tol)
 
 
 def test_box_variance_scan_of_drift_decays_like_the_boundary():
