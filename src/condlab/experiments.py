@@ -149,6 +149,23 @@ def _loglog_fit(x, y):
     return slope, intercept, float(np.sqrt(np.mean(resid**2)))
 
 
+def _bootstrap_exponents(t, v, rng):
+    """Exponents -slope of the log-log least-squares line over 400 resamples of (t, v).
+
+    All resamples come from one draw, which yields the same indices as
+    drawing them one row at a time.  A resample that picks a single time
+    has no line and is skipped.  Each slope is the closed-form least-squares
+    solution, cov(x, y) / var(x) in logs, computed for all rows at once.
+    """
+    idx = rng.integers(0, len(t), (400, len(t)))
+    picked = t[idx]
+    keep = np.any(picked != picked[:, :1], axis=1)
+    x, y = np.log(t)[idx[keep]], np.log(v)[idx[keep]]
+    x -= x.mean(axis=1, keepdims=True)
+    y -= y.mean(axis=1, keepdims=True)
+    return -(x * y).sum(axis=1) / (x * x).sum(axis=1)
+
+
 def decay_fit(curve, window=None):
     """Fit value ~ C t^-alpha on a log-log window of the curve.
 
@@ -170,15 +187,8 @@ def decay_fit(curve, window=None):
     lx = np.log(t) - np.mean(np.log(t))
     quad = np.polyfit(lx, np.log(v), 2)
     curvature = float(quad[0])
-    rng = np.random.default_rng(0)
-    boots = []
-    for _ in range(400):
-        idx = rng.integers(0, len(t), len(t))
-        if len(np.unique(t[idx])) < 2:
-            continue
-        s, _, _ = _loglog_fit(t[idx], v[idx])
-        boots.append(-s)
-    lo_ci, hi_ci = (np.percentile(boots, [2.5, 97.5]) if boots else (math.nan, math.nan))
+    boots = _bootstrap_exponents(t, v, np.random.default_rng(0))
+    lo_ci, hi_ci = np.percentile(boots, [2.5, 97.5]) if boots.size else (math.nan, math.nan)
     fit = PowerLawFit(
         exponent=float(-slope),
         intercept=float(intercept),
@@ -198,16 +208,15 @@ def decay_fit(curve, window=None):
 
 
 def _decay_spectral_one(args):
-    """One field's variance curve, with its quadrature bracket width and Lanczos steps."""
-    law, lat, fname, kind, times, seed = args
-    f = functional_by_name(fname, lat.d, law)
+    """One field's variance curve, with its quadrature certificate: width, steps, rounding."""
+    law, lat, f, kind, times, seed = args
     field = sample_field(law, lat, seed)
     g = evaluate_all(f, field)
     if kind == "simple":
-        m, width, steps = fourier_measure(lat, g), 0.0, 0
+        m, width, steps, rounding = fourier_measure(lat, g), 0.0, 0, 0.0
     else:
-        m, width, steps = quadrature_measure(build_generator(field, kind), g, times)
-    return variance_curve(m, times).values, width, steps
+        m, width, steps, rounding = quadrature_measure(build_generator(field, kind), g, times)
+    return variance_curve(m, times).values, width, steps, rounding
 
 
 def _walker_note(walks, jumps):
@@ -216,8 +225,7 @@ def _walker_note(walks, jumps):
 
 def _decay_mc_one(args):
     """One field's two-time correlation from its walk batch, with the batch's jump count."""
-    law, lat, fname, kind, times, seed, master, r, walks = args
-    f = functional_by_name(fname, lat.d, law)
+    law, lat, f, kind, times, seed, master, r, walks = args
     field = sample_field(law, lat, seed)
     tables = _walk_tables(lat, field.omega if kind == "conductance" else lat.unit_weights)
     vals = evaluate_all(f, field)
@@ -249,16 +257,21 @@ def variance_decay_experiment(
     from Lanczos quadrature, certified at every requested time by a
     Gauss/Gauss-Radau bracket of relative width at most QUADRATURE_RTOL
     (SolverError if it cannot close).  The summary notes the engine, and for
-    quadrature the most Lanczos steps and the widest bracket over the fields.
-    The mc method estimates the equivalent two-time correlation
-    E[f(w(0)) f(w(2t))] from simulated walks started uniformly.
+    quadrature the most Lanczos steps, the widest bracket and the largest
+    rounding allowance over the fields.  The mc method estimates the
+    equivalent two-time correlation E[f(w(0)) f(w(2t))] from simulated walks
+    started uniformly.  functional is a registry name or descriptor, built
+    once for the law, or a LocalFunctional, which each field's task receives
+    as it is; a declared nonzero mean is refused either way.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ConfigError([("times", "times must be positive and strictly increasing")])
     lat = Lattice(d, n)
-    fname = functional if isinstance(functional, str) else functional.name
-    f = functional_by_name(fname, d, law)
+    if isinstance(functional, str):
+        fname, f = functional, functional_by_name(functional, d, law)
+    else:
+        fname, f = functional.name, functional
     if f.mean_hint is not None and abs(f.mean_hint) > 0:
         raise ConfigError(
             [("functional", f"{fname!r} has nonzero mean {f.mean_hint:g}; center it first")]
@@ -270,13 +283,13 @@ def variance_decay_experiment(
     if method == "spectral":
         results = parallel_map(
             _decay_spectral_one,
-            [(law, lat, fname, kind, times, s) for s in seeds],
+            [(law, lat, f, kind, times, s) for s in seeds],
             workers,
         )
     else:
         results = parallel_map(
             _decay_mc_one,
-            [(law, lat, fname, kind, times, seeds[r], seed, r, walks) for r in range(realizations)],
+            [(law, lat, f, kind, times, seeds[r], seed, r, walks) for r in range(realizations)],
             workers,
         )
     curves = [r[0] for r in results]
@@ -311,7 +324,8 @@ def variance_decay_experiment(
         report.notes.append(
             f"spectral engine: Lanczos Gauss/Gauss-Radau quadrature, at most "
             f"{max(r[2] for r in results)} steps, max relative bracket width "
-            f"{max(r[1] for r in results):.2g}"
+            f"{max(r[1] for r in results):.2g}, rounding allowance "
+            f"{max(r[3] for r in results):.2g} of the mass"
         )
     else:
         report.notes.append(_walker_note(realizations * walks, sum(r[1] for r in results)))
@@ -809,10 +823,10 @@ def contractivity_experiment(
 
 def _nash_one_field(args):
     """One field's E[g^2], simple-walk energy and mean squared box sum per box size."""
-    law, op0, fname, n_list, seed = args
+    law, op0, f, n_list, seed = args
     lat = op0.lattice
     field = sample_field(law, lat, seed)
-    g = evaluate_all(functional_by_name(fname, lat.d, law), field)
+    g = evaluate_all(f, field)
     g = g - g.mean()
     m2s = []
     for nb in n_list:
@@ -827,8 +841,8 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     For centered g the bound E[g^2] <= C_S(n) n^2 E_simple(g,g)
     + 2 E[(S_n g)^2]/|B_n|^2 must hold pathwise; the report also compares
     the size minimizing the right side with the heuristic optimum
-    (N'/(2e E))^(1/(d+2)).  A functional object is looked up again by its
-    name in each field's task, as in variance_decay_experiment.
+    (N'/(2e E))^(1/(d+2)).  functional is a registry name or descriptor, or
+    a LocalFunctional, which each field's task receives as it is.
     """
     n_list = sorted(int(v) for v in n_list)
     if not n_list or n_list[0] < 1:
@@ -847,7 +861,7 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     w_opts = []
     results = parallel_map(
         _nash_one_field,
-        [(law, op0, f.name, n_list, field_seed(seed, r)) for r in range(realizations)],
+        [(law, op0, f, n_list, field_seed(seed, r)) for r in range(realizations)],
         workers,
     )
     for ef2, energy, m2s in results:

@@ -144,43 +144,40 @@ def _uniformized_apply(op, v, t, tail_mass=1e-12):
 
 
 def _lanczos(op, v):
-    """Lanczos recurrence for -L started at v, with full reorthogonalization.
+    """Plain Lanczos recurrence for -L started at v, holding two vectors.
 
-    v must have site mean 0.  Every new vector is swept against all earlier
-    ones and re-centered, so the constants (the kernel of -L on a connected
-    torus) never re-enter through rounding.  After step k this yields
-    (alphas, betas, exact): the k diagonal entries of the Jacobi matrix, the
-    k residual norms (the first k-1 are its off-diagonal, the last couples it
-    to the next vector), and whether the recurrence has ended.  It ends at
-    breakdown, or once the mean-free subspace is exhausted; either way the
-    Jacobi matrix then carries the projected spectrum of v exactly.
+    v must have site mean 0.  Each step is one sparse product and the
+    three-term recurrence; the new vector is re-centered, so the constants
+    (the kernel of -L on a connected torus) never re-enter through rounding,
+    but it is not reorthogonalized against earlier vectors.  Only the
+    current and previous vectors are kept, so memory is a few site arrays
+    whatever the number of steps.  After step k this yields (alphas, betas,
+    exact): the k diagonal entries of the Jacobi matrix, the k residual norms
+    (the first k-1 are its off-diagonal, the last couples it to the next
+    vector), and whether the recurrence has ended.  It ends only at
+    breakdown, where the Jacobi matrix carries the projected spectrum of v
+    exactly.  Without orthogonality the Krylov space is not known to fill
+    the torus, so any other stop is the caller's.
     """
-    n = op.lattice.n_sites
     # a residual this small against the Gershgorin bound on |L| is rounding
     breakdown = 1e-12 * 2.0 * op.max_rate
-    basis = np.empty((min(n - 1, 64), n))
-    basis[0] = v / np.linalg.norm(v)
+    q = v / np.linalg.norm(v)
+    q_prev = None
     alphas, betas = [], []
     while True:
-        k = len(alphas)
-        q = basis[k]
         w = -(op.matrix @ q)
-        if k:
-            w -= betas[-1] * basis[k - 1]
+        if q_prev is not None:
+            w -= betas[-1] * q_prev
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
-        w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
         w -= w.mean()
         betas.append(float(np.linalg.norm(w)))
-        exact = betas[-1] <= breakdown or k + 1 == n - 1
+        exact = betas[-1] <= breakdown
         yield np.array(alphas), np.array(betas), exact
         if exact:
             return
-        if k + 1 == len(basis):
-            grown = np.empty((min(n - 1, 2 * len(basis)), n))
-            grown[: k + 1] = basis
-            basis = grown
-        basis[k + 1] = w / betas[-1]
+        w /= betas[-1]
+        q_prev, q = q, w
 
 
 # seed residuals held between two folds into the shifts' iterates and directions

@@ -7,7 +7,8 @@ engines produce such measures: dense diagonalization (exact; the oracle, and
 capped at DENSE_LIMIT sites), the Fourier transform (exact, simple walk
 only), and Lanczos quadrature (conductance walk at any size).  The last is
 the only approximation: a Gauss rule, certified at the requested times by a
-Gauss-Radau bracket of relative width at most QUADRATURE_RTOL.
+Gauss-Radau bracket of relative width at most QUADRATURE_RTOL, with an
+allowance for rounding in the recurrence reported beside it.
 """
 
 import math
@@ -120,7 +121,8 @@ def fourier_measure(lattice, g):
 
 # relative width of the Gauss/Gauss-Radau bracket that certifies a quadrature measure
 QUADRATURE_RTOL = 1e-10
-# Lanczos steps after which an open bracket is an error (memory is steps x sites)
+# Lanczos steps after which an open bracket is an error; a cap on work only,
+# since the recurrence holds two vectors whatever the number of steps
 QUADRATURE_MAX_STEPS = 1000
 # Lanczos steps between two bracket evaluations
 _CHECK_EVERY = 10
@@ -132,6 +134,7 @@ class Quadrature(NamedTuple):
     measure: SpectralMeasure
     width: float  # max relative width of the bracket over the requested times
     steps: int  # Lanczos steps taken
+    rounding: float  # rounding allowance, as a fraction of the mass of g - mean(g)
 
 
 def _jacobi_eig(alphas, betas):
@@ -163,18 +166,36 @@ def quadrature_measure(op, g, times):
     """Measure of g under -L from Lanczos quadrature, certified at the given times.
 
     The constant part of g is exact: an atom of weight mean(g)^2 at 0.  The
-    rest starts a fully reorthogonalized Lanczos recurrence, whose Jacobi
-    matrix gives the Gauss rule: Ritz values as atoms, squared first
-    eigenvector components (times the mass) as weights.  Because
-    e^{-2 lambda t} is completely monotone, that rule undershoots the curve
-    sum_i w_i e^{-2 lambda_i t} while the Gauss-Radau rule with a node fixed
-    at 0 <= spec(-L) overshoots it.  Every 10 steps both are evaluated at all
+    rest starts a plain Lanczos recurrence, whose Jacobi matrix gives the
+    Gauss rule: Ritz values as atoms, squared first eigenvector components
+    (times the mass) as weights.  Because e^{-2 lambda t} is completely
+    monotone, that rule undershoots the curve sum_i w_i e^{-2 lambda_i t}
+    while the Gauss-Radau rule with a node fixed at 0 <= spec(-L) overshoots
+    it.  Every 10 steps, and at step n_sites - 1, both are evaluated at all
     times, and the recurrence stops once the bracket's relative width is at
-    most QUADRATURE_RTOL; at breakdown, or when the Krylov space fills the
-    torus, the rule is exact and the width is 0.  A bracket still open after
-    QUADRATURE_MAX_STEPS steps raises SolverError, so no uncertified measure
-    is returned.  As for spectral_measure(center=False), the total mass is
-    mean(g^2).  The operator must be connected (all weights positive).
+    most QUADRATURE_RTOL; at breakdown the rule is exact and the width is 0.
+    A bracket still open after QUADRATURE_MAX_STEPS steps raises
+    SolverError, so no uncertified measure is returned.  As for
+    spectral_measure(center=False), the total mass is mean(g^2).  The
+    operator must be connected (all weights positive).
+
+    The recurrence is not reorthogonalized, so in floating point its vectors
+    lose orthogonality once Ritz values converge, and copies of converged
+    Ritz values appear.  The bracket still holds for a nearby measure: after
+    k steps the computed Jacobi matrix is the exact Jacobi matrix, hence
+    gives the exact Gauss and Radau rules, of a measure of the same mass
+    whose nodes lie within delta ~ k eps |L| of the eigenvalues of -L, with
+    |L| <= 2 max_rate (Greenbaum, Linear Algebra Appl. 1989; Golub and
+    Meurant, Matrices, Moments and Quadrature, 2010).  Copies split a node's
+    weight and create none.  Moving a node by delta moves e^{-2 lambda t} by
+    at most 2 t delta, so the curve of that measure lies within 2 t delta
+    mass of the true one, mass being mean((g - mean g)^2).  `rounding`
+    reports this allowance at the latest time as a fraction of that mass,
+    2 max(t) delta with delta = k eps 2 max_rate, beside `width`: each curve
+    value is certified to width times itself plus rounding times the mass.
+    It is an a priori bound, far looser than the deviation seen against the
+    dense oracle, so it neither widens the bracket nor decides when it has
+    closed.
     """
     t = np.asarray(times, dtype=float)
     if np.any(t < 0):
@@ -185,16 +206,17 @@ def quadrature_measure(op, g, times):
     v = v - mean
     mass = float(v @ v) / v.size
     if mass == 0.0:
-        return Quadrature(SpectralMeasure(np.zeros(1), np.array([zero])), 0.0, 0)
+        return Quadrature(SpectralMeasure(np.zeros(1), np.array([zero])), 0.0, 0, 0.0)
     for alphas, betas, exact in _lanczos(op, v):
         k = len(alphas)
-        if not exact and k % _CHECK_EVERY:
+        # also at k = n_sites - 1, where the rule would be exact without rounding
+        if not exact and k % _CHECK_EVERY and k != v.size - 1:
             continue
         nodes, weights, lower, upper = _gauss_radau(alphas, betas, t)
+        lower, upper = zero + mass * lower, zero + mass * upper
         if exact:
             width = 0.0
             break
-        lower, upper = zero + mass * lower, zero + mass * upper
         width = float(np.max(np.abs(upper - lower) / np.maximum(upper, np.finfo(float).tiny)))
         if width <= QUADRATURE_RTOL:
             break
@@ -205,7 +227,8 @@ def quadrature_measure(op, g, times):
             )
     lam = np.concatenate(([0.0], nodes))
     w = np.concatenate(([zero], mass * weights))
-    return Quadrature(SpectralMeasure(lam, w), width, k)
+    delta = k * np.finfo(float).eps * 2.0 * op.max_rate
+    return Quadrature(SpectralMeasure(lam, w), width, k, 2.0 * float(t.max(initial=0.0)) * delta)
 
 
 def _positive_atoms(m):

@@ -12,6 +12,8 @@ from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
     _CONTRACT_BLOCK,
     ExperimentReport,
+    _bootstrap_exponents,
+    _loglog_fit,
     _contract_mc_chunk,
     _contract_uniforms,
     contract_exact_moments,
@@ -23,7 +25,7 @@ from condlab.experiments import (
     variance_decay_experiment,
     write_report,
 )
-from condlab.functionals import centered_edge, evaluate_all
+from condlab.functionals import LocalFunctional, Polynomial, centered_edge, evaluate_all
 from condlab.operators import build_generator
 from condlab.spectral import DecayCurve
 from condlab.util import child_rng, field_seed
@@ -66,6 +68,52 @@ def test_decay_fit_window_and_failure_modes():
         decay_fit(DecayCurve(t, np.zeros_like(t)))
     with pytest.raises(FitError):
         decay_fit(DecayCurve(np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 0.25])))
+
+
+def _looped_bootstrap(t, v, rng):
+    """The bootstrap as one polyfit per resample: the reference for the one-pass version."""
+    boots = []
+    for _ in range(400):
+        idx = rng.integers(0, len(t), len(t))
+        if len(np.unique(t[idx])) < 2:
+            continue
+        s, _, _ = _loglog_fit(t[idx], v[idx])
+        boots.append(-s)
+    return np.array(boots)
+
+
+@pytest.mark.parametrize("m", [5, 6, 12, 25])
+def test_one_pass_bootstrap_matches_the_polyfit_loop(m):
+    rng = np.random.default_rng(m)
+    t = np.geomspace(1.0, 100.0, m)
+    v = 2.0 * t**-1.5 * np.exp(0.05 * rng.normal(size=m))
+    skipped = 0
+    for seed in range(8):
+        ref = _looped_bootstrap(t, v, np.random.default_rng(seed))
+        got = _bootstrap_exponents(t, v, np.random.default_rng(seed))
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12)
+        skipped += 400 - len(ref)
+    if m == 5:
+        # a 5-point window draws a one-time resample about once in 625
+        assert skipped > 0
+
+
+@pytest.mark.parametrize("m,alpha,noise,curved", [(5, 0.5, 0.02, 0.0), (7, 1.5, 0.1, 0.0),
+                                                  (25, 1.0, 0.0, 0.0), (25, 2.5, 0.05, 0.3)])
+def test_decay_fit_matches_the_polyfit_loop(m, alpha, noise, curved):
+    t = np.geomspace(0.5, 200.0, m)
+    lt = np.log(t)
+    v = np.exp(-alpha * lt + curved * (lt - lt.mean()) ** 2
+               + noise * np.random.default_rng(m).normal(size=m))
+    fit = decay_fit(DecayCurve(t, v), window=(t[0], t[-1]))
+    ref = _looped_bootstrap(t, v, np.random.default_rng(0))
+    slope, _, _ = _loglog_fit(t, v)
+    ci = np.percentile(ref, [2.5, 97.5])
+    curvature = np.polyfit(lt - np.mean(lt), np.log(v), 2)[0]
+    assert abs(fit.exponent + slope) <= 1e-12
+    assert abs(fit.ci_low - ci[0]) <= 1e-12 and abs(fit.ci_high - ci[1]) <= 1e-12
+    assert abs(fit.curvature - curvature) <= 1e-12
 
 
 def test_exact_contract_moments_frozen_values():
@@ -225,6 +273,28 @@ def test_decay_report_does_not_depend_on_workers(tmp_path):
         lambda workers: variance_decay_experiment(LAW, 2, 10, "edge", "conductance", times, 3, 4,
                                                   workers=workers)[1],
         ["curve"],
+    )
+
+
+def test_decay_takes_a_functional_outside_the_registry(tmp_path):
+    # a centered functional built by hand; its name is not a registry entry
+    diff = Polynomial.edge((0, 0), 0) - Polynomial.edge((0, 0), 1)
+    f = LocalFunctional("my-diff", diff, LAW)
+    times = np.geomspace(0.2, 5.0, 6)
+    for method in ("spectral", "mc"):
+        _assert_report_does_not_depend_on_workers(
+            tmp_path / method,
+            lambda workers: variance_decay_experiment(LAW, 2, 6, f, "conductance", times, 3, 4,
+                                                      method=method, walks=50,
+                                                      workers=workers)[1],
+            ["curve"],
+        )
+        assert "functional=my-diff\n" in (tmp_path / method / "1" / "config.txt").read_text()
+    _assert_report_does_not_depend_on_workers(
+        tmp_path / "nash",
+        lambda workers: nash_chain_check(LAW, 2, [1, 2], f, realizations=3, seed=5,
+                                         workers=workers),
+        ["boxes"],
     )
 
 

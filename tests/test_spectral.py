@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,46 @@ def test_quadrature_curve_is_within_its_tolerance_of_the_dense_oracle(case):
     got = variance_curve(quad.measure, times).values
     # 1e-13 of the mass covers the dense oracle's own rounding
     assert np.all(np.abs(got - exact) <= QUADRATURE_RTOL * exact + 1e-13 * quad.measure.total_mass)
+
+
+@pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+def test_long_quadrature_runs_stay_within_tolerance_of_the_dense_oracle(law):
+    # hundreds of steps on 512 sites: the plain recurrence has lost
+    # orthogonality and holds copies of converged Ritz values
+    field = sample_field(ORACLE_LAWS[law], Lattice(1, 512), 7)
+    op = build_generator(field, "conductance")
+    g = np.random.default_rng(7).normal(size=512) + 0.3
+    times = np.geomspace(0.01, 1000.0, 12)
+    quad = quadrature_measure(op, g, times)
+    exact = _dense_curve(op, g, times)
+    assert quad.width <= QUADRATURE_RTOL
+    assert quad.steps >= 200
+    got = variance_curve(quad.measure, times).values
+    assert np.all(np.abs(got - exact) <= QUADRATURE_RTOL * exact + 1e-13 * quad.measure.total_mass)
+    ritz = quad.measure.lambdas[1:]
+    copies = int(np.sum(np.diff(ritz) <= 1e-9 * ritz[1:]))
+    # the constant law's ring has 257 distinct eigenvalues, so no copy is needed
+    assert copies > 0 or law == "constant"
+
+
+def test_quadrature_memory_does_not_grow_with_the_steps():
+    law = TwoPoint(0.5, 1.0, 4.0)
+    field = sample_field(law, Lattice(2, 320), 0)
+    op = build_generator(field)
+    g = evaluate_all(centered_edge(2, law), field)
+    op.matrix  # built once per operator, outside the recurrence
+    tracemalloc.start()
+    try:
+        quad = quadrature_measure(op, g, np.geomspace(0.1, 200.0, 30))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert quad.steps > 200
+    # a stored basis would take quad.steps vectors
+    assert peak < 16 * g.nbytes
+    # 2 t delta at the latest time, delta = k eps |L| with |L| <= 2 max_rate
+    eps = np.finfo(float).eps
+    assert quad.rounding == pytest.approx(2.0 * 200.0 * quad.steps * eps * 2.0 * op.max_rate)
 
 
 def test_quadrature_of_zero_is_the_zero_measure():
