@@ -114,9 +114,7 @@ from .walker import (
     MsdCurve,
     Trajectory,
     additive_functional,
-    env_samples,
     msd_estimate,
-    occupation_fractions,
     simulate_srw,
     simulate_vsrw,
     trajectory_to_csv,

@@ -7,14 +7,15 @@ so there is no time-discretization bias anywhere downstream.  The simple
 comparisons against a constant field exact.
 
 One lockstep kernel, _simulate_batch, makes one numpy step per jump of every
-walk of a field still short of the horizon; ensembles keep only the sample-time
-sites and displacements and each walk's jump count.  A single trajectory is
-the batch of one and draws exactly what a lone event-driven walk draws.  Field
-r of an ensemble under master seed s has one generator, child_rng(s, stream,
-r), that draws all start sites first and then drives the batch (stream 1 for
-msd_estimate, 2 for the mc decay method), so results do not depend on workers.
-On a 2-core x86-64 box: about 2e6 jumps/s for 256 walks per field, 4e4 for a
-batch of one, where numpy's per-call cost dominates.
+walk still short of the horizon, across all fields of a group, whose jump
+tables stack into at most _GROUP_ROWS rows; ensembles keep only the
+sample-time sites and displacements and each walk's jump count.  Field r of
+an ensemble under master seed s keeps one generator, child_rng(s, stream, r)
+(stream 1 for msd_estimate, 2 for the mc decay method): it draws the start
+sites, then each step exactly what the field's walks would draw alone, so
+results depend on neither grouping nor workers.  A single trajectory is the
+group of one walk.  On a 2-core x86-64 box: about 8.7e6 jumps/s for criterion
+8's ensemble, 1e5 for a single path, where numpy's per-call cost dominates.
 """
 
 import math
@@ -31,9 +32,7 @@ __all__ = [
     "Trajectory",
     "simulate_vsrw",
     "simulate_srw",
-    "env_samples",
     "additive_functional",
-    "occupation_fractions",
     "EnsembleConfig",
     "MsdCurve",
     "msd_estimate",
@@ -95,20 +94,15 @@ class Trajectory:
         return out
 
 
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _walk_tables(lattice, weights):
     """Neighbour indices and cumulative jump rates per site, in star order.
 
     Column k of a site's row is the k-th edge of its star (+e_0, -e_0, +e_1,
-    ...), so each uniform draw maps to the same jump for the same weights.
+    ...); weights may stack several fields, field i filling rows i * n_sites.
     """
     sites, edges = lattice.star
-    return sites, np.asarray(weights, dtype=float).ravel()[edges].cumsum(axis=1)
+    cum = np.asarray(weights, dtype=float).reshape(-1, edges.size // 2)[:, edges].cumsum(axis=2)
+    return sites, cum.reshape(-1, edges.shape[1])
 
 
 def _moves(d):
@@ -120,12 +114,12 @@ def _moves(d):
 
 @dataclass
 class Batch:
-    """What a lockstep batch of walks leaves behind.
+    """What a lockstep group of walks leaves behind, walks in field order.
 
     sites[w, j] and displacements[w, j] hold walk w at the j-th sample time,
     jumps[w] its number of jumps up to the horizon.  With path recording,
-    path holds every jump of the batch in step order as (walk, time, site,
-    column) arrays, column k being the k-th edge of the star.
+    path holds every jump of the group in step order as (walk, time, table
+    row, column) arrays, column k being the k-th edge of the star.
     """
 
     sites: np.ndarray
@@ -134,60 +128,74 @@ class Batch:
     path: tuple = None
 
 
-def _simulate_batch(lattice, tables, starts, horizon, rng, times=(), path=False):
-    """Advance every walk of one field together, one jump per active walk per step.
+def _draws(rngs, ids, firsts):
+    """Draw buffers for the active walks ids, and (generator, its slices) per field with any."""
+    e, u = np.empty(ids.size), np.empty(ids.size)
+    bounds = ids.searchsorted(firsts).tolist()
+    return e, u, [(rng, e[lo:hi], u[lo:hi]) for rng, lo, hi in zip(rngs, bounds, bounds[1:]) if hi > lo]
 
-    Each step draws standard exponentials for the k active walks, then
-    uniforms for those whose next jump still falls within the horizon, each
-    in walk order.  A walk at x waits E * (1 / total_rate[x]) and then takes
-    the jump column given by the number of cumulative rates <= u *
-    total_rate[x], at most 2d - 1.  As its clock passes a sample time the
-    walk's site and displacement are recorded, so ensembles keep no per-jump
-    path.  A batch of one draws exactly what a single event-driven walk does.
+
+def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=False):
+    """Advance the walks of all fields of a group together, one jump per active walk per step.
+
+    weights stacks the fields' edge arrays; field i has generator rngs[i] and
+    the i-th equal share of starts.  Each step each field draws standard
+    exponentials for its k active walks, then uniforms for those whose next
+    jump falls within the horizon, in walk order: what it draws alone.  A walk
+    at x waits E * (1 / total_rate[x]), then takes star column k, the number
+    of cumulative rates <= u * total_rate[x].  Sites and displacements are
+    recorded as clocks pass the sample times, so ensembles keep no path.
     """
     if not 0 < horizon < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
-    neighbors, cum = tables
-    d = lattice.d
+    d, n_sites, fields = lattice.d, lattice.n_sites, len(rngs)
     starts = np.asarray(starts, dtype=np.int64)
-    if starts.ndim != 1 or np.any((starts < 0) | (starts >= lattice.n_sites)):
-        raise ParameterError(f"start sites must lie in [0, {lattice.n_sites})")
+    if starts.ndim != 1 or starts.size % fields or np.any((starts < 0) | (starts >= n_sites)):
+        raise ParameterError(f"start sites must lie in [0, {n_sites}), as many for each field")
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or np.any((times < 0) | (times > horizon)):
         raise ParameterError(f"sample times must increase within [0, {horizon}]")
     last = 2 * d - 1
-    # per site: the first 2d - 1 cumulative rates, an infinite sentinel, the
-    # total rate and its reciprocal; the first of the 2d columns above u *
-    # total is the number of those cumulative rates <= u * total
+    # row i * n_sites + x: the first 2d - 1 cumulative rates, an infinite
+    # sentinel, the total rate and its reciprocal; the first of the 2d columns
+    # above u * total is the number of those cumulative rates <= u * total
+    neighbors, cum = _walk_tables(lattice, weights)
     total = cum[:, last]
     table = np.column_stack((cum[:, :last], np.full(total.size, math.inf), total, 1.0 / total))
     moves = _moves(d)
     stops = np.append(times, math.inf)
 
     walks = starts.size
+    per = walks // fields
     sites = np.empty((walks, times.size), dtype=np.int64)
     displacements = np.empty((walks, times.size, d), dtype=np.int64)
     jumps = np.empty(walks, dtype=np.int64)
     ids = np.arange(walks)
-    x = starts.copy()
+    firsts = np.arange(fields + 1) * per  # field i's walks are firsts[i] to firsts[i + 1] - 1
+    e, u, spans = _draws(rngs, ids, firsts)
+    offsets = np.arange(fields) * n_sites
+    hop = (neighbors + offsets[:, None, None]).reshape(-1, 2 * d)  # the rows across each star
+    x = starts + np.repeat(offsets, per)  # field i's site x is table row i * n_sites + x
     t = np.zeros(walks)
     disp = np.zeros((walks, d), dtype=np.int64)
     nxt = np.zeros(walks, dtype=np.intp)
     # a walk needs attention once its clock passes its next sample time or,
     # with none left, the horizon
     gate = np.full(walks, min(stops[0], horizon))
-    # with path recording: (walk, time, site, column) per step, concatenated
+    # with path recording: (walk, time, row, column) per step, concatenated
     # every 4096 steps so a long path does not hold one-element arrays
     chunks, steps = [], [(ids[:0], t[:0], x[:0], ids[:0])]
     step = 0
     while ids.size:
         row = table[x]
-        tn = t + rng.standard_exponential(ids.size) * row[:, last + 2]
+        for rng, exponentials, _ in spans:
+            rng.standard_exponential(out=exponentials)
+        tn = t + e * row[:, last + 2]
         if (tn > gate).any():
             cross = tn > stops[nxt]
             while cross.any():
                 c = np.flatnonzero(cross)
-                sites[ids[c], nxt[c]] = x[c]
+                sites[ids[c], nxt[c]] = x[c] % n_sites
                 displacements[ids[c], nxt[c]] = disp[c]
                 nxt[c] += 1
                 cross[c] = tn[c] > stops[nxt[c]]
@@ -201,9 +209,12 @@ def _simulate_batch(lattice, tables, starts, horizon, rng, times=(), path=False)
                 )
                 if not ids.size:
                     break
-        v = rng.random(ids.size) * row[:, last + 1]
+                e, u, spans = _draws(rngs, ids, firsts)
+        for rng, _, uniforms in spans:
+            rng.random(out=uniforms)
+        v = u * row[:, last + 1]
         k = (row[:, : last + 1] > v[:, None]).argmax(axis=1)
-        x = neighbors[x, k]
+        x = hop[x, k]
         if times.size:  # displacements are only ever read at sample times
             disp += moves[k]
         t = tn
@@ -217,10 +228,10 @@ def _simulate_batch(lattice, tables, starts, horizon, rng, times=(), path=False)
     return Batch(sites, displacements, jumps, record)
 
 
-def _simulate(lattice, tables, start, horizon, rng):
-    """One walk's path, as the batch of one."""
-    batch = _simulate_batch(lattice, tables, [int(start)], horizon, rng, path=True)
-    _, times, sites, columns = batch.path
+def _simulate(lattice, weights, start, horizon, rng):
+    """One walk's path, as the group of one field and one walk, whose table rows are its sites."""
+    _, times, sites, columns = _simulate_batch(lattice, weights, [int(start)], horizon,
+                                               [np.random.default_rng(rng)], path=True).path
     return Trajectory(
         start=int(start),
         horizon=float(horizon),
@@ -231,34 +242,38 @@ def _simulate(lattice, tables, start, horizon, rng):
     )
 
 
-def _field_batch(lattice, tables, walks, horizon, times, seed, stream, r):
-    """The walks of field r of an ensemble, on that field's one generator.
+# Most table rows (fields x sites), and most walks, in one lockstep group unless a field
+# alone has more: at d=3 256 KB of table; at criterion 8's size 6 fields, 1536 walks a step
+_GROUP_ROWS = 1 << 12
 
-    child_rng(seed, stream, r) first draws the uniform start sites, then
-    drives the whole batch, so results depend on neither the order in which
-    fields run nor on the number of workers.
+
+def _field_groups(realizations, n_sites, walks, workers):
+    """Consecutive field ranges, one per worker at least, within _GROUP_ROWS rows and walks."""
+    count = max(-(-realizations // max(1, _GROUP_ROWS // max(n_sites, walks))), min(workers, realizations))
+    bounds = [realizations * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _field_batch(lattice, weights, walks, horizon, times, seed, stream, group):
+    """(starts, sites, displacements, jumps) of each field of group, run as one lockstep group.
+
+    weights[i] is field group[i]'s edge array.  Its generator child_rng(seed,
+    stream, group[i]) draws its uniform start sites, then drives its walks.
     """
-    rng = child_rng(seed, stream, r)
-    starts = rng.integers(lattice.n_sites, size=walks)
-    return starts, _simulate_batch(lattice, tables, starts, horizon, rng, times)
+    rngs = [child_rng(seed, stream, r) for r in group]
+    starts = np.concatenate([rng.integers(lattice.n_sites, size=walks) for rng in rngs])
+    batch = _simulate_batch(lattice, np.stack(weights), starts, horizon, rngs, times)
+    return zip(*(np.split(a, len(group)) for a in (starts, batch.sites, batch.displacements, batch.jumps)))
 
 
 def simulate_vsrw(field, start, horizon, rng):
     """Walk with jump rate across each edge equal to its conductance."""
-    tables = _walk_tables(field.lattice, field.omega)
-    return _simulate(field.lattice, tables, start, horizon, _as_rng(rng))
+    return _simulate(field.lattice, field.omega, start, horizon, rng)
 
 
 def simulate_srw(lattice, start, horizon, rng):
     """Rate-1 walk; takes no field at all."""
-    tables = _walk_tables(lattice, lattice.unit_weights)
-    return _simulate(lattice, tables, start, horizon, _as_rng(rng))
-
-
-def env_samples(field, functional, trajectory, times):
-    """Functional of the environment seen from the walker, at chosen times."""
-    sites = trajectory.site_at(np.asarray(times, dtype=float))
-    return evaluate_at_sites(functional, field, np.atleast_1d(sites))
+    return _simulate(lattice, lattice.unit_weights, start, horizon, rng)
 
 
 def additive_functional(field, functional, trajectory, t, t0=0.0):
@@ -275,21 +290,6 @@ def additive_functional(field, functional, trajectory, t, t0=0.0):
                               trajectory.sites[lo:hi]))
     values = evaluate_at_sites(functional, field, visited)
     return math.fsum((values * np.diff(cuts)).tolist())
-
-
-def occupation_fractions(trajectory, t=None):
-    """Fraction of [0, t] spent at each site."""
-    if t is None:
-        t = trajectory.horizon
-    if not 0 < t <= trajectory.horizon:
-        raise ParameterError(f"need 0 < t <= horizon, got {t}")
-    jt = trajectory.times
-    hi = int(np.searchsorted(jt, t, side="right"))
-    cuts = np.concatenate(([0.0], jt[:hi], [t]))
-    visited = np.concatenate(([trajectory.start], trajectory.sites[:hi]))
-    out = np.zeros(trajectory.lattice.n_sites)
-    np.add.at(out, visited, np.diff(cuts))
-    return out / t
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +333,18 @@ class MsdCurve:
     short_time_rate: float
 
 
-def _msd_field(args):
-    """Squared displacement of each walk of field r at the sample times."""
-    config, r = args
+def _msd_group(args):
+    """Each field's squared displacements at the sample times, mean jump rate and jumps."""
+    config, group = args
     lat = config.lattice
     if config.kind == "conductance":
-        field = sample_field(config.law, lat, field_seed(config.seed, r))
-        tables = _walk_tables(lat, field.omega)
-        rate_mean = float(field.rates().mean())
+        fields = [sample_field(config.law, lat, field_seed(config.seed, r)) for r in group]
+        weights, rates = [f.omega for f in fields], [float(f.rates().mean()) for f in fields]
     else:
-        tables = _walk_tables(lat, lat.unit_weights)
-        rate_mean = 2.0 * lat.d
-    _, batch = _field_batch(lat, tables, config.walks, config.horizon, config.times,
-                            config.seed, 1, r)
-    squares = np.sum(batch.displacements.astype(float) ** 2, axis=2)
-    return squares, rate_mean, int(batch.jumps.sum())
+        weights, rates = [lat.unit_weights] * len(group), [2.0 * lat.d] * len(group)
+    runs = _field_batch(lat, weights, config.walks, config.horizon, config.times, config.seed, 1, group)
+    return [(np.sum(disp.astype(float) ** 2, axis=2), rate, int(jumps.sum()))
+            for (_, _, disp, jumps), rate in zip(runs, rates)]
 
 
 def msd_estimate(config, workers=1):
@@ -358,10 +355,12 @@ def msd_estimate(config, workers=1):
     realizations, or across all walks when the fields cannot differ (a
     single field, a constant law, or the simple walk): there every walk is an
     independent sample, and the spread of a few field means would estimate
-    the same error from far fewer degrees of freedom.  Fields run through
-    parallel_map; the result does not depend on workers.
+    the same error from far fewer degrees of freedom.  Lockstep groups of
+    fields run through parallel_map, which changes no result.
     """
-    results = parallel_map(_msd_field, [(config, r) for r in range(config.realizations)], workers)
+    groups = _field_groups(config.realizations, config.lattice.n_sites, config.walks, workers)
+    tasks = [(config, g) for g in groups]
+    results = [field for part in parallel_map(_msd_group, tasks, workers) for field in part]
     fields_differ = config.kind == "conductance" and not isinstance(config.law, Constant)
     if config.realizations > 1 and fields_differ:
         samples = np.stack([squares.mean(axis=0) for squares, _, _ in results])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condlab.environment import (
     ConductanceField,
@@ -17,18 +19,17 @@ from condlab.environment import (
 )
 from condlab.errors import ParameterError
 from condlab.experiments import msd_experiment, variance_decay_experiment
-from condlab.functionals import centered_edge, evaluate_all
+from condlab.functionals import centered_edge
 from condlab.operators import build_generator
 from condlab.util import child_rng, field_seed
+from condlab import walker
 from condlab.walker import (
     EnsembleConfig,
     Trajectory,
+    _field_groups,
     _simulate_batch,
-    _walk_tables,
     additive_functional,
-    env_samples,
     msd_estimate,
-    occupation_fractions,
     simulate_srw,
     simulate_vsrw,
     trajectory_to_csv,
@@ -132,34 +133,6 @@ def test_displacement_and_site_stay_consistent_modulo_the_torus():
     for t in (1.0, 5.0, 10.0):
         wrapped = (start + traj.displacement_at(t)) % lat.n
         assert lat.site_index(wrapped) == traj.site_at(t)
-
-
-def test_occupation_fractions_integrate_the_path():
-    lat = Lattice(1, 5)
-    traj = Trajectory(
-        start=0, horizon=4.0,
-        times=np.array([1.0, 2.5]),
-        sites=np.array([1, 2]),
-        displacements=np.array([[1], [2]]),
-        lattice=lat,
-    )
-    occ = occupation_fractions(traj)
-    assert occ.tolist() == pytest.approx([0.25, 0.375, 0.375, 0.0, 0.0])
-    occ2 = occupation_fractions(traj, t=2.0)
-    assert occ2.tolist() == pytest.approx([0.5, 0.5, 0.0, 0.0, 0.0])
-    assert occ.sum() == pytest.approx(1.0)
-
-
-def test_env_samples_reads_the_functional_along_the_path():
-    lat = Lattice(1, 9)
-    field = sample_field(LAW, lat, 2)
-    f = centered_edge(1, LAW)
-    traj = simulate_vsrw(field, 0, 6.0, np.random.default_rng(1))
-    times = np.array([0.5, 3.0, 6.0])
-    vals = env_samples(field, f, traj, times)
-    g = evaluate_all(f, field)
-    expected = [g[traj.site_at(t)] for t in times]
-    assert np.allclose(vals, expected)
 
 
 def test_additive_functional_is_the_exact_piecewise_integral():
@@ -291,10 +264,9 @@ def test_sample_time_records_match_the_path():
     # sample times do not change the draws, so a batch of one sampled at
     # chosen times must agree with its own path, right-continuously at a jump
     field = sample_field(LAW, Lattice(2, 6), 4)
-    tables = _walk_tables(field.lattice, field.omega)
     traj = simulate_vsrw(field, 9, 8.0, np.random.default_rng(5))
     times = np.array([0.0, 0.3, traj.times[10], 4.0, 8.0])
-    batch = _simulate_batch(field.lattice, tables, [9], 8.0, np.random.default_rng(5), times)
+    batch = _simulate_batch(field.lattice, field.omega, [9], 8.0, [np.random.default_rng(5)], times)
     assert batch.jumps.tolist() == [traj.jump_count]
     assert batch.sites[0].tolist() == traj.site_at(times).tolist()
     assert batch.displacements[0].tolist() == traj.displacement_at(times).tolist()
@@ -312,10 +284,9 @@ def test_batched_end_sites_follow_the_heat_kernel(law, d, n, t):
     # 20000 walks from one start against the row exp(tL)[start]; bins with
     # fewer than 5 expected walks are pooled
     field = sample_field(parse_law(law), Lattice(d, n), 7)
-    tables = _walk_tables(field.lattice, field.omega)
     walks, start = 20000, 3
-    batch = _simulate_batch(field.lattice, tables, np.full(walks, start), t,
-                            np.random.default_rng(11), [t])
+    batch = _simulate_batch(field.lattice, field.omega, np.full(walks, start), t,
+                            [np.random.default_rng(11)], [t])
     expected = walks * scipy.linalg.expm(t * build_generator(field).matrix.toarray())[start]
     observed = np.bincount(batch.sites[:, 0], minlength=field.lattice.n_sites)
     big = expected >= 5.0
@@ -330,8 +301,8 @@ def test_batched_end_sites_follow_the_heat_kernel(law, d, n, t):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_simple_walk_jump_counts_are_poisson(d):
     lat, t, walks = Lattice(d, 5), 1.5, 20000
-    batch = _simulate_batch(lat, _walk_tables(lat, lat.unit_weights),
-                            np.zeros(walks, dtype=int), t, np.random.default_rng(d))
+    batch = _simulate_batch(lat, lat.unit_weights,
+                            np.zeros(walks, dtype=int), t, [np.random.default_rng(d)])
     pmf = scipy.stats.poisson(2 * d * t)
     edges = np.arange(int(pmf.ppf(0.999)) + 1)
     expected = walks * np.append(np.diff(np.append(0.0, pmf.cdf(edges[:-1]))), pmf.sf(edges[-2]))
@@ -339,19 +310,89 @@ def test_batched_simple_walk_jump_counts_are_poisson(d):
     assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
 
 
+@st.composite
+def _group_case(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(3, {1: 12, 2: 6, 3: 4}[d]))
+    law = draw(st.sampled_from(["constant:1", "uniform:1,3", "twopoint:0.5,1,4",
+                                "boundedpareto:0.3,0.5,1000"]))
+    fields = draw(st.integers(1, 5))
+    walks = draw(st.integers(1, 40))
+    # from a handful of jumps per walk to about a hundred, so the fields of
+    # a group retire their last walk on different steps
+    horizon = draw(st.floats(0.05, 8.0))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    seed = draw(st.integers(0, 2**16))
+    return parse_law(law), d, n, fields, walks, horizon, np.unique(np.array(fractions) * horizon), seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_group_case())
+def test_each_field_of_a_group_walks_as_it_does_alone(case):
+    law, d, n, fields, walks, horizon, times, seed = case
+    lat = Lattice(d, n)
+    omegas = [sample_field(law, lat, seed + i).omega for i in range(fields)]
+    starts = np.random.default_rng(seed).integers(lat.n_sites, size=fields * walks)
+    rngs = [np.random.default_rng([seed, i]) for i in range(fields)]
+    group = _simulate_batch(lat, np.stack(omegas), starts, horizon, rngs, times)
+    for i in range(fields):
+        rng = np.random.default_rng([seed, i])
+        own = slice(i * walks, (i + 1) * walks)
+        alone = _simulate_batch(lat, omegas[i], starts[own], horizon, [rng], times)
+        assert np.array_equal(group.sites[own], alone.sites)
+        assert np.array_equal(group.displacements[own], alone.displacements)
+        assert np.array_equal(group.jumps[own], alone.jumps)
+        assert rngs[i].bit_generator.state == rng.bit_generator.state
+
+
+def test_field_groups_bound_table_rows_and_walks_and_feed_every_worker():
+    def sizes(*args):
+        return [len(g) for g in _field_groups(*args)]
+
+    assert sizes(24, 576, 256, 1) == [6, 6, 6, 6]  # criterion 8: 4096 // 576 = 7 fields at most
+    assert sizes(10, 12, 4096, 1) == [1] * 10  # walks bound a group as rows do
+    assert sizes(3, 5000, 8, 1) == [1, 1, 1]  # a field larger than the cap runs alone
+    assert sizes(5, 12, 8, 2) == [2, 3]  # one group fits, but each worker gets one
+    assert sizes(1, 12, 8, 4) == [1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_do_not_depend_on_the_grouping_of_fields(monkeypatch, workers):
+    lat = Lattice(2, 6)
+    cfg = EnsembleConfig(law=LAW, lattice=lat, kind="conductance", realizations=5, walks=30,
+                         horizon=4.0, times=np.array([0.5, 1.0, 4.0]), seed=3)
+
+    def decay(workers):
+        return variance_decay_experiment(LAW, 2, 6, "edge", "conductance", [0.5, 2.0], 5, 4,
+                                          method="mc", walks=30, workers=workers)
+
+    assert len(_field_groups(5, lat.n_sites, 30, 1)) == 1
+    whole, (whole_curve, whole_report) = msd_estimate(cfg), decay(1)
+    monkeypatch.setattr(walker, "_GROUP_ROWS", 2 * lat.n_sites)
+    assert [list(g) for g in _field_groups(5, lat.n_sites, 30, 1)] == [[0], [1, 2], [3, 4]]
+    split, (split_curve, split_report) = msd_estimate(cfg, workers), decay(workers)
+    for a, b in ((whole.msd_over_t, split.msd_over_t), (whole.stderr, split.stderr),
+                 (whole_curve.values, split_curve.values), (whole_curve.stderrs, split_curve.stderrs)):
+        assert np.array_equal(a, b)
+    assert (whole.jumps_total, whole.short_time_rate) == (split.jumps_total, split.short_time_rate)
+    assert _walker_note(whole_report) == _walker_note(split_report)
+
+
 def test_batches_reject_bad_horizons_starts_and_sample_times():
     lat = Lattice(2, 4)
-    tables = _walk_tables(lat, lat.unit_weights)
+    weights = lat.unit_weights
     rng = np.random.default_rng(0)
     for horizon in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ParameterError):
-            _simulate_batch(lat, tables, [0, 1], horizon, rng)
+            _simulate_batch(lat, weights, [0, 1], horizon, [rng])
     for starts in ([0, 16], [-1, 3], [[0, 1]]):
         with pytest.raises(ParameterError):
-            _simulate_batch(lat, tables, starts, 1.0, rng)
+            _simulate_batch(lat, weights, starts, 1.0, [rng])
     for times in ([0.5, 0.5], [0.5, 1.5], [-0.1]):
         with pytest.raises(ParameterError):
-            _simulate_batch(lat, tables, [0, 1], 1.0, rng, times)
+            _simulate_batch(lat, weights, [0, 1], 1.0, [rng], times)
+    with pytest.raises(ParameterError):  # two fields cannot share three walks
+        _simulate_batch(lat, np.stack([weights, weights]), [0, 1, 2], 1.0, [rng, rng])
     with pytest.raises(ParameterError):
         simulate_vsrw(sample_field(LAW, lat, 0), 16, 1.0, rng)
 
