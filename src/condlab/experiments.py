@@ -34,12 +34,14 @@ from .operators import (
 from .spectral import (
     DecayCurve,
     PowerLawFit,
+    Quadrature,
+    _QUADRATURE_ROWS,
+    _quadrature_group,
     diffusivity_estimators,
     fourier_measure,
-    quadrature_measure,
     variance_curve,
 )
-from .util import child_rng, field_seed, mean_and_stderr, parallel_map
+from .util import child_rng, field_groups, field_seed, mean_and_stderr, parallel_map
 from .walker import EnsembleConfig, _field_batch, _field_groups, msd_estimate
 
 __all__ = [
@@ -207,16 +209,16 @@ def decay_fit(curve, window=None):
 # Variance decay
 
 
-def _decay_spectral_one(args):
-    """One field's variance curve, with its quadrature certificate: width, steps, rounding."""
-    law, lat, f, kind, times, seed = args
-    field = sample_field(law, lat, seed)
-    g = evaluate_all(f, field)
+def _decay_spectral_group(args):
+    """Each field's variance curve, with its quadrature certificate: width, steps, rounding, checks."""
+    law, lat, f, kind, times, master, group = args
+    fields = [sample_field(law, lat, field_seed(master, r)) for r in group]
+    gs = [evaluate_all(f, field) for field in fields]
     if kind == "simple":
-        m, width, steps, rounding = fourier_measure(lat, g), 0.0, 0, 0.0
+        quads = [Quadrature(fourier_measure(lat, g), 0.0, 0, 0.0, 0) for g in gs]
     else:
-        m, width, steps, rounding = quadrature_measure(build_generator(field, kind), g, times)
-    return variance_curve(m, times).values, width, steps, rounding
+        quads = _quadrature_group([build_generator(field, kind) for field in fields], gs, times)
+    return [(variance_curve(q.measure, times).values,) + q[1:] for q in quads]
 
 
 def _walker_note(walks, jumps):
@@ -257,15 +259,20 @@ def variance_decay_experiment(
     simple walk's exact measure comes from an FFT, the conductance walk's
     from Lanczos quadrature, certified at every requested time by a
     Gauss/Gauss-Radau bracket of relative width at most QUADRATURE_RTOL
-    (SolverError if it cannot close).  The summary notes the engine, and for
-    quadrature the most Lanczos steps, the widest bracket and the largest
-    rounding allowance over the fields.  The mc method estimates the
+    (SolverError if it cannot close).  Quadratures run in lockstep groups of
+    fields, at most _QUADRATURE_ROWS sites in all unless a field alone has
+    more, and at least one group per worker; grouping changes no result.
+    The summary notes the engine, and for quadrature the most Lanczos steps
+    and bracket evaluations, the widest bracket and the largest rounding
+    allowance over the fields.  The mc method estimates the
     equivalent two-time correlation E[f(w(0)) f(w(2t))] from simulated walks
     started uniformly.  functional is a registry name or descriptor, built
     once for the law, or a LocalFunctional, which each field's task receives
     as it is; a declared nonzero mean is refused either way.
     """
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ConfigError([("times", "times must not be empty")])
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ConfigError([("times", "times must be positive and strictly increasing")])
     lat = Lattice(d, n)
@@ -281,15 +288,14 @@ def variance_decay_experiment(
         raise ConfigError([("method", f"unknown method {method!r}")])
 
     if method == "spectral":
-        results = parallel_map(
-            _decay_spectral_one,
-            [(law, lat, f, kind, times, field_seed(seed, r)) for r in range(realizations)],
-            workers,
-        )
+        groups = field_groups(realizations, lat.n_sites, _QUADRATURE_ROWS, workers)
+        tasks = [(law, lat, f, kind, times, seed, g) for g in groups]
+        run = _decay_spectral_group
     else:
-        tasks = [(law, lat, f, kind, times, seed, g, walks)
-                 for g in _field_groups(realizations, lat.n_sites, walks, workers)]
-        results = [field for part in parallel_map(_decay_mc_group, tasks, workers) for field in part]
+        groups = _field_groups(realizations, lat.n_sites, walks, workers)
+        tasks = [(law, lat, f, kind, times, seed, g, walks) for g in groups]
+        run = _decay_mc_group
+    results = [field for part in parallel_map(run, tasks, workers) for field in part]
     curves = [r[0] for r in results]
     samples = np.stack(curves)
     mean, se = mean_and_stderr(samples, axis=0)
@@ -321,7 +327,8 @@ def variance_decay_experiment(
     elif method == "spectral":
         report.notes.append(
             f"spectral engine: Lanczos Gauss/Gauss-Radau quadrature, at most "
-            f"{max(r[2] for r in results)} steps, max relative bracket width "
+            f"{max(r[2] for r in results)} steps and {max(r[4] for r in results)} bracket "
+            f"evaluations per field, max relative bracket width "
             f"{max(r[1] for r in results):.2g}, rounding allowance "
             f"{max(r[3] for r in results):.2g} of the mass"
         )

@@ -143,40 +143,85 @@ def _uniformized_apply(op, v, t, tail_mass=1e-12):
     return out
 
 
-def _lanczos(op, v):
-    """Plain Lanczos recurrence for -L started at v, holding two vectors.
+def _block_matrix(ops):
+    """L of every op, in order, as the blocks of one block-diagonal CSR matrix.
 
-    v must have site mean 0.  Each step is one sparse product and the
-    three-term recurrence; the new vector is re-centered, so the constants
-    (the kernel of -L on a connected torus) never re-enter through rounding,
-    but it is not reorthogonalized against earlier vectors.  Only the
-    current and previous vectors are kept, so memory is a few site arrays
-    whatever the number of steps.  After step k this yields (alphas, betas,
-    exact): the k diagonal entries of the Jacobi matrix, the k residual norms
-    (the first k-1 are its off-diagonal, the last couples it to the next
-    vector), and whether the recurrence has ended.  It ends only at
-    breakdown, where the Jacobi matrix carries the projected spectrum of v
-    exactly.  Without orthogonality the Krylov space is not known to fill
-    the torus, so any other stop is the caller's.
+    The ops share a lattice; the blocks repeat its generator_pattern with
+    each op's entries.  One op is its own matrix.
     """
+    if len(ops) == 1:
+        return ops[0].matrix
+    import scipy.sparse as sp
+
+    indptr, indices, _ = ops[0].lattice.generator_pattern
+    n, nnz, m = ops[0].lattice.n_sites, indices.size, len(ops)
+    shift = np.arange(m, dtype=np.int32 if m * nnz < 2**31 else np.int64)[:, None]
+    indptr = np.append((indptr[:-1] + nnz * shift).ravel(), m * nnz)
+    data = np.concatenate([op._data for op in ops])
+    return sp.csr_matrix((data, (indices + n * shift).ravel(), indptr), shape=(m * n, m * n))
+
+
+def _lanczos(ops, vs):
+    """Plain Lanczos recurrences for the -L of every op, started at the rows of vs, in lockstep.
+
+    Each row of vs must have site mean 0.  Each step is one product with the
+    block-diagonal matrix of the ops and the three-term recurrence, row by
+    row: one BLAS dot per row, so a row's arithmetic is what it would be
+    alone.  The new vectors are re-centered, so the constants (the kernel
+    of -L on a connected torus) never re-enter through rounding, but they
+    are not reorthogonalized against earlier vectors.  Only the current and
+    previous vectors are kept, so memory is a few site arrays per row
+    whatever the number of steps.
+
+    After step k this yields (alphas, betas, exact) for the rows still
+    running: their k diagonal entries of the Jacobi matrix, their k residual
+    norms (the first k-1 are its off-diagonal, the last couples it to the
+    next vector), and whether each has ended.  A row ends only at
+    breakdown, where its Jacobi matrix carries the projected spectrum of its
+    start exactly.  Without orthogonality the Krylov space is not known to
+    fill the torus, so any other stop is the caller's: it may send a mask of
+    the rows to keep, and rows that have ended are dropped either way.
+    """
+    ops = list(ops)
     # a residual this small against the Gershgorin bound on |L| is rounding
-    breakdown = 1e-12 * 2.0 * op.max_rate
-    q = v / np.linalg.norm(v)
+    breakdown = np.array([1e-12 * 2.0 * op.max_rate for op in ops])
+    n = vs.shape[1]
+    q = vs / np.sqrt(np.matmul(vs[:, None, :], vs[:, :, None]))[:, 0]
     q_prev = None
-    alphas, betas = [], []
+    matrix = _block_matrix(ops)
+    alphas = np.empty((len(ops), 16))
+    betas = np.empty_like(alphas)
+    k = 0
     while True:
-        w = -(op.matrix @ q)
-        if q_prev is not None:
-            w -= betas[-1] * q_prev
-        alphas.append(float(q @ w))
-        w -= alphas[-1] * q
-        w -= w.mean()
-        betas.append(float(np.linalg.norm(w)))
-        exact = betas[-1] <= breakdown
-        yield np.array(alphas), np.array(betas), exact
-        if exact:
-            return
-        w /= betas[-1]
+        if k == alphas.shape[1]:
+            alphas = np.concatenate((alphas, np.empty_like(alphas)), axis=1)
+            betas = np.concatenate((betas, np.empty_like(betas)), axis=1)
+        w = matrix @ q.ravel()
+        w = np.negative(w, out=w).reshape(q.shape)
+        if q_prev is None:
+            scratch = np.empty_like(q)
+        else:
+            # the previous vectors are spent once subtracted, so they hold the products
+            scratch = q_prev
+            w -= np.multiply(betas[:, k - 1, None], q_prev, out=scratch)
+        alpha = np.matmul(q[:, None, :], w[:, :, None])[:, 0, 0]
+        w -= np.multiply(alpha[:, None], q, out=scratch)
+        # the row means, as w.mean() takes them
+        w -= (np.add.reduce(w, axis=1) / n)[:, None]
+        beta = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+        alphas[:, k], betas[:, k] = alpha, beta
+        k += 1
+        exact = beta <= breakdown
+        keep = yield alphas[:, :k], betas[:, :k], exact
+        keep = ~exact if keep is None else keep & ~exact
+        if not keep.all():
+            if not keep.any():
+                return
+            ops = [op for op, kept in zip(ops, keep) if kept]
+            matrix = _block_matrix(ops)
+            breakdown, alphas, betas = breakdown[keep], alphas[keep], betas[keep]
+            q, w, beta = q[keep], w[keep], beta[keep]
+        w /= beta[:, None]
         q_prev, q = q, w
 
 

@@ -8,7 +8,11 @@ capped at DENSE_LIMIT sites), the Fourier transform (exact, simple walk
 only), and Lanczos quadrature (conductance walk at any size).  The last is
 the only approximation: a Gauss rule, certified at the requested times by a
 Gauss-Radau bracket of relative width at most QUADRATURE_RTOL, with an
-allowance for rounding in the recurrence reported beside it.
+allowance for rounding in the recurrence reported beside it.  The fields of
+one torus run their quadratures in lockstep groups (_quadrature_group): one
+sparse product per Lanczos step for the whole group, and one batched
+eigendecomposition per rule for the fields due for a bracket check, with
+each field's result bit for bit what it gets alone.
 """
 
 import math
@@ -122,10 +126,11 @@ def fourier_measure(lattice, g):
 # relative width of the Gauss/Gauss-Radau bracket that certifies a quadrature measure
 QUADRATURE_RTOL = 1e-10
 # Lanczos steps after which an open bracket is an error; a cap on work only,
-# since the recurrence holds two vectors whatever the number of steps
+# since the recurrence holds two vectors per field whatever the number of steps
 QUADRATURE_MAX_STEPS = 1000
-# Lanczos steps between two bracket evaluations
-_CHECK_EVERY = 10
+# most rows (fields x sites) in one lockstep group of quadratures, unless a
+# field alone has more: a few 256 KB vectors and a d=3 block matrix of 2.7 MB
+_QUADRATURE_ROWS = 1 << 15
 
 
 class Quadrature(NamedTuple):
@@ -135,31 +140,106 @@ class Quadrature(NamedTuple):
     width: float  # max relative width of the bracket over the requested times
     steps: int  # Lanczos steps taken
     rounding: float  # rounding allowance, as a fraction of the mass of g - mean(g)
-
-
-def _jacobi_eig(alphas, betas):
-    """Eigenvalues and eigenvectors of the Jacobi matrix (alphas, betas)."""
-    return np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    checks: int  # bracket evaluations
 
 
 def _gauss_radau(alphas, betas, times):
-    """Gauss and Gauss-Radau rules after k Lanczos steps, for unit mass.
+    """Gauss and Gauss-Radau rules after k Lanczos steps of each row, for unit mass.
 
-    alphas and betas are as yielded by the Lanczos recurrence (betas[-1]
-    couples to the next vector).  Returns the Gauss nodes and weights, and
-    the values of both rules for e^{-2 lambda t} at the times: the Gauss rule
-    from below, the Radau rule with a node fixed at 0 from above.
+    alphas and betas hold one row per recurrence, as yielded by the Lanczos
+    recurrence (betas[:, -1] couples to the next vector).  Returns per row
+    the Gauss nodes and weights, and the values of both rules for
+    e^{-2 lambda t} at the times: the Gauss rule from below, the Radau rule
+    with a node fixed at 0 from above.  Each row's Jacobi matrix, bordered
+    by one row and column for the Radau rule, is diagonalized by one batched
+    eigh per rule, which does for each row what it would do alone.
     """
-    nodes, vecs = _jacobi_eig(alphas, betas[:-1])
-    if nodes[0] <= 0.0:
-        raise SolverError(f"Jacobi matrix lost positivity after {len(alphas)} Lanczos steps")
+    m, k = alphas.shape
+    jacobi = np.zeros((m, k + 1, k + 1))
+    flat = jacobi.reshape(m, -1)
+    flat[:, : k * (k + 2) : k + 2] = alphas
+    flat[:, 1 :: k + 2] = betas
+    flat[:, k + 1 :: k + 2] = betas
+    nodes, vecs = np.linalg.eigh(jacobi[:, :k, :k])
+    if np.any(nodes[:, 0] <= 0.0):
+        raise SolverError(f"Jacobi matrix lost positivity after {k} Lanczos steps")
     # border the Jacobi matrix so that 0 becomes an eigenvalue
-    corner = betas[-1] ** 2 * float(np.sum(vecs[-1] ** 2 / nodes))
-    radau_nodes, radau_vecs = _jacobi_eig(np.append(alphas, corner), betas)
-    weights = vecs[0] ** 2
-    lower = np.exp(-2.0 * np.outer(times, nodes)) @ weights
-    upper = np.exp(-2.0 * np.outer(times, np.maximum(radau_nodes, 0.0))) @ radau_vecs[0] ** 2
-    return nodes, weights, lower, upper
+    flat[:, -1] = betas[:, -1] ** 2 * np.sum(vecs[:, -1] ** 2 / nodes, axis=1)
+    radau_nodes, radau_vecs = np.linalg.eigh(jacobi)
+    weights = vecs[:, 0] ** 2
+    t = np.asarray(times, dtype=float)[:, None]
+    lower = np.exp(-2.0 * (t * nodes[:, None])) @ weights[:, :, None]
+    upper = np.exp(-2.0 * (t * np.maximum(radau_nodes, 0.0)[:, None])) @ radau_vecs[:, 0, :, None] ** 2
+    return nodes, weights, lower[:, :, 0], upper[:, :, 0]
+
+
+def _quadrature_group(ops, gs, times):
+    """quadrature_measure of gs[i] under ops[i] for every i, the recurrences in lockstep.
+
+    The ops share a lattice.  Each Lanczos step is one product with their
+    block-diagonal matrix, and the fields due for a bracket check are
+    certified together by _gauss_radau; a field leaves the group when its
+    bracket closes.  Every row's arithmetic is what it would be alone, so
+    each Quadrature is bit for bit that of its group of one.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.size == 0:
+        raise ParameterError("times must not be empty")
+    if np.any(t < 0):
+        raise ParameterError("times must be >= 0")
+    v = np.array(gs, dtype=float)
+    n = v.shape[1]
+    mean = v.mean(axis=1)
+    zero = mean * mean
+    v -= mean[:, None]
+    mass = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0] / n
+    out = [Quadrature(SpectralMeasure(np.zeros(1), np.array([z])), 0.0, 0, 0.0, 0)
+           for z in zero]
+    live = np.flatnonzero(mass != 0.0)
+    if not live.size:
+        return out
+    checks = np.zeros(len(out), dtype=int)
+    next_check = 10
+    recurrence = _lanczos([ops[i] for i in live], v[live])
+    alphas, betas, exact = next(recurrence)
+    while True:
+        k = alphas.shape[1]
+        # also at k = n_sites - 1, where the rule would be exact without rounding
+        due = exact | (k in (next_check, n - 1, QUADRATURE_MAX_STEPS))
+        if k == next_check:
+            # 10 steps apart through step 90, then k // 8, so a bracket of
+            # O(k^3) is evaluated O(log k) times after that
+            next_check += max(10, k // 8)
+        keep = None
+        if due.any():
+            rows = np.flatnonzero(due)
+            fields = live[rows]
+            checks[fields] += 1
+            nodes, weights, lower, upper = _gauss_radau(alphas[rows], betas[rows], t)
+            lower = zero[fields, None] + mass[fields, None] * lower
+            upper = zero[fields, None] + mass[fields, None] * upper
+            width = np.max(np.abs(upper - lower) / np.maximum(upper, np.finfo(float).tiny), axis=1)
+            width[exact[rows]] = 0.0
+            closed = width <= QUADRATURE_RTOL
+            if k >= QUADRATURE_MAX_STEPS and not closed.all():
+                raise SolverError(
+                    f"quadrature bracket still {width[~closed].max():.3e} wide after {k} Lanczos "
+                    f"steps (target {QUADRATURE_RTOL:g})"
+                )
+            for i in np.flatnonzero(closed):
+                field = fields[i]
+                delta = k * np.finfo(float).eps * 2.0 * ops[field].max_rate
+                out[field] = Quadrature(
+                    SpectralMeasure(np.concatenate(([0.0], nodes[i])),
+                                    np.concatenate(([zero[field]], mass[field] * weights[i]))),
+                    float(width[i]), k, float(2.0 * t.max() * delta), int(checks[field]),
+                )
+            keep = np.ones(live.size, dtype=bool)
+            keep[rows[closed]] = False
+            live = live[keep]
+        if not live.size:
+            return out
+        alphas, betas, exact = recurrence.send(keep)
 
 
 def quadrature_measure(op, g, times):
@@ -171,13 +251,18 @@ def quadrature_measure(op, g, times):
     (times the mass) as weights.  Because e^{-2 lambda t} is completely
     monotone, that rule undershoots the curve sum_i w_i e^{-2 lambda_i t}
     while the Gauss-Radau rule with a node fixed at 0 <= spec(-L) overshoots
-    it.  Every 10 steps, and at step n_sites - 1, both are evaluated at all
-    times, and the recurrence stops once the bracket's relative width is at
-    most QUADRATURE_RTOL; at breakdown the rule is exact and the width is 0.
-    A bracket still open after QUADRATURE_MAX_STEPS steps raises
+    it.  Both are evaluated at all times after steps 10, 20, ..., 90, then
+    at checks k // 8 apart (101, 113, 127, ...), and also at steps
+    n_sites - 1 and QUADRATURE_MAX_STEPS.  Each evaluation diagonalizes two
+    Jacobi matrices in O(k^3), so the spacing keeps a run of k steps at
+    O(k^3) where a fixed spacing would cost O(k^4); `checks` counts the
+    evaluations.  The recurrence stops once the bracket's relative width is
+    at most QUADRATURE_RTOL; at breakdown the rule is exact and the width is
+    0.  A bracket still open after QUADRATURE_MAX_STEPS steps raises
     SolverError, so no uncertified measure is returned.  As for
     spectral_measure(center=False), the total mass is mean(g^2).  The
-    operator must be connected (all weights positive).
+    operator must be connected (all weights positive).  This is the group of
+    one of _quadrature_group, which runs the fields of a torus in lockstep.
 
     The recurrence is not reorthogonalized, so in floating point its vectors
     lose orthogonality once Ritz values converge, and copies of converged
@@ -197,38 +282,7 @@ def quadrature_measure(op, g, times):
     dense oracle, so it neither widens the bracket nor decides when it has
     closed.
     """
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise ParameterError("times must be >= 0")
-    v = np.asarray(g, dtype=float)
-    mean = float(v.mean())
-    zero = mean * mean
-    v = v - mean
-    mass = float(v @ v) / v.size
-    if mass == 0.0:
-        return Quadrature(SpectralMeasure(np.zeros(1), np.array([zero])), 0.0, 0, 0.0)
-    for alphas, betas, exact in _lanczos(op, v):
-        k = len(alphas)
-        # also at k = n_sites - 1, where the rule would be exact without rounding
-        if not exact and k % _CHECK_EVERY and k != v.size - 1:
-            continue
-        nodes, weights, lower, upper = _gauss_radau(alphas, betas, t)
-        lower, upper = zero + mass * lower, zero + mass * upper
-        if exact:
-            width = 0.0
-            break
-        width = float(np.max(np.abs(upper - lower) / np.maximum(upper, np.finfo(float).tiny)))
-        if width <= QUADRATURE_RTOL:
-            break
-        if k >= QUADRATURE_MAX_STEPS:
-            raise SolverError(
-                f"quadrature bracket still {width:.3e} wide after {k} Lanczos steps "
-                f"(target {QUADRATURE_RTOL:g})"
-            )
-    lam = np.concatenate(([0.0], nodes))
-    w = np.concatenate(([zero], mass * weights))
-    delta = k * np.finfo(float).eps * 2.0 * op.max_rate
-    return Quadrature(SpectralMeasure(lam, w), width, k, 2.0 * float(t.max(initial=0.0)) * delta)
+    return _quadrature_group([op], [g], times)[0]
 
 
 def _positive_atoms(m):

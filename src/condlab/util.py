@@ -20,6 +20,18 @@ def field_seed(master_seed, index):
     return int(np.random.SeedSequence((int(master_seed), int(index))).generate_state(1)[0])
 
 
+def field_groups(realizations, rows, cap, workers):
+    """Consecutive ranges of range(realizations) for lockstep groups of fields.
+
+    Each group holds at most cap // rows fields, and at least one, so its
+    stacked rows stay within cap unless one field alone has more; there are
+    at least as many groups as workers, up to one field each.
+    """
+    count = max(-(-realizations // max(1, cap // rows)), min(workers, realizations))
+    bounds = [realizations * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def mean_and_stderr(samples, axis=0):
     """Sample mean and standard error of the mean along an axis."""
     arr = np.asarray(samples, dtype=float)

@@ -26,7 +26,7 @@ import numpy as np
 from .environment import Constant, sample_field
 from .errors import ParameterError
 from .functionals import evaluate_at_sites
-from .util import child_rng, field_seed, mean_and_stderr, parallel_map
+from .util import child_rng, field_groups, field_seed, mean_and_stderr, parallel_map
 
 __all__ = [
     "Trajectory",
@@ -249,9 +249,7 @@ _GROUP_ROWS = 1 << 12
 
 def _field_groups(realizations, n_sites, walks, workers):
     """Consecutive field ranges, one per worker at least, within _GROUP_ROWS rows and walks."""
-    count = max(-(-realizations // max(1, _GROUP_ROWS // max(n_sites, walks))), min(workers, realizations))
-    bounds = [realizations * i // count for i in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return field_groups(realizations, max(n_sites, walks), _GROUP_ROWS, workers)
 
 
 def _field_batch(lattice, weights, walks, horizon, times, seed, stream, group):

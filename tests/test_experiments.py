@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+from condlab import experiments
 from condlab.environment import Constant, Lattice, TwoPoint, Uniform, sample_field
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
@@ -28,7 +29,7 @@ from condlab.experiments import (
 from condlab.functionals import LocalFunctional, Polynomial, centered_edge, evaluate_all
 from condlab.operators import build_generator
 from condlab.spectral import DecayCurve
-from condlab.util import child_rng, field_seed
+from condlab.util import child_rng, field_groups, field_seed
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
@@ -236,6 +237,9 @@ def test_decay_experiment_validation():
         variance_decay_experiment(LAW, 1, 12, "edge", "conductance", np.array([2.0, 1.0]), 2, 0)
     with pytest.raises(ConfigError):
         variance_decay_experiment(LAW, 1, 12, "edge", "conductance", times, 2, 0, method="magic")
+    for method in ("spectral", "mc"):
+        with pytest.raises(ConfigError, match="times must not be empty"):
+            variance_decay_experiment(LAW, 1, 12, "edge", "conductance", [], 2, 0, method=method)
 
 
 def test_decay_experiment_runs_beyond_the_dense_limit():
@@ -274,6 +278,28 @@ def test_decay_report_does_not_depend_on_workers(tmp_path):
                                                   workers=workers)[1],
         ["curve"],
     )
+
+
+def test_decay_report_does_not_depend_on_workers_or_quadrature_groups(tmp_path, monkeypatch):
+    times = np.geomspace(0.2, 5.0, 6)
+
+    def run(workers):
+        return variance_decay_experiment(LAW, 2, 10, "edge", "conductance", times, 5, 4,
+                                         workers=workers)[1]
+
+    whole = run(1)
+    assert any(" bracket evaluations per field," in note for note in whole.notes)
+    write_report(whole, tmp_path / "whole")
+    # two fields of 100 sites to a group: [0], [1, 2], [3, 4] at one worker
+    monkeypatch.setattr(experiments, "_QUADRATURE_ROWS", 200)
+    assert [list(g) for g in field_groups(5, 100, experiments._QUADRATURE_ROWS, 1)] == [[0], [1, 2], [3, 4]]
+    for workers in (1, 2, 3):
+        write_report(run(workers), tmp_path / str(workers))
+    files = sorted(p.name for p in (tmp_path / "whole").iterdir())
+    assert {"config.txt", "summary.txt", "curve.csv"} <= set(files)
+    for workers in (1, 2, 3):
+        for name in files:
+            assert (tmp_path / str(workers) / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 def test_decay_takes_a_functional_outside_the_registry(tmp_path):

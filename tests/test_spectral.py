@@ -1,5 +1,6 @@
 """Spectral measures, decay/tail statistics, diffusivity estimators."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -33,6 +34,7 @@ from condlab.spectral import (
     DecayCurve,
     SpectralMeasure,
     _gauss_radau,
+    _quadrature_group,
     additive_variance,
     asymptotic_variance,
     corrector_error_term,
@@ -50,6 +52,7 @@ from condlab.spectral import (
     variance_at,
     variance_curve,
 )
+from condlab.util import field_seed
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
@@ -281,7 +284,7 @@ def test_gauss_and_radau_rules_bracket_the_dense_curve(case):
     # rounding allowance: the bracket is an inequality between exact sums
     slack = 1e-12 * exact + 1e-14 * mass
     # the bracket is open, hence informative, over the first steps
-    for alphas, betas, _ in itertools.islice(_lanczos(op, v), 60):
+    for alphas, betas, _ in itertools.islice(_lanczos([op], v[None]), 60):
         _, _, lower, upper = _gauss_radau(alphas, betas, times)
         assert np.all(zero + mass * lower <= exact + slack), len(alphas)
         assert np.all(exact <= zero + mass * upper + slack), len(alphas)
@@ -319,6 +322,14 @@ def test_long_quadrature_runs_stay_within_tolerance_of_the_dense_oracle(law):
     copies = int(np.sum(np.diff(ritz) <= 1e-9 * ritz[1:]))
     # the constant law's ring has 257 distinct eigenvalues, so no copy is needed
     assert copies > 0 or law == "constant"
+    # checks 10 steps apart through step 90, then k // 8: 18-21 brackets here,
+    # where checks 10 apart took 24-36 (twopoint: 36 for 360 steps)
+    schedule = [10]
+    while schedule[-1] < quad.steps:
+        schedule.append(schedule[-1] + max(10, schedule[-1] // 8))
+    assert schedule[:10] == [10, 20, 30, 40, 50, 60, 70, 80, 90, 101]
+    assert quad.steps == schedule[-1]
+    assert quad.checks == len(schedule) < quad.steps // 10
 
 
 def test_quadrature_memory_does_not_grow_with_the_steps():
@@ -388,6 +399,90 @@ def test_quadrature_refuses_to_return_an_open_bracket(monkeypatch):
     monkeypatch.setattr(spectral, "QUADRATURE_MAX_STEPS", 10)
     with pytest.raises(SolverError, match="after 10 Lanczos steps"):
         quadrature_measure(op, g, times)
+
+
+@st.composite
+def _quadrature_group_case(draw):
+    d = draw(st.integers(1, 3))
+    lat = Lattice(d, draw(st.integers(3, ORACLE_MAX_N[d])))
+    ops, gs = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        law = ORACLE_LAWS[draw(st.sampled_from(sorted(ORACLE_LAWS)))]
+        seed = draw(st.integers(0, 2**31 - 1))
+        ops.append(build_generator(sample_field(law, lat, seed)))
+        start = draw(st.sampled_from(["normal", "zero", "point"]))
+        if start == "normal":
+            gs.append(np.random.default_rng(seed).normal(size=lat.n_sites) + 0.3)
+        else:
+            # zero takes no step; a point mass on the constant law breaks down early
+            gs.append(np.zeros(lat.n_sites))
+            gs[-1][0] = 1.0 if start == "point" else 0.0
+    return ops, gs, np.geomspace(0.01, draw(st.sampled_from([0.5, 50.0, 500.0])), 12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_quadrature_group_case())
+def test_each_field_of_a_group_gets_the_quadrature_it_gets_alone(case):
+    ops, gs, times = case
+    group = _quadrature_group(ops, gs, times)
+    assert len(group) == len(ops)
+    for op, g, quad in zip(ops, gs, group):
+        alone = quadrature_measure(op, g, times)
+        assert np.array_equal(quad.measure.lambdas, alone.measure.lambdas)
+        assert np.array_equal(quad.measure.weights, alone.measure.weights)
+        assert quad[1:] == alone[1:]
+        assert [type(x) for x in quad[1:]] == [float, int, float, int]
+
+
+# Quadratures recorded with the engine that ran one field at a time and checked
+# its bracket every 10 steps, on numpy's OpenBLAS 0.3.31 (x86-64).  A run that
+# closes by step 90 meets the same checks now, so it must agree bit for bit:
+# (steps, width, rounding, sha256 of the measure's lambdas and weights).
+PARENT_QUADRATURES = {
+    "edge-0": (90, "0x1.12a83478abcdbp-42", "0x1.c200000000000p-36",
+               "8ec19e2b6fc095760cf6fbd5ff48e40deb78512fc6333a381ea4312c6d1cdb9d"),
+    "edge-1": (90, "0x1.007fc7969f555p-40", "0x1.c200000000000p-36",
+               "ee01621fc831b6121f641e480028c2969e56a6c7725de6321a5d0006cd8cc91a"),
+    "uniform-3d": (20, "0x1.371ea98be022ep-39", "0x1.e915f470317fbp-37",
+                   "d43abb83c9e7032b791614a8972c0ebad5546c16ef6e469c68951e78b9318d21"),
+    "pareto-1d": (8, "0x0.0p+0", "0x1.ee0fe387b8f87p-41",
+                  "a72b0fba1d012fcdb0ee8348288bfbaf33eeab30ab3e89422571e21bf3cbae85"),
+    "constant-2d": (12, "0x0.0p+0", "0x1.c200000000000p-39",
+                    "44200b60c9bd991a7850a9cbbc6dead8507043f3cc77ce24f5868850b88d687d"),
+}
+
+
+def _pinned_case(name):
+    if name.startswith("edge-"):
+        # the fields of the perfbench `spectral` workload under seed 0
+        field = sample_field(LAW, Lattice(2, 48), field_seed(0, int(name[5:])))
+        return build_generator(field), evaluate_all(centered_edge(2, LAW), field), np.geomspace(0.1, 20.0, 25)
+    law, d, n, seed = {"uniform-3d": (Uniform(1.0, 3.0), 3, 5, 1),
+                       "pareto-1d": (BoundedPareto(0.3, 0.5, 1e3), 1, 9, 2),
+                       "constant-2d": (Constant(1.5), 2, 8, 3)}[name]
+    field = sample_field(law, Lattice(d, n), seed)
+    g = np.random.default_rng(seed).normal(size=n**d) + 0.3
+    if name == "constant-2d":
+        g = np.zeros(n**d)
+        g[0] = 1.0
+    return build_generator(field), g, np.geomspace(0.01, 50.0, 12)
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_QUADRATURES))
+def test_runs_that_close_by_step_90_keep_their_recorded_quadrature(name):
+    quad = quadrature_measure(*_pinned_case(name))
+    m = quad.measure
+    digest = hashlib.sha256(m.lambdas.tobytes() + m.weights.tobytes()).hexdigest()
+    assert (quad.steps, quad.width.hex(), quad.rounding.hex(), digest) == PARENT_QUADRATURES[name]
+
+
+def test_quadrature_refuses_empty_times_and_returns_plain_scalars():
+    op = build_generator(sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(1, 3), 0))
+    with pytest.raises(ParameterError, match="times must not be empty"):
+        quadrature_measure(op, np.array([1.0, 0.0, 0.0]), [])
+    quad = quadrature_measure(op, np.array([1.0, 0.0, 0.0]), [0.5, 2.0])
+    assert quad.steps > 0 and quad.rounding > 0.0
+    assert [type(x) for x in quad[1:]] == [float, int, float, int]
 
 
 @pytest.mark.parametrize("d,n", [(1, 17), (2, 6), (3, 4)])
