@@ -14,7 +14,6 @@ from .environment import (
     ConductanceField,
     ConductanceLaw,
     Constant,
-    EnvironmentView,
     Lattice,
     SiteClassification,
     TwoPoint,
@@ -27,15 +26,12 @@ from .environment import (
     parse_law,
     sample_field,
     save_field,
-    total_jump_rate,
-    translate,
     w_statistic,
 )
 from .errors import (
     AliasingError,
     BackendError,
     ConfigError,
-    DeclarationError,
     FitError,
     NonergodicError,
     ParameterError,
@@ -55,30 +51,24 @@ from .experiments import (
     write_report,
 )
 from .functionals import (
-    BoxVarianceScan,
     LocalFunctional,
     Polynomial,
-    box_sites,
     box_sum_field,
-    box_variance_scan,
     centered_edge,
     contract_example,
-    decay_norm,
     evaluate_all,
-    evaluate_at,
+    evaluate_at_sites,
     functional_by_name,
     local_drift,
     polynomial_functional,
-    spatial_sum,
-    total_oscillation,
 )
 from .operators import (
+    DENSE_LIMIT,
     TorusOperator,
     box_spectral_gap,
     build_generator,
     dirichlet_form,
     resolvent_solve,
-    save_operator_coo,
     save_spectrum_csv,
     semigroup_apply,
     simple_generator,
@@ -106,7 +96,6 @@ from .spectral import (
     spectral_tail,
     synthetic_power_measure,
     tail_decay_agreement,
-    variance_at,
     variance_curve,
 )
 from .walker import (

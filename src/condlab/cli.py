@@ -30,7 +30,6 @@ from .errors import (
     AliasingError,
     BackendError,
     ConfigError,
-    DeclarationError,
     NonergodicError,
     ParameterError,
     SaturationError,
@@ -493,7 +492,7 @@ def main(argv=None):
         for loc, msg in exc.errors:
             print(f"config error ({loc}): {msg}", file=sys.stderr)
         return 2
-    except (ParameterError, AliasingError, DeclarationError, NonergodicError) as exc:
+    except (ParameterError, AliasingError, NonergodicError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BackendError, SolverError) as exc:

@@ -23,10 +23,7 @@ __all__ = [
     "BoundedPareto",
     "parse_law",
     "ConductanceField",
-    "EnvironmentView",
     "sample_field",
-    "translate",
-    "total_jump_rate",
     "SiteClassification",
     "classify_sites",
     "default_eta",
@@ -189,9 +186,6 @@ class ConductanceLaw:
 
     def mean(self):
         return self.moment(1)
-
-    def variance(self):
-        return self.moment(2) - self.moment(1) ** 2
 
     def descriptor(self):
         raise NotImplementedError
@@ -395,59 +389,6 @@ def sample_field(law, lattice, seed):
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     omega = law.sample(rng, (lattice.d, lattice.n_sites))
     return ConductanceField(lattice, omega, law=law, seed=int(seed))
-
-
-class EnvironmentView:
-    """Reads of a field re-centered at a base site, without copying.
-
-    edge(y, z) returns the conductance between base+y and base+z, where y and
-    z are integer coordinate vectors at lattice distance 1 from each other.
-    """
-
-    def __init__(self, field, base_coords):
-        self.field = field
-        self.base = np.asarray(base_coords, dtype=np.int64) % field.lattice.n
-
-    def edge(self, y, z):
-        lat = self.field.lattice
-        y = np.asarray(y, dtype=np.int64)
-        z = np.asarray(z, dtype=np.int64)
-        diff = (z - y) % lat.n
-        # the step must be +/- one unit along a single axis
-        axes = np.nonzero(diff)[0]
-        if len(axes) != 1 or diff[axes[0]] not in (1, lat.n - 1):
-            raise ParameterError(f"sites {y.tolist()} and {z.tolist()} are not neighbours")
-        axis = int(axes[0])
-        lower = y if diff[axis] == 1 else z
-        site = lat.site_index(self.base + lower)
-        return float(self.field.omega[axis, site])
-
-
-def translate(obj, x):
-    """View of the environment shifted by x; composes as a group action."""
-    if isinstance(obj, EnvironmentView):
-        lat = obj.field.lattice
-        return EnvironmentView(obj.field, obj.base + _as_coords(lat, x))
-    lat = obj.lattice
-    return EnvironmentView(obj, _as_coords(lat, x))
-
-
-def _as_coords(lattice, x):
-    x = np.asarray(x)
-    if x.ndim == 0:
-        return lattice.site_coords(int(x))
-    return x.astype(np.int64)
-
-
-def total_jump_rate(field, x):
-    """Sum of the 2d conductances incident to site x; always >= 2d."""
-    lat = field.lattice
-    if not np.isscalar(x) and not isinstance(x, (int, np.integer)):
-        x = lat.site_index(x)
-    x = int(x)
-    if not 0 <= x < lat.n_sites:
-        raise ParameterError(f"site {x} out of range")
-    return float(field.rates()[x])
 
 
 # ---------------------------------------------------------------------------

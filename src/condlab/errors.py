@@ -1,16 +1,23 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ParameterError",
+    "AliasingError",
+    "SaturationError",
+    "NonergodicError",
+    "BackendError",
+    "SolverError",
+    "FitError",
+    "ConfigError",
+]
+
 
 class ParameterError(ValueError):
     """A scalar argument is out of its documented range."""
 
 
 class AliasingError(ValueError):
-    """A stencil or box does not fit on the torus without wrapping onto itself."""
-
-
-class DeclarationError(ValueError):
-    """A functional is missing a declared bound that the caller needs."""
+    """A stencil does not fit on the torus without wrapping onto itself."""
 
 
 class SaturationError(RuntimeError):

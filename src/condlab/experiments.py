@@ -209,6 +209,23 @@ def decay_fit(curve, window=None):
 # Variance decay
 
 
+def _check_times(times):
+    """times as a float array; ConfigError unless nonempty, positive and increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ConfigError([("times", "times must not be empty")])
+    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
+        raise ConfigError([("times", "times must be positive and strictly increasing")])
+    return times
+
+
+def _check_counts(**counts):
+    """ConfigError naming every count below 1."""
+    bad = [(name, f"{name} must be >= 1") for name, value in counts.items() if value < 1]
+    if bad:
+        raise ConfigError(bad)
+
+
 def _decay_spectral_group(args):
     """Each field's variance curve, with its quadrature certificate: width, steps, rounding, checks."""
     law, lat, f, kind, times, master, group = args
@@ -270,11 +287,8 @@ def variance_decay_experiment(
     once for the law, or a LocalFunctional, which each field's task receives
     as it is; a declared nonzero mean is refused either way.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ConfigError([("times", "times must not be empty")])
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ConfigError([("times", "times must be positive and strictly increasing")])
+    times = _check_times(times)
+    _check_counts(realizations=realizations, walks=walks)
     lat = Lattice(d, n)
     if isinstance(functional, str):
         fname, f = functional, functional_by_name(functional, d, law)
@@ -545,7 +559,8 @@ def msd_experiment(
     the same law and torus, and its uncertainty is propagated into the gap's
     standard errors.
     """
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
+    _check_counts(realizations=realizations, walks=walks)
     report = ExperimentReport(
         "msd",
         config={
@@ -725,6 +740,7 @@ def contractivity_experiment(
     over i.i.d. 8-edge windows.  A positive value exhibits non-contractivity;
     the rate-1 walk analogue below it must stay nonincreasing.
     """
+    _check_counts(realizations=realizations, fields=fields)
     law = BoundedPareto(p, eps, cap)
     moments = [p * law.pareto_moment(i) if p > 0 else 0.0 for i in range(1, 5)]
     m1, m2, m3, m4 = moments
@@ -854,6 +870,7 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     (N'/(2e E))^(1/(d+2)).  functional is a registry name or descriptor, or
     a LocalFunctional, which each field's task receives as it is.
     """
+    _check_counts(realizations=realizations)
     n_list = sorted(int(v) for v in n_list)
     if not n_list or n_list[0] < 1:
         raise ConfigError([("n_list", "box sizes must be >= 1")])

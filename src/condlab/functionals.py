@@ -1,21 +1,18 @@
-"""Local functionals of the environment: declaration, evaluation, norms.
+"""Local functionals of the environment: declaration, evaluation, box sums.
 
 Every local functional is a polynomial in the conductances of finitely many
 edges around the origin (its stencil).  One `Polynomial` type carries it, and
-its values, declared bounds and exact mean are all derived from that one
-object.  Spatial translates of one functional across a field produce the site
+its stencil, values and exact mean are all derived from that one object.
+Spatial translates of one functional across a field produce the site
 functions that every operator and spectral routine consumes.
 """
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import sample_field
-from .errors import AliasingError, DeclarationError, ParameterError
-from .util import mean_and_stderr
+from .errors import AliasingError, ParameterError
 
 __all__ = [
     "Polynomial",
@@ -25,16 +22,9 @@ __all__ = [
     "contract_example",
     "polynomial_functional",
     "functional_by_name",
-    "evaluate_at",
     "evaluate_at_sites",
     "evaluate_all",
-    "spatial_sum",
     "box_sum_field",
-    "box_sites",
-    "total_oscillation",
-    "decay_norm",
-    "BoxVarianceScan",
-    "box_variance_scan",
 ]
 
 
@@ -103,12 +93,8 @@ class LocalFunctional:
     stacked on axis 0 in stencil order and vectorized over any trailing
     shape, to the functional values.
 
-    Given the law, the declared norms follow from the polynomial, because
-    conductances are >= 1 and so every monomial increases in each of its
-    edges: oscillation[k] bounds how much the value can move when stencil
-    edge k alone changes over the law's support, sup_bound bounds |f|
-    outright, and mean_hint is the exact mean under i.i.d. edges.  Without a
-    law all three are None.
+    Given the law, mean_hint is the exact mean under i.i.d. edges; without a
+    law it is None.
     """
 
     def __init__(self, name, poly, law=None):
@@ -124,12 +110,7 @@ class LocalFunctional:
         self.name = name
         self.poly = poly
         self.stencil = stencil
-        self.oscillation = self.sup_bound = self.mean_hint = None
-        if law is not None:
-            lo, hi = law.support()
-            self.oscillation = tuple(_oscillation(poly, e, lo, hi) for e in stencil)
-            self.sup_bound = max(abs(_extreme(poly, hi, lo)), abs(_extreme(poly, lo, hi)))
-            self.mean_hint = poly.expect(law.moment)
+        self.mean_hint = None if law is None else poly.expect(law.moment)
 
     def evaluator(self, reads):
         """Functional values from the stencil's conductances stacked on axis 0."""
@@ -155,38 +136,13 @@ class LocalFunctional:
         return f"LocalFunctional({self.name!r}, {len(self.stencil)} edges, d={self.d})"
 
 
-def _oscillation(poly, edge, lo, hi):
-    # moving one edge over [lo, hi] moves c * e^k * rest by at most |c| (hi^k - lo^k) rest
-    bound = 0.0
-    for mono, c in poly.items():
-        powers = dict(mono)
-        if edge in powers:
-            k = powers.pop(edge)
-            bound += abs(c) * (hi**k - lo**k) * math.prod(hi**j for j in powers.values())
-    return bound
-
-
-def _extreme(poly, up, down):
-    # every edge at `up` in the positive terms and at `down` in the negative ones
-    return math.fsum(
-        c * math.prod((up if c > 0 else down) ** k for _, k in mono) for mono, c in poly.items()
-    )
-
-
-def _require_fit(f, lattice, extra=0):
-    # the stencil (plus any surrounding box) may not wrap onto itself
-    if 2 * (f.radius + extra) >= lattice.n:
-        raise AliasingError(
-            f"stencil radius {f.radius} plus box {extra} does not fit on a period-{lattice.n} torus"
-        )
-    if f.d != lattice.d:
-        raise ParameterError(f"functional is {f.d}-dimensional, lattice is {lattice.d}-dimensional")
-
-
 def evaluate_at_sites(f, field, sites):
     """Functional values at an array of evaluation points."""
     lat = field.lattice
-    _require_fit(f, lat)
+    if 2 * f.radius >= lat.n:
+        raise AliasingError(f"stencil radius {f.radius} does not fit on a period-{lat.n} torus")
+    if f.d != lat.d:
+        raise ParameterError(f"functional is {f.d}-dimensional, lattice is {lat.d}-dimensional")
     sites = np.asarray(sites)
     reads = np.empty((len(f.stencil),) + sites.shape)
     for k, (off, axis) in enumerate(f.stencil):
@@ -194,38 +150,9 @@ def evaluate_at_sites(f, field, sites):
     return f.evaluator(reads)
 
 
-def evaluate_at(f, field, x):
-    """f evaluated on the environment recentered at site x."""
-    lat = field.lattice
-    if not isinstance(x, (int, np.integer)):
-        x = lat.site_index(x)
-    return float(evaluate_at_sites(f, field, np.array([int(x)]))[0])
-
-
 def evaluate_all(f, field):
     """Values of f at every site of the torus, as one array."""
     return evaluate_at_sites(f, field, np.arange(field.lattice.n_sites))
-
-
-def box_sites(lattice, n_box, center=0):
-    """Indices of the box of radius n_box around a center site."""
-    if n_box < 0:
-        raise ParameterError(f"box radius must be >= 0, got {n_box}")
-    grids = np.meshgrid(*[np.arange(-n_box, n_box + 1)] * lattice.d, indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids])
-    base = lattice.site_coords(center).reshape(lattice.d, 1)
-    coords = (base + offsets) % lattice.n
-    return np.ravel_multi_index(tuple(coords), lattice.shape)
-
-
-def spatial_sum(f, field, n_box, center=0):
-    """Sum of f over all translates in the box of radius n_box around center."""
-    lat = field.lattice
-    _require_fit(f, lat, extra=n_box)
-    if not isinstance(center, (int, np.integer)):
-        center = lat.site_index(center)
-    values = evaluate_at_sites(f, field, box_sites(lat, n_box, int(center)))
-    return math.fsum(values.tolist())
 
 
 def box_sum_field(values, lattice, n_box):
@@ -322,85 +249,3 @@ def functional_by_name(name, d, law=None):
         return polynomial_functional(name[5:], d, law)
     raise ParameterError(f"unknown functional {name!r} (drift, edge, contract-example, poly:...)")
 
-
-# ---------------------------------------------------------------------------
-# Norms
-
-
-def total_oscillation(f):
-    """Sum of the per-edge oscillation bounds."""
-    if f.oscillation is None:
-        raise DeclarationError(f"functional {f.name!r} has no declared oscillation bounds")
-    return float(sum(f.oscillation))
-
-
-def decay_norm(f):
-    """Squared total oscillation plus squared sup bound.
-
-    This is the variance proxy entering the decay estimates; it needs both
-    declared bounds and is infinite (an error here) for unbounded laws.
-    """
-    if f.sup_bound is None:
-        raise DeclarationError(f"functional {f.name!r} has no declared sup bound")
-    return total_oscillation(f) ** 2 + f.sup_bound**2
-
-
-# ---------------------------------------------------------------------------
-# Box-variance scan
-
-
-@dataclass
-class BoxVarianceScan:
-    """Per-box-size table of E[(box sum)^2]/(box size), with its supremum."""
-
-    ns: np.ndarray
-    values: np.ndarray
-    stderrs: np.ndarray
-    sup: float
-    sup_n: int
-    divergent: bool
-
-
-def box_variance_scan(f, law, lattice, n_max, realizations, seed):
-    """Scan E[(S_n f)^2]/|B_n| over n = 0..n_max on fresh i.i.d. fields.
-
-    Each realization contributes the box sums around one fixed center of a
-    freshly sampled field, so realizations are exactly independent.  The scan
-    is flagged divergent when a nonzero analytic mean is declared or when the
-    last three table entries grow by more than three pooled standard errors.
-    """
-    _require_fit(f, lattice, extra=n_max)
-    if realizations < 2:
-        raise ParameterError("need at least 2 realizations for standard errors")
-    shells = []
-    for n in range(n_max + 1):
-        box = set(box_sites(lattice, n).tolist())
-        inner = set(box_sites(lattice, n - 1).tolist()) if n else set()
-        shells.append(np.array(sorted(box - inner)))
-    seeds = np.random.SeedSequence(int(seed)).generate_state(realizations, dtype=np.uint64)
-    samples = np.empty((realizations, n_max + 1))
-    for r in range(realizations):
-        field = sample_field(law, lattice, int(seeds[r]))
-        g = evaluate_all(f, field)
-        acc = 0.0
-        for n in range(n_max + 1):
-            acc += float(g[shells[n]].sum())
-            samples[r, n] = acc * acc
-    mean, se = mean_and_stderr(samples, axis=0)
-    sizes = np.array([(2 * n + 1) ** lattice.d for n in range(n_max + 1)], dtype=float)
-    values = mean / sizes
-    stderrs = se / sizes
-    sup_n = int(np.argmax(values))
-    divergent = f.mean_hint is not None and abs(f.mean_hint) > 0
-    if not divergent and n_max >= 2:
-        a, b, c = values[-3], values[-2], values[-1]
-        pooled = math.sqrt(stderrs[-3] ** 2 + stderrs[-2] ** 2 + stderrs[-1] ** 2)
-        divergent = bool(c > b > a and (c - a) > 3 * pooled)
-    return BoxVarianceScan(
-        ns=np.arange(n_max + 1),
-        values=values,
-        stderrs=stderrs,
-        sup=float(values[sup_n]),
-        sup_n=sup_n,
-        divergent=divergent,
-    )

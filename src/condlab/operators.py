@@ -23,7 +23,6 @@ __all__ = [
     "dirichlet_form",
     "box_spectral_gap",
     "sobolev_constant",
-    "save_operator_coo",
     "save_spectrum_csv",
 ]
 
@@ -409,16 +408,6 @@ def box_spectral_gap(d, n):
 def sobolev_constant(d, n):
     """The per-box constant C_S(n) = 4 / (n^2 lambda_2) used by the box inequality."""
     return 4.0 / (n * n * box_spectral_gap(d, n))
-
-
-def save_operator_coo(op, path):
-    """Write the sparse generator as 'row col value' text lines."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write("# condlab-coo v1 generator\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.12g}\n")
 
 
 def save_spectrum_csv(op, path):

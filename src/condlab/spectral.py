@@ -340,10 +340,6 @@ def variance_curve(m, times):
     return DecayCurve(t, np.maximum(vals, 0.0), label="variance")
 
 
-def variance_at(m, t):
-    return float(np.dot(m.weights, np.exp(-2.0 * t * m.lambdas)))
-
-
 def spectral_tail(m, delta):
     """Mass of 1/lambda below the cutoff: sum of w/lambda over lambda <= delta."""
     lam, w = _positive_atoms(m)

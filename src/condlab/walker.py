@@ -315,6 +315,8 @@ class EnsembleConfig:
         if self.horizon <= 0:
             raise ParameterError("horizon must be > 0")
         self.times = np.asarray(self.times, dtype=float)
+        if self.times.size == 0:
+            raise ParameterError("sampling times must not be empty")
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("sampling times must be strictly increasing")
         if self.times[0] <= 0 or self.times[-1] > self.horizon:

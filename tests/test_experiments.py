@@ -418,6 +418,8 @@ def test_msd_constant_law_uses_the_exact_diffusivity():
     assert np.all(gap.values >= 0.0)
     names = [t.name for t in report.targets]
     assert "gap-decreasing" not in names  # nothing to trend on a flat medium
+    with pytest.raises(ConfigError, match="times must not be empty"):
+        msd_experiment(Constant(1.0), 1, 12, [], realizations=4, walks=60, seed=3)
 
 
 def test_nash_chain_check_holds_and_reports_the_tightest_box():
@@ -430,6 +432,27 @@ def test_nash_chain_check_holds_and_reports_the_tightest_box():
         nash_chain_check(LAW, 1, [], "drift", realizations=2, seed=0)
     with pytest.raises(ConfigError):
         nash_chain_check(LAW, 1, [4], "drift", realizations=2, seed=0, torus_n=9)
+
+
+_ZERO_COUNTS = {
+    "nash-realizations": (nash_chain_check, (LAW, 1, [1], "drift"), dict(realizations=0, seed=0)),
+    "decay-realizations": (variance_decay_experiment, (LAW, 1, 12, "edge", "conductance", [1.0]),
+                           dict(realizations=0, seed=0)),
+    "decay-mc-walks": (variance_decay_experiment, (LAW, 1, 12, "edge", "conductance", [1.0]),
+                       dict(realizations=2, seed=0, method="mc", walks=0)),
+    "msd-walks": (msd_experiment, (Constant(1.0), 1, 12, [1.0]), dict(realizations=2, walks=0, seed=0)),
+    "contract-realizations": (contractivity_experiment, (0.25, 0.1, 1e3), dict(realizations=0)),
+    "contract-fields": (contractivity_experiment, (0.25, 0.1, 1e3), dict(realizations=100, fields=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ZERO_COUNTS), ids=list(_ZERO_COUNTS))
+def test_zero_counts_are_config_errors(case):
+    # the CLI refuses these counts with exit 2; the library refuses them up front
+    run, args, kwargs = _ZERO_COUNTS[case]
+    count = case.rsplit("-", 1)[1]
+    with pytest.raises(ConfigError, match=f"{count} must be >= 1"):
+        run(*args, **kwargs)
 
 
 def test_report_passed_property_and_tables():

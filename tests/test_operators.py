@@ -30,7 +30,6 @@ from condlab.operators import (
     build_generator,
     dirichlet_form,
     resolvent_solve,
-    save_operator_coo,
     save_spectrum_csv,
     semigroup_apply,
     simple_generator,
@@ -524,16 +523,6 @@ def test_box_spectral_gap_matches_cosine_form_and_is_d_independent():
 
 def test_operator_and_spectrum_serialization(tmp_path):
     _, op = _random_op(1, 5, 2)
-    coo_path = tmp_path / "gen.txt"
-    save_operator_coo(op, coo_path)
-    lines = coo_path.read_text().splitlines()
-    assert lines[0] == "# condlab-coo v1 generator"
-    triplets = [line.split() for line in lines[1:]]
-    dense = np.zeros((5, 5))
-    for r, c, v in triplets:
-        dense[int(r), int(c)] = float(v)
-    assert np.allclose(dense, op.matrix.toarray(), atol=1e-9)
-
     spec_path = tmp_path / "spectrum.csv"
     save_spectrum_csv(op, spec_path)
     lines = spec_path.read_text().splitlines()

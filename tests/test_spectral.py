@@ -49,7 +49,6 @@ from condlab.spectral import (
     spectral_tail,
     synthetic_power_measure,
     tail_decay_agreement,
-    variance_at,
     variance_curve,
 )
 from condlab.util import field_seed
@@ -75,7 +74,7 @@ def test_parseval_total_mass_is_the_mean_square():
     _, op, g, m = _field_measure(2, 7, 1)
     gc = g - g.mean()
     assert m.total_mass == pytest.approx(float(np.mean(gc * gc)), rel=1e-12)
-    assert variance_at(m, 0.0) == pytest.approx(m.total_mass, rel=1e-12)
+    assert variance_curve(m, [0.0]).values[0] == pytest.approx(m.total_mass, rel=1e-12)
     assert m.removed_mean == pytest.approx(float(g.mean()))
     m_raw = spectral_measure(op, g, center=False)
     assert m_raw.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-12)
@@ -86,7 +85,7 @@ def test_variance_curve_matches_the_evolved_function():
     gc = g - g.mean()
     for t in (0.1, 0.7, 3.0):
         evolved = semigroup_apply(op, gc, t)
-        assert variance_at(m, t) == pytest.approx(float(np.mean(evolved**2)), rel=1e-10)
+        assert variance_curve(m, [t]).values[0] == pytest.approx(float(np.mean(evolved**2)), rel=1e-10)
     curve = variance_curve(m, [0.0, 0.5, 1.0])
     assert curve.values[0] >= curve.values[1] >= curve.values[2]
     with pytest.raises(ParameterError):
@@ -152,7 +151,8 @@ def test_synthetic_power_measure_carries_exact_bin_mass():
         closed = (delta ** (alpha - 1.0) - 1e-5 ** (alpha - 1.0)) / (alpha - 1.0)
         assert spectral_tail(m, delta) == pytest.approx(closed, rel=5e-3)
     # variance decay follows t^-alpha over the scaling window
-    r = variance_at(m, 100.0) / variance_at(m, 1000.0)
+    late, later = variance_curve(m, [100.0, 1000.0]).values
+    r = late / later
     assert math.log(r, 10.0) == pytest.approx(alpha, abs=0.05)
 
 

@@ -177,7 +177,8 @@ def test_ensemble_config_validation():
                 walks=2, horizon=2.0, times=np.array([1.0, 2.0]), seed=0)
     EnsembleConfig(**good)
     for key, bad in (("kind", "jumpy"), ("realizations", 0), ("horizon", 0.0),
-                     ("times", np.array([1.0, 0.5])), ("times", np.array([1.0, 3.0]))):
+                     ("times", np.array([1.0, 0.5])), ("times", np.array([1.0, 3.0])),
+                     ("times", np.array([]))):
         cfg = dict(good)
         cfg[key] = bad
         with pytest.raises(ParameterError):
