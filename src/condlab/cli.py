@@ -77,8 +77,8 @@ _KEYS = {
               "times must be positive and strictly increasing"),
     "mu": ("floats", lambda v: len(v) > 0 and bool(np.all(np.array(v) > 0)),
            "all mu values must be > 0"),
-    "t-grid": ("floats", lambda v: _increasing(v) and v[0] >= 0,
-               "t-grid must be nonnegative and strictly increasing"),
+    "t-grid": ("floats", lambda v: len(v) >= 2 and _increasing(v) and v[0] >= 0,
+               "t-grid must be at least two nonnegative, strictly increasing times"),
     "fit-window": ("floats", lambda v: len(v) == 2 and 0 < v[0] < v[1],
                    "fit-window must be LO,HI with 0 < LO < HI"),
     "n-list": ("ints", lambda v: len(v) > 0 and min(v) >= 1, "box sizes must be >= 1"),

@@ -741,6 +741,10 @@ def contractivity_experiment(
     the rate-1 walk analogue below it must stay nonincreasing.
     """
     _check_counts(realizations=realizations, fields=fields)
+    t_grid = np.asarray(t_grid, dtype=float)
+    # the analogue check compares consecutive times, so it needs two of them
+    if t_grid.size < 2 or not (t_grid[0] >= 0 and np.all(np.diff(t_grid) > 0)):
+        raise ConfigError([("t_grid", "t-grid must be at least two nonnegative, strictly increasing times")])
     law = BoundedPareto(p, eps, cap)
     moments = [p * law.pareto_moment(i) if p > 0 else 0.0 for i in range(1, 5)]
     m1, m2, m3, m4 = moments
@@ -770,7 +774,6 @@ def contractivity_experiment(
     lat = Lattice(1, torus_n)
     f = functional_by_name("contract-example", 1, law)
     op = simple_generator(lat)
-    t_grid = np.asarray(t_grid, dtype=float)
     curves = np.empty((fields, len(t_grid)))
     monotone = True
     for k in range(fields):
@@ -874,6 +877,9 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     n_list = sorted(int(v) for v in n_list)
     if not n_list or n_list[0] < 1:
         raise ConfigError([("n_list", "box sizes must be >= 1")])
+    repeated = [a for a, b in zip(n_list, n_list[1:]) if a == b]
+    if repeated:
+        raise ConfigError([("n_list", f"box size {repeated[0]} is repeated")])
     f = functional_by_name(functional, d, law) if isinstance(functional, str) else functional
     if torus_n is None:
         torus_n = 2 * (n_list[-1] + f.radius) + 3

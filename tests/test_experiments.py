@@ -432,6 +432,17 @@ def test_nash_chain_check_holds_and_reports_the_tightest_box():
         nash_chain_check(LAW, 1, [], "drift", realizations=2, seed=0)
     with pytest.raises(ConfigError):
         nash_chain_check(LAW, 1, [4], "drift", realizations=2, seed=0, torus_n=9)
+    # a repeated size would be computed and reported twice
+    with pytest.raises(ConfigError, match="box size 2 is repeated"):
+        nash_chain_check(LAW, 1, [2, 1, 2], "drift", realizations=2, seed=0)
+
+
+@pytest.mark.parametrize("t_grid", [[], [1.0], [2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]],
+                         ids=["empty", "one-time", "decreasing", "repeated", "negative"])
+def test_contract_t_grid_needs_two_increasing_nonnegative_times(t_grid):
+    # one time would pass analogue-nonincreasing without checking a step
+    with pytest.raises(ConfigError, match="t-grid must be at least two nonnegative, strictly increasing"):
+        contractivity_experiment(0.9, 8.0, 3.0, realizations=100, fields=1, torus_n=8, t_grid=t_grid)
 
 
 _ZERO_COUNTS = {
