@@ -56,7 +56,7 @@ class TorusOperator:
     def matrix(self):
         """L as a CSR matrix over the lattice's generator_pattern, built on first use."""
         # imported here: scipy.sparse is about half of `import condlab.cli`, and
-        # only the sparse products (CG, Lanczos, uniformization) need it
+        # only the sparse products (CG, Lanczos) need it
         import scipy.sparse as sp
 
         indptr, indices, _ = self.lattice.generator_pattern
@@ -103,43 +103,17 @@ def simple_generator(lattice):
 
 
 def semigroup_apply(op, g, t):
-    """Apply e^{tL} to the site array g.
+    """Apply e^{tL} to the site array g, for a finite t >= 0.
 
-    Dense eigendecomposition up to DENSE_LIMIT sites; beyond that the action
-    is assembled by uniformization (a Poisson mixture over powers of the
-    jump-chain kernel) with Poisson tail mass below 1e-12.  The mean of g is
-    preserved either way.
+    Dense only: the eigendecomposition raises BackendError beyond
+    DENSE_LIMIT sites, as for every other eigensystem user.  The mean of g
+    is preserved.
     """
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
     v = np.asarray(g, dtype=float)
-    if op.lattice.n_sites > DENSE_LIMIT:
-        return _uniformized_apply(op, v, t)
     lam, vec = op.eigensystem()
     return vec @ (np.exp(-lam * t) * (vec.T @ v))
-
-
-def _uniformized_apply(op, v, t, tail_mass=1e-12):
-    # imported here: scipy.stats is slow to import and only this backend needs it
-    import scipy.stats
-
-    rate = op.max_rate
-    s = rate * t
-    if s == 0.0:
-        return v.copy()
-    dist = scipy.stats.poisson(s)
-    k_hi = int(dist.isf(tail_mass / 2))
-    k_lo = max(0, int(dist.ppf(tail_mass / 2)) - 1)
-    pmf = dist.pmf(np.arange(0, k_hi + 1))
-    # kernel of the embedded chain: P = I + L/rate, substochastic nowhere
-    out = np.zeros_like(v)
-    term = v.copy()
-    for k in range(0, k_hi + 1):
-        if k >= k_lo:
-            out += pmf[k] * term
-        if k < k_hi:
-            term = term + (op.matrix @ term) / rate
-    return out
 
 
 def _block_matrix(ops):

@@ -353,8 +353,8 @@ class DecayCurve:
 def variance_curve(m, times):
     """Exact variance decay sum_i w_i e^{-2 lambda_i t} at the given times."""
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise ParameterError("times must be >= 0")
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ParameterError("times must be finite and >= 0")
     vals = np.exp(-2.0 * np.outer(t, m.lambdas)) @ m.weights
     return DecayCurve(t, np.maximum(vals, 0.0), label="variance")
 

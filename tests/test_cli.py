@@ -374,6 +374,9 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
     ["spectrum", "--law", "uniform:1,2", "--d", "1", "--n", "16", "--functional", "edge"],
     ["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--realizations", "5000",
      "--fields", "2", "--torus-n", "8"],
+    # beyond the dense limit the analogue curve is still an FFT
+    pytest.param(["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--realizations", "5000",
+                  "--fields", "2", "--torus-n", "8192"], id="contract-beyond-dense-limit"),
     ["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "1,2", "--realizations", "2"],
     ["field-dump", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6"],
     ["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6", "--realizations", "2"],

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from condlab import experiments
-from condlab.environment import Constant, Lattice, TwoPoint, Uniform, sample_field
+from condlab.environment import BoundedPareto, Constant, Lattice, TwoPoint, Uniform, sample_field
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
     _CONTRACT_BLOCK,
@@ -26,8 +26,15 @@ from condlab.experiments import (
     variance_decay_experiment,
     write_report,
 )
-from condlab.functionals import LocalFunctional, Polynomial, centered_edge, evaluate_all
-from condlab.operators import build_generator
+from condlab.functionals import (
+    LocalFunctional,
+    Polynomial,
+    box_sum_field,
+    centered_edge,
+    contract_example,
+    evaluate_all,
+)
+from condlab.operators import DENSE_LIMIT, build_generator, semigroup_apply, simple_generator
 from condlab.spectral import DecayCurve
 from condlab.util import child_rng, field_groups, field_seed
 
@@ -147,6 +154,29 @@ def test_contract_mc_matches_formula_when_tails_are_light():
     assert _target(rep, "analogue-nonincreasing").passed
 
 
+@pytest.mark.parametrize("torus_n", [12, 64, 8192])
+def test_contract_analogue_curve_matches_the_evolved_box_sums(torus_n):
+    # the curve comes from the Fourier measure of S_1 g; the oracle applies
+    # e^{tL} to g first, densely or (beyond the dense limit) by expm_multiply
+    law = BoundedPareto(0.9, 8.0, 3.0)
+    lat = Lattice(1, torus_n)
+    op = simple_generator(lat)
+    t_grid = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+    dense = torus_n <= DENSE_LIMIT
+    for seed in range(3 if dense else 1):
+        # one field per run, so the mean curve is that field's curve
+        _, res = contractivity_experiment(0.9, 8.0, 3.0, realizations=100, seed=seed, fields=1,
+                                          torus_n=torus_n, t_grid=t_grid)
+        g = evaluate_all(contract_example(law), sample_field(law, lat, field_seed(seed + 77, 0)))
+        if dense:
+            evolved = [semigroup_apply(op, g, t) for t in t_grid]
+        else:
+            evolved = [expm_multiply(op.matrix * t, g) for t in t_grid]
+        ref = [np.mean(box_sum_field(v, lat, 1) ** 2) for v in evolved]
+        assert np.allclose(res.curve_values, ref, rtol=1e-12 if dense else 1e-10, atol=0.0)
+        assert res.curve_monotone
+
+
 def test_contractivity_rejects_heavy_stderr_hiding():
     # the heavy-tailed default carries a per-sample std near 4.2e5; the
     # empirical stderr at small n is orders of magnitude smaller and a note
@@ -240,6 +270,10 @@ def test_decay_experiment_validation():
     for method in ("spectral", "mc"):
         with pytest.raises(ConfigError, match="times must not be empty"):
             variance_decay_experiment(LAW, 1, 12, "edge", "conductance", [], 2, 0, method=method)
+    # a nan or infinite time would pass the ordering test and write a nan curve value
+    for bad in ([1.0, 2.0, 4.0, 8.0, 16.0, np.inf], [1.0, np.nan, 4.0]):
+        with pytest.raises(ConfigError, match="times must be positive, finite and strictly increasing"):
+            variance_decay_experiment(LAW, 1, 12, "edge", "simple", bad, 2, 0)
 
 
 def test_decay_experiment_runs_beyond_the_dense_limit():
@@ -420,6 +454,8 @@ def test_msd_constant_law_uses_the_exact_diffusivity():
     assert "gap-decreasing" not in names  # nothing to trend on a flat medium
     with pytest.raises(ConfigError, match="times must not be empty"):
         msd_experiment(Constant(1.0), 1, 12, [], realizations=4, walks=60, seed=3)
+    with pytest.raises(ConfigError, match="times must be positive, finite and strictly increasing"):
+        msd_experiment(Constant(1.0), 1, 12, [0.5, 1.0, np.inf], realizations=4, walks=60, seed=3)
 
 
 def test_nash_chain_check_holds_and_reports_the_tightest_box():
@@ -437,10 +473,12 @@ def test_nash_chain_check_holds_and_reports_the_tightest_box():
         nash_chain_check(LAW, 1, [2, 1, 2], "drift", realizations=2, seed=0)
 
 
-@pytest.mark.parametrize("t_grid", [[], [1.0], [2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]],
-                         ids=["empty", "one-time", "decreasing", "repeated", "negative"])
+@pytest.mark.parametrize("t_grid", [[], [1.0], [2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0],
+                                    [0.0, 1.0, np.inf], [0.0, np.nan, 1.0]],
+                         ids=["empty", "one-time", "decreasing", "repeated", "negative", "infinite", "nan"])
 def test_contract_t_grid_needs_two_increasing_nonnegative_times(t_grid):
-    # one time would pass analogue-nonincreasing without checking a step
+    # one time would pass analogue-nonincreasing without checking a step, and
+    # an infinite one would pass it on a nan curve value
     with pytest.raises(ConfigError, match="t-grid must be at least two nonnegative, strictly increasing"):
         contractivity_experiment(0.9, 8.0, 3.0, realizations=100, fields=1, torus_n=8, t_grid=t_grid)
 

@@ -25,7 +25,6 @@ from condlab.operators import (
     _CG_BLOCK,
     DENSE_LIMIT,
     _multishift_cg,
-    _uniformized_apply,
     box_spectral_gap,
     build_generator,
     dirichlet_form,
@@ -86,18 +85,9 @@ def test_semigroup_property_and_mean_preservation():
     for t in (0.0, 0.5, 3.0):
         assert semigroup_apply(op, g, t).mean() == pytest.approx(g.mean(), abs=1e-13)
     assert np.max(np.abs(semigroup_apply(op, g, 0.0) - g)) < 1e-12
-    with pytest.raises(ParameterError):
-        semigroup_apply(op, g, -0.1)
-
-
-def test_uniformization_matches_dense_backend():
-    _, op = _random_op(2, 7, 21, law=TwoPoint(0.5, 1.0, 4.0))
-    rng = np.random.default_rng(1)
-    g = rng.normal(size=49)
-    for t in (0.05, 0.9, 4.0):
-        a = semigroup_apply(op, g, t)
-        b = _uniformized_apply(op, g, t)
-        assert np.max(np.abs(a - b)) < 1e-10
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="time must be finite and >= 0"):
+            semigroup_apply(op, g, bad)
 
 
 def test_semigroup_matches_expm_oracle():
@@ -504,11 +494,9 @@ def test_eigensystem_refuses_oversize_dense_work():
     op = build_generator(field, "conductance")
     with pytest.raises(BackendError):
         op.eigensystem()
-    # but the semigroup still works through uniformization
-    g = np.zeros(lat.n_sites)
-    g[0] = 1.0
-    out = semigroup_apply(op, g, 0.5)
-    assert out.sum() == pytest.approx(1.0, abs=1e-9)
+    # the semigroup is dense only
+    with pytest.raises(BackendError):
+        semigroup_apply(op, np.ones(lat.n_sites), 0.5)
 
 
 def test_box_spectral_gap_matches_cosine_form_and_is_d_independent():

@@ -88,8 +88,9 @@ def test_variance_curve_matches_the_evolved_function():
         assert variance_curve(m, [t]).values[0] == pytest.approx(float(np.mean(evolved**2)), rel=1e-10)
     curve = variance_curve(m, [0.0, 0.5, 1.0])
     assert curve.values[0] >= curve.values[1] >= curve.values[2]
-    with pytest.raises(ParameterError):
-        variance_curve(m, [-1.0, 0.0])
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="times must be finite and >= 0"):
+            variance_curve(m, [1.0, bad])
 
 
 def test_measure_validation_and_zero_mass():
@@ -399,6 +400,34 @@ def test_quadrature_refuses_to_return_an_open_bracket(monkeypatch):
     monkeypatch.setattr(spectral, "QUADRATURE_MAX_STEPS", 10)
     with pytest.raises(SolverError, match="after 10 Lanczos steps"):
         quadrature_measure(op, g, times)
+
+
+def test_a_width_that_has_not_fallen_waits_half_the_steps(monkeypatch):
+    law = Uniform(1.0, 3.0)
+    field = sample_field(law, Lattice(2, 12), 5)
+    op = build_generator(field)
+    g = evaluate_all(centered_edge(2, law), field)
+    times = np.geomspace(0.1, 20.0, 9)
+    real = spectral._gauss_radau
+    checks, brackets = [], []
+
+    def stale_at_30(alphas, betas, times):
+        # the first check at k >= 30 returns the previous check's bracket,
+        # so its width has not fallen
+        nodes, weights, lower, upper = real(alphas, betas, times)
+        checks.append(alphas.shape[1])
+        if checks[-1] >= 30 and sum(k >= 30 for k in checks) == 1:
+            lower, upper = brackets[-1]
+        brackets.append((lower, upper))
+        return nodes, weights, lower, upper
+
+    # the real widths fall at step 30, and the line through them asks for 10 more steps
+    assert quadrature_measure(op, g, times).steps == 40
+    monkeypatch.setattr(spectral, "_gauss_radau", stale_at_30)
+    quad = quadrature_measure(op, g, times)
+    # with no line to follow, the field waits max(10, 30 // 2) steps
+    assert checks == [10, 20, 30, 45]
+    assert quad.steps == 45 and quad.width <= QUADRATURE_RTOL
 
 
 @st.composite
