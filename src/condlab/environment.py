@@ -6,6 +6,7 @@ diagnostics (good/bad classification, bad clusters, the W statistic) used by
 the heat-kernel experiments.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,17 +40,24 @@ __all__ = [
 class Lattice:
     """Periodic integer lattice (Z/nZ)^d and its edge structure.
 
-    Sites are indexed 0..n^d-1 in C order over coordinates (x_0, ..., x_{d-1}).
-    Edge (axis, x) joins site x to x + e_axis and has index axis * n^d + x;
-    every per-edge array, conductances included, has shape (d, n^d) in that
-    order.  The edge toward x - e_axis is therefore (axis, x - e_axis).
-    Periods below 3 are rejected so the torus never has parallel edges.
+    Sites are indexed 0..n^d-1 in C order over coordinates (x_0, ..., x_{d-1}),
+    so a site array reshaped to the d-dimensional grid (grid) has axis a
+    along e_a, and reading it at x + offset (shifted) is a roll of that
+    grid.  Edge (axis, x) joins site x to x + e_axis and has index
+    axis * n^d + x; every per-edge array, conductances included, has shape
+    (d, n^d) in that order.  The edge toward x - e_axis is therefore
+    (axis, x - e_axis).  Periods below 3 are rejected so the torus never has
+    parallel edges.
 
-    Everything the walks need is derived from this one structure: the edge
-    increments of a site array (gradient, the signed incidence matrix B
-    applied), the per-site rows of B (star), the generator's sparse layout
-    (generator_pattern), and the unit weights of the simple walk
-    (unit_weights), each table built on first use.
+    Everything the walks need is derived from this one structure.  Rolls of
+    the grid give the edge increments of a site array (gradient, the signed
+    incidence matrix B applied), the sites' jump rates (jump_rates) and the
+    values of local functionals (functionals.evaluate_all), with no index
+    table.  The tables are built on first use, each by the runs that read
+    it: the generator's sparse layout (generator_pattern) by every run with
+    a sparse or dense product, the per-site rows of B (star) only by runs
+    that walk (the walker's jump tables, bad_cluster, w_statistic), and the
+    unit weights (unit_weights) by the simple walk.
     """
 
     def __init__(self, d, n):
@@ -63,11 +71,17 @@ class Lattice:
         self.n_sites = n**d
         self.n_edges = d * self.n_sites
         self.shape = (n,) * d
-        self._coords = np.indices(self.shape).reshape(d, self.n_sites)
-        grid = np.arange(self.n_sites, dtype=np.int64).reshape(self.shape)
-        # the site x + e_axis (x - e_axis) of every x, one row per axis
-        self._fwd = np.stack([np.roll(grid, -1, axis).ravel() for axis in range(d)])
-        self._bwd = np.stack([np.roll(grid, 1, axis).ravel() for axis in range(d)])
+
+    def grid(self, values):
+        """Site arrays, stacked on leading axes, as d-dimensional grids: axis a runs along e_a."""
+        values = np.asarray(values)
+        return values.reshape(values.shape[:-1] + self.shape)
+
+    def shifted(self, values, offset):
+        """Site arrays read at x + offset: out[..., x] = values[..., x + offset]."""
+        values = np.asarray(values)
+        rolled = np.roll(self.grid(values), tuple(-int(c) for c in offset), tuple(range(-self.d, 0)))
+        return rolled.reshape(values.shape)
 
     @cached_property
     def star(self):
@@ -78,35 +92,78 @@ class Lattice:
         site's own edge (a, x) and x + e_a, column 2a + 1 the edge (a, x - e_a)
         and x - e_a.  This is the column order of the walker's jump tables.
         """
-        base = np.arange(self.d) * self.n_sites
+        here = np.arange(self.n_sites, dtype=np.int64)
         sites = np.empty((self.n_sites, 2 * self.d), dtype=np.int64)
-        sites[:, 0::2], sites[:, 1::2] = self._fwd.T, self._bwd.T
+        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
+            sites[:, 2 * axis] = self.shifted(here, unit)
+            sites[:, 2 * axis + 1] = self.shifted(here, -unit)
+        base = np.arange(self.d) * self.n_sites
         edges = np.empty_like(sites)
-        edges[:, 0::2], edges[:, 1::2] = np.arange(self.n_sites)[:, None] + base, self._bwd.T + base
+        edges[:, 0::2], edges[:, 1::2] = here[:, None] + base, sites[:, 1::2] + base
         for table in (sites, edges):
             table.setflags(write=False)
         return sites, edges
 
     @cached_property
+    def _row_blocks(self):
+        """The generator's rows in boxes of the grid that share one column order.
+
+        Row x holds x and its 2d neighbours.  Site x + e_a has index
+        x + n^(d-1-a), or x - (n-1) n^(d-1-a) where x_a = n - 1, and x - e_a
+        likewise; for n >= 3 these 2d + 1 offsets are distinct and their order
+        depends only on which coordinates of x sit at 0 or n - 1.  So the
+        sites with each coordinate at 0, inside or at n - 1 (3^d boxes) share
+        one ascending column order.  Returns a list of (here, row): here is
+        the box as slices of the grid, and row lists its columns in ascending
+        order as (axis, edge, across): the axis and box of the edge joining x
+        to the column's site (None and here on the diagonal), and the box of
+        the column's sites.
+        """
+        n = self.n
+        blocks = []
+        for box in itertools.product(((0, 1), (1, n - 1), (n - 1, n)), repeat=self.d):
+            here = tuple(slice(lo, hi) for lo, hi in box)
+            columns = [(0, (None, here, here))]
+            for axis, (lo, hi) in enumerate(box):
+                for step in (1, -1):
+                    to = (lo + step) % n
+                    across = here[:axis] + (slice(to, to + hi - lo),) + here[axis + 1:]
+                    # the edge toward x + e_a is (a, x), the one toward x - e_a is (a, x - e_a)
+                    edge = here if step > 0 else across
+                    columns.append(((to - lo) * n ** (self.d - 1 - axis), (axis, edge, across)))
+            columns.sort(key=lambda column: column[0])
+            blocks.append((here, [column for _, column in columns]))
+        return blocks
+
+    @cached_property
     def generator_pattern(self):
         """CSR layout of the generator L, shared by every field on this torus.
 
-        Returns (indptr, indices, source): row x holds the 2d neighbours of x
-        and x itself, in ascending column order.  Stored entry k is element
-        source[k] of concatenate((weights.ravel(), diagonal)): the index of
-        the edge joining the two sites off the diagonal, n_edges + x at (x, x).
+        Returns (indptr, indices), int32: row x holds the 2d neighbours of x
+        and x itself, in ascending column order.  generator_entries fills it.
         """
-        sites, edges = self.star
-        here = np.arange(self.n_sites)[:, None]
-        columns = np.concatenate((sites, here), axis=1)
-        order = np.argsort(columns, axis=1)
-        indices = np.take_along_axis(columns, order, axis=1).ravel().astype(np.int32)
-        source = np.concatenate((edges, self.n_edges + here), axis=1)
-        source = np.take_along_axis(source, order, axis=1).ravel().astype(np.int32)
-        indptr = np.arange(0, indices.size + 1, columns.shape[1], dtype=np.int32)
-        for table in (indptr, indices, source):
+        sites = self.grid(np.arange(self.n_sites, dtype=np.int32))
+        indices = np.empty(self.shape + (2 * self.d + 1,), dtype=np.int32)
+        for here, row in self._row_blocks:
+            for k, (_, _, across) in enumerate(row):
+                indices[here + (k,)] = sites[across]
+        indices = indices.ravel()
+        indptr = np.arange(0, indices.size + 1, 2 * self.d + 1, dtype=np.int32)
+        for table in (indptr, indices):
             table.setflags(write=False)
-        return indptr, indices, source
+        return indptr, indices
+
+    def generator_entries(self, weights, diagonal):
+        """Values stored over generator_pattern, written in its order.
+
+        The weight of the edge joining x and y at (x, y), diagonal[x] at (x, x).
+        """
+        w, diag = self.grid(weights), self.grid(diagonal)
+        out = np.empty(self.shape + (2 * self.d + 1,))
+        for here, row in self._row_blocks:
+            for k, (axis, edge, _) in enumerate(row):
+                out[here + (k,)] = diag[edge] if axis is None else w[axis][edge]
+        return out.ravel()
 
     def gradient(self, g):
         """Increments of the site array g along every edge, (B g)_e = g(x + e_a) - g(x).
@@ -116,7 +173,7 @@ class Lattice:
         weights w, L = -B^T diag(w) B is the walk generator, |B|^T w the
         sites' total jump rates, and sum_e w_e (B g)_e^2 the Dirichlet form.
         """
-        return (g[self._fwd] - g).ravel()
+        return (np.stack([self.shifted(g, unit) for unit in np.eye(self.d, dtype=int)]) - g).ravel()
 
     @cached_property
     def unit_weights(self):
@@ -128,11 +185,16 @@ class Lattice:
     def jump_rates(self, weights):
         """Total weight of the edges at each site, |B|^T w.
 
-        Summed left to right along each star, as the walker accumulates its
-        jump table and the generator its diagonal.
+        Summed left to right in star order, w(a, x) then w(a, x - e_a) for
+        a = 0, 1, ..., as the walker accumulates its jump table.
         """
-        table = np.asarray(weights, dtype=float).ravel()[self.star[1]]
-        return np.cumsum(table, axis=1)[:, -1].copy()
+        w = np.asarray(weights, dtype=float).reshape(self.d, self.n_sites)
+        rates = w[0].copy()
+        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
+            if axis:
+                rates += w[axis]
+            rates += self.shifted(w[axis], -unit)
+        return rates
 
     def site_index(self, coords):
         """Index of the site at the given integer coordinates, wrapped."""
@@ -144,15 +206,15 @@ class Lattice:
 
     def shift(self, sites, axis, sign=1):
         """Neighbour indices of the given sites along one axis."""
-        table = self._fwd if sign > 0 else self._bwd
-        return table[axis][sites]
+        return self.star[0][sites, 2 * axis + (sign < 0)]
 
     def offset_index(self, sites, offset):
         """Site indices of x + offset, vectorized over x."""
-        off = np.asarray(offset, dtype=np.int64).reshape(self.d, 1)
+        off = np.asarray(offset, dtype=np.int64).reshape(self.d)
         sites = np.asarray(sites)
-        c = (self._coords[:, sites.ravel()] + off) % self.n
-        out = np.ravel_multi_index(tuple(c), self.shape)
+        # the coordinates of these sites only: no table of every site's coordinates
+        c = np.unravel_index(sites.ravel(), self.shape)
+        out = np.ravel_multi_index(tuple((ci + oi) % self.n for ci, oi in zip(c, off)), self.shape)
         return out.reshape(sites.shape) if sites.shape else np.int64(out[0])
 
     def neighbors(self, site):
@@ -545,7 +607,7 @@ def w_statistic(field, eta, origin=0):
                 for members in comps]
     total = 0
     # edge (axis, u) joins u to u + e_axis
-    for u, v in zip(np.tile(np.arange(lat.n_sites), lat.d).tolist(), lat._fwd.ravel().tolist()):
+    for u, v in zip(np.tile(np.arange(lat.n_sites), lat.d).tolist(), neighbours[:, 0::2].T.ravel().tolist()):
         ext = {u, v}
         if not good[u]:
             ext |= closures[comp[u]]

@@ -136,13 +136,17 @@ class LocalFunctional:
         return f"LocalFunctional({self.name!r}, {len(self.stencil)} edges, d={self.d})"
 
 
-def evaluate_at_sites(f, field, sites):
-    """Functional values at an array of evaluation points."""
-    lat = field.lattice
+def _check_fits(f, lat):
     if 2 * f.radius >= lat.n:
         raise AliasingError(f"stencil radius {f.radius} does not fit on a period-{lat.n} torus")
     if f.d != lat.d:
         raise ParameterError(f"functional is {f.d}-dimensional, lattice is {lat.d}-dimensional")
+
+
+def evaluate_at_sites(f, field, sites):
+    """Functional values at an array of evaluation points."""
+    lat = field.lattice
+    _check_fits(f, lat)
     sites = np.asarray(sites)
     reads = np.empty((len(f.stencil),) + sites.shape)
     for k, (off, axis) in enumerate(f.stencil):
@@ -151,16 +155,25 @@ def evaluate_at_sites(f, field, sites):
 
 
 def evaluate_all(f, field):
-    """Values of f at every site of the torus, as one array."""
-    return evaluate_at_sites(f, field, np.arange(field.lattice.n_sites))
+    """Values of f at every site of the torus, as one array.
+
+    Each stencil edge is read as the field's conductances rolled by its
+    offset, so no site index table is built.
+    """
+    lat = field.lattice
+    _check_fits(f, lat)
+    reads = np.empty((len(f.stencil), lat.n_sites))
+    for k, (off, axis) in enumerate(f.stencil):
+        reads[k] = lat.shifted(field.omega[axis], off)
+    return f.evaluator(reads)
 
 
 def box_sum_field(values, lattice, n_box):
     """Box sums of a site array at every center, via separable sliding sums."""
-    grid = np.asarray(values, dtype=float).reshape(lattice.shape)
-    for axis in range(lattice.d):
-        grid = sum(np.roll(grid, -k, axis=axis) for k in range(-n_box, n_box + 1))
-    return grid.ravel()
+    v = np.asarray(values, dtype=float)
+    for unit in np.eye(lattice.d, dtype=int):
+        v = sum(lattice.shifted(v, k * unit) for k in range(-n_box, n_box + 1))
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ class TorusOperator:
 
     Rows sum to zero and off-diagonal entries are the edge weights, so -L is
     positive semidefinite with the constants as its kernel.  The entries are
-    gathered into `Lattice.generator_pattern` per field; the scipy matrix
+    written in `Lattice.generator_pattern` order per field
+    (`Lattice.generator_entries`); the scipy matrix
     over them (`matrix`) is built only when a sparse product asks for it.
     """
 
@@ -48,7 +49,8 @@ class TorusOperator:
         # L = -B^T diag(w) B: the weight of the edge joining x and y off the
         # diagonal, and -rates, summed in star order, on it
         self.rates = lattice.jump_rates(weights)
-        self._data = np.concatenate((weights.ravel(), -self.rates))[lattice.generator_pattern[2]]
+        self._indptr, self._indices = lattice.generator_pattern
+        self._data = lattice.generator_entries(weights, -self.rates)
         self.max_rate = float(self.rates.max())
         self._eig = None
 
@@ -59,9 +61,8 @@ class TorusOperator:
         # only the sparse products (CG, Lanczos) need it
         import scipy.sparse as sp
 
-        indptr, indices, _ = self.lattice.generator_pattern
         n = self.lattice.n_sites
-        return sp.csr_matrix((self._data, indices, indptr), shape=(n, n))
+        return sp.csr_matrix((self._data, self._indices, self._indptr), shape=(n, n))
 
     def eigensystem(self):
         """Full eigendecomposition of -L: ascending eigenvalues, orthonormal columns.
@@ -75,10 +76,9 @@ class TorusOperator:
                 raise BackendError(f"dense backend capped at {DENSE_LIMIT} sites, operator has {n}")
             # the pattern has no duplicate entries, so this is -matrix.toarray()
             # bit for bit, down to the -0.0 off the pattern
-            _, indices, _ = self.lattice.generator_pattern
-            rows = np.repeat(np.arange(n), indices.size // n)
+            rows = np.repeat(np.arange(n), self._indices.size // n)
             dense = np.full((n, n), -0.0)
-            dense[rows, indices] = -self._data
+            dense[rows, self._indices] = -self._data
             lam, vec = np.linalg.eigh(dense)
             lam = np.where(lam < 1e-12, 0.0, lam)
             self._eig = (lam, vec)
@@ -126,7 +126,7 @@ def _block_matrix(ops):
         return ops[0].matrix
     import scipy.sparse as sp
 
-    indptr, indices, _ = ops[0].lattice.generator_pattern
+    indptr, indices = ops[0]._indptr, ops[0]._indices
     n, nnz, m = ops[0].lattice.n_sites, indices.size, len(ops)
     shift = np.arange(m, dtype=np.int32 if m * nnz < 2**31 else np.int64)[:, None]
     indptr = np.append((indptr[:-1] + nnz * shift).ravel(), m * nnz)

@@ -110,15 +110,16 @@ def fourier_measure(lattice, g):
     so the total mass is mean(g^2), as for spectral_measure(center=False).
     Atoms are sorted stably by eigenvalue.
     """
-    n, d = lattice.n, lattice.d
+    n = lattice.n
     v = np.asarray(g, dtype=float)
     if v.shape != (lattice.n_sites,):
         raise ParameterError(f"function has {v.shape} values for {lattice.n_sites} sites")
+    w = np.abs(np.fft.fftn(lattice.grid(v))) ** 2 / lattice.n_sites**2
+    # wave k's eigenvalue on the same grid: frequency k_a runs along axis a
     ring = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    lam = np.zeros(lattice.shape)
-    for axis in range(d):
-        lam += ring.reshape((n,) + (1,) * (d - 1 - axis))
-    w = np.abs(np.fft.fftn(v.reshape(lattice.shape))) ** 2 / lattice.n_sites**2
+    lam = np.zeros(w.shape)
+    for part in np.ix_(*[ring] * lattice.d):
+        lam += part
     order = np.argsort(lam, axis=None, kind="stable")
     return SpectralMeasure(lam.ravel()[order], w.ravel()[order])
 
@@ -186,8 +187,8 @@ def _quadrature_group(ops, gs, times):
     t = np.asarray(times, dtype=float)
     if t.size == 0:
         raise ParameterError("times must not be empty")
-    if np.any(t < 0):
-        raise ParameterError("times must be >= 0")
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ParameterError("times must be finite and >= 0")
     v = np.array(gs, dtype=float)
     n = v.shape[1]
     mean = v.mean(axis=1)

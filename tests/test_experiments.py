@@ -1,5 +1,6 @@
 """Experiment drivers: fits, reports, and the cross-method oracles."""
 
+import functools
 import math
 import tracemalloc
 
@@ -138,6 +139,15 @@ def test_exact_contract_moments_frozen_values():
     # bit for bit as the separate dict algebra computed them
     assert contract_exact_moments(0.25, 0.1, 1e3) == (0.8811072891599944, 173130216929.06308)
     assert contract_exact_moments(0.9, 8, 3) == (-0.31635789651137003, 28.508208410276556)
+
+
+@pytest.mark.parametrize("p, eps, cap", [(0.25, 0.1, 1e3), (0.9, 8.0, 3.0), (0.05, 2.0, 1e4)])
+def test_contract_moment_algebra_mean_is_the_closed_four_moment_formula(p, eps, cap):
+    # two exact routes to the initial derivative: the polynomial's expectation
+    # and the closed form in m1..m4 that the experiment reports
+    _, result = contractivity_experiment(p, eps, cap, realizations=1000, fields=1)
+    mean = contract_exact_moments(p, eps, cap)[0]
+    assert abs(mean - result.formula) <= 1e-15 * abs(result.formula)
 
 
 def test_contract_mc_matches_formula_when_tails_are_light():
@@ -456,6 +466,32 @@ def test_msd_constant_law_uses_the_exact_diffusivity():
         msd_experiment(Constant(1.0), 1, 12, [], realizations=4, walks=60, seed=3)
     with pytest.raises(ConfigError, match="times must be positive, finite and strictly increasing"):
         msd_experiment(Constant(1.0), 1, 12, [0.5, 1.0, np.inf], realizations=4, walks=60, seed=3)
+
+
+@pytest.fixture
+def built_stars(monkeypatch):
+    """(d, n) of every lattice whose star table is built while the test runs."""
+    built = []
+    star = Lattice.star
+
+    def recording(self):
+        built.append((self.d, self.n))
+        return star.func(self)
+
+    recorded = functools.cached_property(recording)
+    recorded.__set_name__(Lattice, "star")
+    monkeypatch.setattr(Lattice, "star", recorded)
+    return built
+
+
+def test_only_runs_that_walk_build_the_star_table(built_stars):
+    # the star is the walker's table; decay and the corrector read rolls of the grid
+    variance_decay_experiment(LAW, 2, 8, "drift", "conductance", np.geomspace(0.5, 8.0, 5), 2, 0)
+    diffusivity_experiment(LAW, 2, 6, [1.0, 0.5, 0.25], 2, 0)
+    assert built_stars == []
+    msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20, seed=4,
+                   sigma2_realizations=3, trend_check=False)
+    assert built_stars == [(1, 12)]
 
 
 def test_nash_chain_check_holds_and_reports_the_tightest_box():

@@ -447,6 +447,29 @@ def test_multishift_memory_stays_within_shifts_plus_block_rows():
     assert peak <= (2 * m + _CG_BLOCK + 8) * n * 8
 
 
+def test_generator_and_functional_memory_per_site_stays_within_budget():
+    # held, in bytes a site: field 24, rates 8, CSR entries 56 and columns
+    # 28, row pointers 4 and the functional 8 (128 in all); the peak adds the
+    # functional's reads and sums (32).  The budget allows two more site
+    # arrays (16) on each, well short of one int64 index table per axis.
+    law = TwoPoint(0.5, 1.0, 4.0)
+
+    def build(d, n):
+        field = sample_field(law, Lattice(d, n), 0)
+        return field, build_generator(field, "conductance"), evaluate_all(local_drift(d, law), field)
+
+    build(3, 4)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        kept = build(3, 32)
+        resident, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sites = kept[0].lattice.n_sites
+    assert resident / sites <= 128 + 16
+    assert peak / sites <= 160 + 16
+
+
 def test_resolvent_of_a_constant_terminates_after_one_step():
     # -L kills constants, so the first step already solves every shift exactly
     _, op = _random_op(2, 6, 5, law=TwoPoint(0.5, 1.0, 4.0))

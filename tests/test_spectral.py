@@ -517,6 +517,19 @@ def test_quadrature_refuses_empty_times_and_returns_plain_scalars():
     assert [type(x) for x in quad[1:]] == [float, int, float, int]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_quadrature_refuses_nonfinite_and_negative_times_before_any_step(bad, monkeypatch):
+    op = build_generator(sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 40), 0))
+    g = np.random.default_rng(1).normal(size=op.lattice.n_sites)
+
+    def no_lanczos(*args):
+        raise AssertionError("Lanczos ran on a refused time grid")
+
+    monkeypatch.setattr(spectral, "_lanczos", no_lanczos)
+    with pytest.raises(ParameterError, match="times must be finite and >= 0"):
+        quadrature_measure(op, g, [1.0, bad])
+
+
 @pytest.mark.parametrize("d,n", [(1, 17), (2, 6), (3, 4)])
 def test_fourier_measure_is_the_simple_walk_spectrum(d, n):
     lat = Lattice(d, n)
