@@ -14,8 +14,9 @@ an ensemble under master seed s keeps one generator, child_rng(s, stream, r)
 (stream 1 for msd_estimate, 2 for the mc decay method): it draws the start
 sites, then each step exactly what the field's walks would draw alone, so
 results depend on neither grouping nor workers.  A single trajectory is the
-group of one walk.  On a 2-core x86-64 box: about 8.7e6 jumps/s for criterion
-8's ensemble, 1e5 for a single path, where numpy's per-call cost dominates.
+group of one walk.  On a shared 2-core x86-64 box, one core busy: about 1e7
+jumps/s for criterion 8's ensemble, 5e4-8e4 for a single path, where numpy's
+per-call cost dominates.
 """
 
 import math
@@ -155,13 +156,14 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or np.any((times < 0) | (times > horizon)):
         raise ParameterError(f"sample times must increase within [0, {horizon}]")
-    last = 2 * d - 1
-    # row i * n_sites + x: the first 2d - 1 cumulative rates, an infinite
-    # sentinel, the total rate and its reciprocal; the first of the 2d columns
-    # above u * total is the number of those cumulative rates <= u * total
+    width = 2 * d
+    last = width - 1
+    # row i * n_sites + x: the 2d cumulative rates, the last of them the total
+    # rate, then its reciprocal; the rates are nondecreasing, so the first star
+    # column whose rate exceeds u * total is the number of rates <= u * total
     neighbors, cum = _walk_tables(lattice, weights)
-    total = cum[:, last]
-    table = np.column_stack((cum[:, :last], np.full(total.size, math.inf), total, 1.0 / total))
+    table = np.column_stack((cum, 1.0 / cum[:, last]))
+    del cum  # the table holds all the loop reads of it
     moves = _moves(d)
     stops = np.append(times, math.inf)
 
@@ -174,7 +176,7 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
     firsts = np.arange(fields + 1) * per  # field i's walks are firsts[i] to firsts[i + 1] - 1
     e, u, spans = _draws(rngs, ids, firsts)
     offsets = np.arange(fields) * n_sites
-    hop = (neighbors + offsets[:, None, None]).reshape(-1, 2 * d)  # the rows across each star
+    hop = (neighbors + offsets[:, None, None]).ravel()  # row x's star column k is entry x * 2d + k
     x = starts + np.repeat(offsets, per)  # field i's site x is table row i * n_sites + x
     t = np.zeros(walks)
     disp = np.zeros((walks, d), dtype=np.int64)
@@ -183,14 +185,16 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
     # with none left, the horizon
     gate = np.full(walks, min(stops[0], horizon))
     # with path recording: (walk, time, row, column) per step, concatenated
-    # every 4096 steps so a long path does not hold one-element arrays
+    # every 4096 steps so a long path does not hold one-element arrays; the
+    # empty first step makes the int8 columns int64 in the record
     chunks, steps = [], [(ids[:0], t[:0], x[:0], ids[:0])]
     step = 0
+    # the gathers made at every step are takes, 3-10 times cheaper than fancy indexing
     while ids.size:
-        row = table[x]
+        row = table.take(x, 0)
         for rng, exponentials, _ in spans:
             rng.standard_exponential(out=exponentials)
-        tn = t + e * row[:, last + 2]
+        tn = t + e * row[:, width]
         if (tn > gate).any():
             cross = tn > stops[nxt]
             while cross.any():
@@ -203,20 +207,23 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
             done = tn > horizon
             if done.any():
                 jumps[ids[done]] = step
-                keep = ~done
+                keep = np.flatnonzero(~done)
                 ids, x, row, tn, disp, nxt, gate = (
-                    a[keep] for a in (ids, x, row, tn, disp, nxt, gate)
+                    a.take(keep, 0) for a in (ids, x, row, tn, disp, nxt, gate)
                 )
                 if not ids.size:
                     break
                 e, u, spans = _draws(rngs, ids, firsts)
         for rng, _, uniforms in spans:
             rng.random(out=uniforms)
-        v = u * row[:, last + 1]
-        k = (row[:, : last + 1] > v[:, None]).argmax(axis=1)
-        x = hop[x, k]
+        v = u * row[:, last]
+        # k counts in int8, whose adds need no cast from bool
+        k = (row[:, 0] <= v).view(np.int8)
+        for j in range(1, last):
+            k = k + (row[:, j] <= v).view(np.int8)
+        x = hop.take(x * width + k)
         if times.size:  # displacements are only ever read at sample times
-            disp += moves[k]
+            np.add(disp, moves.take(k, 0), out=disp)
         t = tn
         step += 1
         if path:

@@ -1,5 +1,6 @@
 """Continuous-time walks: kernels, trajectories, ensemble statistics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from condlab import walker
 from condlab.walker import (
     EnsembleConfig,
     Trajectory,
+    _field_batch,
     _field_groups,
     _simulate_batch,
     additive_functional,
@@ -259,6 +261,59 @@ def test_batch_of_one_replays_a_recorded_path_of_several_chunks():
     assert int(traj.displacements.sum()) == 279171
     assert float(traj.times.sum()) == 1702006.4591858163
     assert rng.random() == 0.689216482960237
+
+
+class _ChosenDraws:
+    """Generator stand-in: every exponential is 1, uniforms cycle through chosen values."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms)
+        self.drawn = []
+
+    def standard_exponential(self, out):
+        out[:] = 1.0
+
+    def random(self, out):
+        count = sum(a.size for a in self.drawn)
+        out[:] = self.uniforms[(count + np.arange(out.size)) % self.uniforms.size]
+        self.drawn.append(out.copy())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_jump_column_on_a_cumulative_rate_is_the_one_past_it(d):
+    # unit weights: cumulative rates 1, ..., 2d - 1 and total 2d, so u = j / 2d
+    # puts u * total exactly on a cumulative rate; the walk must jump past it
+    lat = Lattice(d, 4)
+    total, cum = 2 * d, np.arange(1.0, 2 * d)
+    rng = _ChosenDraws(np.arange(total) / total)
+    batch = _simulate_batch(lat, lat.unit_weights, np.arange(4), 3.0, [rng], path=True)
+    uniforms = np.concatenate(rng.drawn)
+    columns = batch.path[3]
+    assert columns.dtype == np.int64
+    assert columns.size == 4 * 3 * total  # every walk jumps each 1 / total up to the horizon
+    assert np.array_equal(columns, np.searchsorted(cum, uniforms * total, side="right"))
+    assert np.array_equal(np.unique(columns), np.arange(total))
+
+
+# sha256 of the sites, displacements and jumps of criterion 8's first lockstep
+# group (6 fields x 256 walks, d=2 n=24, times 0.25 to 16, seed 23), recorded
+# with the column picked by argmax and walks retired by a boolean mask
+CRITERION_8_GROUP_SHA256 = {
+    "sites": "553624214534c49a421abeb1f649c5ab69eab3fa08e6bc2e1905d62f756bed03",
+    "displacements": "918df833ea70efe28a727f091bbbf0fe02cc3c62e3d20cc2597d04c6aad702ee",
+    "jumps": "37904a9779f4c3ab02d20aac9689ff9c87eb5b2be441756a036eae2c98f55b61",
+}
+
+
+def test_criterion_8_lockstep_group_is_pinned():
+    lat, seed, walks = Lattice(2, 24), 23, 256
+    (group, *_) = _field_groups(24, lat.n_sites, walks, 1)
+    assert list(group) == list(range(6))
+    weights = [sample_field(LAW, lat, field_seed(seed, r)).omega for r in group]
+    times = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    _, *records = zip(*_field_batch(lat, weights, walks, 16.0, times, seed, 1, group))
+    for (name, pin), parts in zip(CRITERION_8_GROUP_SHA256.items(), records):
+        assert hashlib.sha256(np.concatenate(parts).tobytes()).hexdigest() == pin, name
 
 
 def test_sample_time_records_match_the_path():
