@@ -230,7 +230,7 @@ def _run_diffusivity(cfg):
 def _run_msd(cfg):
     report, _ = msd_experiment(
         cfg["law"], cfg["d"], cfg["n"], cfg["times"], cfg["realizations"],
-        cfg["walks"], cfg["seed"], sigma2=cfg["sigma2"], mus=cfg["mu"],
+        cfg["walks"], cfg["seed"], sigma2=cfg["sigma2"],
         trend_check=not cfg["no_trend"], workers=cfg["workers"],
     )
     return report, []
@@ -336,16 +336,18 @@ _COMMANDS = {
          "realizations": 8, "expected_order": None, "order_tol": 0.35},
         ["law"],
         _run_diffusivity,
-        "regularized corrector sweep and effective diffusivity",
-        "writes estimators.csv (mu,a0,a1,a2,a2_stderr,phi_sq,a2_minus_baseline,diff_stderr); smallest mu is the baseline",
+        "regularized corrector sweep and exact torus diffusivity",
+        "writes estimators.csv (mu,a0,a1,a2,a2_stderr,phi_sq,a2_minus_torus,diff_stderr), one row per mu "
+        "and one at mu=0, and fields.csv (field,sigma2_torus) with each field's 2 A2(0)",
     ),
     "msd": _Command(
         {"law": None, "d": 2, "n": 24, "times": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-         "realizations": 8, "walks": 64, "sigma2": None, "mu": None, "no_trend": False},
+         "realizations": 8, "walks": 64, "sigma2": None, "no_trend": False},
         ["law"],
         _run_msd,
         "mean square displacement against the diffusive limit",
-        "writes msd.csv (time,msd_over_t,stderr,gap,gap_stderr); sigma2 is estimated when not supplied",
+        "writes msd.csv (time,msd_over_t,stderr,gap,gap_stderr); without --sigma2, sigma2 is the "
+        "torus diffusivity 2 A2(0) of 12 fields",
     ),
     "spectrum": _Command(
         {"law": None, "d": 1, "n": 64, "kind": "conductance", "functional": None},
@@ -387,7 +389,7 @@ _FLAG_HELP = {
     "kind": "walk kind: conductance (rates = edges) or simple (rate 1)",
     "method": "decay estimator: spectral (exact atoms) or mc (walk ensemble)",
     "times": "comma-separated sampling times, increasing",
-    "mu": "comma-separated resolvent parameters; smallest is the baseline",
+    "mu": "comma-separated positive resolvent parameters; mu=0 is always solved too",
     "t-grid": "comma-separated times for the analogue curve",
     "fit-window": "LO,HI window for the power-law fit",
     "n-list": "comma-separated box radii",
@@ -406,7 +408,7 @@ _FLAG_HELP = {
     "alpha-tol": "tolerance for --expected-alpha",
     "expected-order": "assert the fitted mu order is near this value",
     "order-tol": "tolerance for --expected-order",
-    "sigma2": "effective diffusivity to compare against (skips estimating it)",
+    "sigma2": "effective diffusivity to compare against (skips the torus solve)",
     "workers": "process pool size (default: all cores)",
     "out": "output directory (default: condlab-out/<command>)",
 }

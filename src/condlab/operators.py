@@ -308,17 +308,24 @@ def _multishift_cg(op, b, shifts, tol, maxiter):
 
 
 def resolvent_solve(op, g, mu, rtol=1e-10):
-    """Solve (mu I - L) u = g for one mu or for a sequence of them at once.
+    """Solve (mu I - L) u = g for one mu >= 0 or for a sequence of them at once.
 
-    Every mu is served by one multi-shift conjugate-gradient run on -L whose
-    seed system is the smallest mu; a shift retires once its residual is
-    below rtol/2 of |g|, and the run stops after 50 sqrt(n_sites) + 1 steps
-    at the latest.  The iterates are not updated step by step: every
-    _CG_BLOCK steps the seed residuals are folded into them by two matmuls,
-    so the run needs O((len(mu) + _CG_BLOCK) n_sites) memory.  Each
-    solution is then re-verified by back-substitution: a relative residual
-    above rtol raises SolverError, naming the worst mu, instead of returning
-    a bad vector.
+    -L maps onto the mean-zero functions only, so mu = 0 is accepted only
+    for a centred g, |mean g| sqrt(n_sites) <= (rtol/2) |g|, and its
+    solution is the mean-zero one.  Every mu is served by one multi-shift
+    conjugate-gradient run on -L whose seed system is the smallest mu, s; a
+    shift retires once its residual is below rtol/2 of |g|.  On mean-zero
+    functions the seed system's spectrum lies in
+    [s + min(w) (2 - 2 cos(2 pi / n)), s + 2 max_rate], by comparison with
+    the simple walk and by Gershgorin; with kappa the ratio of its ends, the
+    run stops after ceil(sqrt(kappa)/2 ln(4 sqrt(kappa) / rtol)) steps at the
+    latest, where the Chebyshev bound 2 sqrt(kappa) ((sqrt(kappa) - 1) /
+    (sqrt(kappa) + 1))^k on the relative residual has fallen below rtol/2.
+    The iterates are not updated step by step: every _CG_BLOCK steps the
+    seed residuals are folded into them by two matmuls, so the run needs
+    O((len(mu) + _CG_BLOCK) n_sites) memory.  Each solution is then
+    re-verified by back-substitution: a relative residual above rtol raises
+    SolverError, naming the worst mu, instead of returning a bad vector.
 
     A scalar mu returns the solution array.  A sequence returns a tuple
     (rows, iterations, residual): the solutions as an array of shape
@@ -328,13 +335,17 @@ def resolvent_solve(op, g, mu, rtol=1e-10):
     mus = np.asarray(mu, dtype=float)
     if mus.ndim > 1 or mus.size == 0:
         raise ParameterError(f"mu must be a number or a nonempty 1-D sequence, got shape {mus.shape}")
-    if not np.all(mus > 0):
-        raise ParameterError(f"resolvent parameter must be > 0, got {mu}")
+    if not np.all(mus >= 0):
+        raise ParameterError(f"resolvent parameter must be >= 0, got {mu}")
     v = np.asarray(g, dtype=float)
     n = op.lattice.n_sites
     shifts, order = np.unique(mus, return_inverse=True)
     norm_g = float(np.linalg.norm(v))
-    maxiter = int(50 * math.sqrt(n)) + 1
+    if shifts[0] == 0 and abs(float(v.mean())) * math.sqrt(n) > 0.5 * rtol * norm_g:
+        raise ParameterError(f"mu = 0 needs a centred right-hand side, got mean {float(v.mean()):.3g}")
+    lo = shifts[0] + float(op.weights.min()) * (2.0 - 2.0 * math.cos(2.0 * math.pi / op.lattice.n))
+    root = math.sqrt((shifts[0] + 2.0 * op.max_rate) / lo)
+    maxiter = math.ceil(0.5 * root * math.log(4.0 * root / rtol))
     if norm_g == 0.0:
         u, steps, worst = np.zeros((len(shifts), n)), 0, 0.0
     else:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import condlab
@@ -107,7 +108,7 @@ def test_bad_mu_exits_2_and_writes_nothing(tmp_path, capsys):
         (["diffusivity", "--law", "constant:1", "--mu", "1,0.5,-inf"], "(--mu): mu must be finite"),
         (["diffusivity", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5,0.5"],
          "(mu): mu value 0.5 is repeated"),
-        (["msd", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5,0.25,0.5"],
+        (["diffusivity", "--law", "twopoint:0.5,1,4", "--mu", "0.5,1,0.25,0.5"],
          "(mu): mu value 0.5 is repeated"),
         (["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "2,1,2"],
          "(n_list): box size 2 is repeated"),
@@ -122,56 +123,61 @@ def test_nonfinite_and_repeated_values_exit_2(tmp_path, capsys, argv, message):
     assert f"config error {message}" in capsys.readouterr().err
 
 
+def test_msd_has_no_mu_flag(tmp_path, capsys):
+    # msd's sigma2 is the zero shift alone, so there is no mu to pass
+    out = tmp_path / "msd"
+    assert main(["msd", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unrecognized arguments: --mu" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "flags, note",
+    "flags, why",
     [
-        (["--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4", "--realizations", "2",
-          "--mu", "2,0.10000000000000002,0.1"],
-         "note: effective diffusivity 4.97617 +/- 0.37 (baseline 2 A2(mu_min), "
-         "not extrapolated: the mu-order fit failed)"),
-        (["--law", "constant:2", "--d", "2", "--n", "4", "--realizations", "2"],
-         "note: effective diffusivity 4 +/- 0 (baseline 2 A2(mu_min), "
-         "not extrapolated: the corrector vanishes)"),
-        (["--law", "twopoint:0.5,1,4", "--d", "1", "--n", "6", "--realizations", "2",
-          "--mu", "1,0.5,0.25,0.01"],
-         "note: extrapolated effective diffusivity "),
+        (["--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4", "--mu", "0.5"],
+         "fewer than 2 mu values"),
+        (["--law", "constant:2", "--d", "2", "--n", "4"],
+         "the corrector vanishes, A2 is constant in mu"),
+        # 1 + 1e-300 alpha rounds to 1, so that shift gets the zero shift's
+        # solution bit for bit and a difference of exactly 0
+        (["--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4", "--mu", "1,1e-300"],
+         "A2(mu) - A2(0) is not positive at every mu"),
     ],
+    ids=["one-mu", "vanishing-corrector", "zero-difference"],
 )
-def test_diffusivity_note_says_whether_sigma2_was_extrapolated(tmp_path, capsys, flags, note):
+def test_diffusivity_without_a_fit_notes_why_and_still_writes_a_report(tmp_path, capsys, flags, why):
     out = tmp_path / "run"
-    main(["diffusivity"] + flags + ["--workers", "1", "--out", str(out)])
-    notes = [line for line in (out / "summary.txt").read_text().splitlines()
-             if "effective diffusivity" in line]
-    assert len(notes) == 1 and notes[0].startswith(note)
+    rc = main(["diffusivity"] + flags + ["--realizations", "2", "--expected-order", "1.5",
+                                         "--workers", "1", "--out", str(out)])
+    assert rc == 1
+    summary = (out / "summary.txt").read_text()
+    assert f"note: no mu-order fit: {why}\n" in summary
+    assert "fit mu_order" not in summary
+    assert "FAIL convergence-order: no fit available, expected 1.5" in summary
+    assert "PASS chain-identity" in summary and "PASS estimator-ordering" in summary
+    assert summary.rstrip().endswith("result: fail")
+    assert (out / "estimators.csv").read_text().splitlines()[-1].startswith("0,")
+    assert len((out / "fields.csv").read_text().splitlines()) == 2 + 2
     capsys.readouterr()
 
 
-def test_diffusivity_fit_failure_and_overflow_still_write_a_report(tmp_path, capsys):
-    # A2(mu) equals its baseline at the next float up: a nonpositive difference
-    out = tmp_path / "flat"
-    rc = main(["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4",
-               "--realizations", "2", "--mu", "2,0.10000000000000002,0.1",
-               "--workers", "1", "--out", str(out)])
-    assert rc == 1
-    summary = (out / "summary.txt").read_text()
-    assert "FAIL mu-order-fit: nonpositive A2 differences" in summary
-    assert "result: fail" in summary
-    # msd estimates its sigma2 from the same sweep and carries the failure over
-    out = tmp_path / "msd"
-    rc = main(["msd", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "4", "--times", "0.5,1",
-               "--realizations", "2", "--walks", "4", "--mu", "2,0.10000000000000002,0.1",
-               "--no-trend", "--workers", "1", "--out", str(out)])
-    assert rc == 1
-    assert "FAIL mu-order-fit: nonpositive A2 differences" in (out / "summary.txt").read_text()
-    # three nearly equal mus fit an order near 1e4; extrapolating it must not overflow
-    out = tmp_path / "steep"
+def test_diffusivity_summary_gives_the_torus_diffusivity_and_its_field_sd(tmp_path, capsys):
+    out = tmp_path / "run"
     rc = main(["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "1", "--n", "6",
-               "--realizations", "2", "--mu", "1e-3,1.0000001e-3,9.999e-4",
-               "--workers", "1", "--out", str(out)])
+               "--realizations", "3", "--mu", "1,0.5,0.25,0.01", "--workers", "1",
+               "--out", str(out)])
     assert rc == 0
-    config = (out / "config.txt").read_text()
-    sigma2 = float(next(line for line in config.splitlines() if line.startswith("sigma2="))[7:])
-    assert 0.0 < sigma2 < 10.0
+    lines = (out / "fields.csv").read_text().splitlines()
+    assert lines[:2] == ["# condlab-csv v1 fields", "field,sigma2_torus"]
+    torus = np.array([float(line.split(",")[1]) for line in lines[2:]])
+    assert [line.split(",")[0] for line in lines[2:]] == ["0", "1", "2"]
+    config = (out / "config.txt").read_text().splitlines()
+    sigma2 = float(next(line for line in config if line.startswith("sigma2="))[7:])
+    assert sigma2 == pytest.approx(torus.mean(), rel=1e-11)
+    notes = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("note: torus diffusivity 2 A2(0) ")]
+    assert len(notes) == 1
+    assert notes[0].endswith(f"field sd {np.std(torus, ddof=1):.2g}")
     capsys.readouterr()
 
 
@@ -262,7 +268,9 @@ def test_diffusivity_smoke(tmp_path, capsys):
     assert rc == 0
     head = (out / "estimators.csv").read_text().splitlines()
     assert head[0] == "# condlab-csv v1 estimators"
-    assert head[1] == "mu,a0,a1,a2,a2_stderr,phi_sq,a2_minus_baseline,diff_stderr"
+    assert head[1] == "mu,a0,a1,a2,a2_stderr,phi_sq,a2_minus_torus,diff_stderr"
+    # one row per mu, descending, then the zero shift
+    assert [row.split(",")[0] for row in head[2:]] == ["1", "0.5", "0.1", "0.01", "0"]
     capsys.readouterr()
 
 

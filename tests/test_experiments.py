@@ -34,9 +34,10 @@ from condlab.functionals import (
     centered_edge,
     contract_example,
     evaluate_all,
+    local_drift,
 )
 from condlab.operators import DENSE_LIMIT, build_generator, semigroup_apply, simple_generator
-from condlab.spectral import DecayCurve
+from condlab.spectral import DecayCurve, asymptotic_variance, corrector_error_term, spectral_measure
 from condlab.util import child_rng, field_groups, field_seed
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
@@ -373,7 +374,7 @@ def test_diffusivity_report_does_not_depend_on_workers(tmp_path):
         tmp_path,
         lambda workers: diffusivity_experiment(LAW, 2, 8, [1.0, 0.5, 0.25, 0.05], 4, 3,
                                                workers=workers)[0],
-        ["estimators"],
+        ["estimators", "fields"],
     )
 
 
@@ -417,22 +418,70 @@ def test_decay_experiment_notes_a_vanishing_functional():
     assert report.passed
 
 
-def test_diffusivity_experiment_chain_order_and_extrapolation():
+def test_diffusivity_experiment_chain_order_and_torus_rows():
     mus = [1.0, 0.5, 0.25, 0.05]
     report, sigma2, sigma2_se = diffusivity_experiment(LAW, 2, 8, mus, 6, 3)
     assert _target(report, "chain-identity").passed
     assert _target(report, "estimator-ordering").passed
     columns, rows = report.tables["estimators"]
-    assert columns[0] == "mu" and "a2" in columns
-    a2 = {row[0]: row[columns.index("a2")] for row in rows}
-    # A2 grows with mu, and the extrapolated value sits below the baseline
-    assert a2[1.0] > a2[0.05]
-    assert 0.0 < sigma2 <= 2.0 * a2[0.05]
-    assert sigma2_se >= 0.0
+    assert columns == ["mu", "a0", "a1", "a2", "a2_stderr", "phi_sq", "a2_minus_torus", "diff_stderr"]
+    assert [row[0] for row in rows] == mus + [0.0]
+    a0, a1, a2 = rows[-1][1:4]
+    # at mu = 0 the three estimators agree by algebra, and the difference is 0 by definition
+    assert a1 == pytest.approx(a0, rel=1e-12) and a2 == pytest.approx(a0, rel=1e-12)
+    assert rows[-1][6:] == (0.0, 0.0)
+    # A2 falls with mu down to the torus value
+    diffs = [row[6] for row in rows[:-1]]
+    assert np.all(np.diff(diffs) < 0.0) and diffs[-1] > 0.0
+    _, fields = report.tables["fields"]
+    torus = np.array([value for _, value in fields])
+    assert [r for r, _ in fields] == list(range(6))
+    alone = [experiments._diffusivity_one_field((LAW, Lattice(2, 8), field_seed(3, r), [0.0]))[0][0, 2]
+             for r in range(6)]
+    assert torus == pytest.approx(2.0 * np.array(alone), rel=1e-10)
+    assert sigma2 == pytest.approx(torus.mean(), rel=1e-14) == pytest.approx(2.0 * a2, rel=1e-14)
+    assert sigma2_se == pytest.approx(np.std(torus, ddof=1) / math.sqrt(6), rel=1e-12)
     assert report.config["sigma2"] == sigma2
     assert "mu_order" in report.fits
     solves = [note for note in report.notes if note.startswith("corrector solves: multi-shift CG")]
     assert len(solves) == 1 and "worst verified residual" in solves[0]
+
+
+DIFFUSIVITY_LAWS = {
+    "constant": Constant(1.5),
+    "uniform": Uniform(1.0, 3.0),
+    "twopoint": TwoPoint(0.5, 1.0, 4.0),
+    "boundedpareto": BoundedPareto(0.3, 0.5, 1e3),
+}
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("name", sorted(DIFFUSIVITY_LAWS))
+def test_zero_shift_corrector_matches_the_dense_measure_field_by_field(name, d, n):
+    # A2(mu) - A2(0) is the error term sum w mu^2 / (lambda (lambda + mu)^2) of
+    # the drift's measure, and 2 A2(0) is 2 E[w_0] minus its asymptotic variance
+    law, lat, mus = DIFFUSIVITY_LAWS[name], Lattice(d, n), [1.0, 0.1, 0.01]
+    for r in range(2):
+        seed = field_seed(11, r)
+        rows = experiments._diffusivity_one_field((law, lat, seed, mus + [0.0]))[0]
+        field = sample_field(law, lat, seed)
+        m = spectral_measure(build_generator(field, "conductance"),
+                             evaluate_all(local_drift(d, law), field), center=True)
+        a2 = rows[:, 2]
+        dense = 2.0 * float(np.mean(field.omega[0])) - asymptotic_variance(m)
+        assert 2.0 * a2[-1] == pytest.approx(dense, rel=1e-12), r
+        for mu, a in zip(mus, a2):
+            assert a - a2[-1] == pytest.approx(corrector_error_term(m, 2, mu), rel=1e-7, abs=1e-15), (r, mu)
+
+
+@pytest.mark.parametrize("n", [64, 1024, DENSE_LIMIT + 4])
+def test_one_dimensional_torus_diffusivity_is_the_harmonic_mean(n):
+    # in d=1 the torus corrector is explicit: sigma2_torus = 2 / mean(1/w)
+    lat = Lattice(1, n)
+    report, _, _ = diffusivity_experiment(LAW, 1, n, (), 2, 17)
+    for r, value in report.tables["fields"][1]:
+        omega = sample_field(LAW, lat, field_seed(17, r)).omega[0]
+        assert value == pytest.approx(2.0 / np.mean(1.0 / omega), rel=1e-12), r
 
 
 def test_diffusivity_constant_law_has_no_order_to_fit():
@@ -444,8 +493,6 @@ def test_diffusivity_constant_law_has_no_order_to_fit():
 
 
 def test_diffusivity_validation():
-    with pytest.raises(ConfigError):
-        diffusivity_experiment(LAW, 1, 8, [1.0, 0.5], 4, 0)  # too few mus
     with pytest.raises(ConfigError):
         diffusivity_experiment(LAW, 1, 8, [1.0, -0.5, 0.1], 4, 0)
     with pytest.raises(ConfigError):

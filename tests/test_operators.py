@@ -133,6 +133,22 @@ def test_resolvent_matches_dense_solve():
         assert np.max(np.abs(resolvent_solve(op, g, mu) - ref)) < 1e-8
 
 
+def test_zero_shift_solves_for_a_centred_right_hand_side_only():
+    _, op = _random_op(2, 8, 13, law=TwoPoint(0.5, 1.0, 4.0))
+    g = np.random.default_rng(13).normal(size=64)
+    gc = g - g.mean()
+    rows, _, residual = resolvent_solve(op, gc, [1.0, 0.0, 0.1])
+    assert residual <= 1e-10
+    # -L is singular on the constants: the zero shift returns the mean-zero solution
+    ref = np.linalg.lstsq(-op.matrix.toarray(), gc, rcond=None)[0]
+    assert np.linalg.norm(rows[1] - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert abs(rows[1].mean()) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(resolvent_solve(op, gc, 0.0), resolvent_solve(op, gc, [0.0])[0][0])
+    for bad in (g, gc + 1e-9):
+        with pytest.raises(ParameterError, match="mu = 0 needs a centred right-hand side"):
+            resolvent_solve(op, bad, [1.0, 0.0])
+
+
 def test_resolvent_zero_input_short_circuits():
     _, op = _random_op(1, 6, 9)
     out = resolvent_solve(op, np.zeros(6), 1.0)
