@@ -172,8 +172,13 @@ class Lattice:
         at x and +1 at x + e_a), applied without being stored.  With edge
         weights w, L = -B^T diag(w) B is the walk generator, |B|^T w the
         sites' total jump rates, and sum_e w_e (B g)_e^2 the Dirichlet form.
+        Site arrays stacked on leading axes give one edge array per row.
         """
-        return (np.stack([self.shifted(g, unit) for unit in np.eye(self.d, dtype=int)]) - g).ravel()
+        g = np.asarray(g)
+        grad = np.empty(g.shape[:-1] + (self.d, self.n_sites), dtype=g.dtype)
+        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
+            np.subtract(self.shifted(g, unit), g, out=grad[..., axis, :])
+        return grad.reshape(g.shape[:-1] + (-1,))
 
     @cached_property
     def unit_weights(self):

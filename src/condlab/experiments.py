@@ -384,8 +384,7 @@ def _diffusivity_one_field(args):
     phis, iterations, residual = resolvent_solve(op, g, shifts)
     rows = []
     worst = 0.0
-    for mu, phi in zip(shifts, phis):
-        est = diffusivity_estimators(field, phi)
+    for mu, est in zip(shifts, diffusivity_estimators(field, phis)):
         r1, r2 = est.chain_residuals(mu)
         worst = max(worst, r1, r2)
         rows.append((est.a0, est.a1, est.a2, est.phi_second_moment))

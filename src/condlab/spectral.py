@@ -451,23 +451,28 @@ def diffusivity_estimators(field, phi):
     of the distinguished direction.  With grad = B phi the edge increments,
     a0 = E[w_0] - energy, a1 = E[w_0 (1 + grad_0)], and a2 = E[w_0 (1 +
     grad_0)^2] + E[w_a grad_a^2] over the other axes, which expands to
-    E[w_0] + 2 E[w_0 grad_0] + energy.
+    E[w_0] + 2 E[w_0 grad_0] + energy.  A (shifts, sites) stack of correctors
+    gives a list with one estimate per row, from one gradient of the stack.
     """
     lat = field.lattice
     v = np.asarray(phi, dtype=float)
-    if v.shape != (lat.n_sites,):
-        raise ParameterError(f"corrector has {v.shape} values for {lat.n_sites} sites")
     n = lat.n_sites
-    grad = lat.gradient(v)
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise ParameterError(f"corrector has {v.shape} values for {n} sites")
+    grads = lat.gradient(v)
     w0 = field.omega[0]
+    weights = field.omega.ravel()
     edge_mean = float(w0.mean())
-    energy = float(np.dot(field.omega.ravel(), grad * grad)) / n
-    drift = float(np.dot(w0, grad[:n])) / n
-    phi_sq = float(np.dot(v, v)) / n
-    a0 = edge_mean - energy
-    a1 = edge_mean + drift
-    a2 = edge_mean + 2.0 * drift + energy
-    return DiffusivityEstimates(a0, a1, a2, phi_sq, energy, edge_mean)
+    estimates = []
+    for row, grad in zip(np.atleast_2d(v), np.atleast_2d(grads)):
+        energy = float(np.dot(weights, grad * grad)) / n
+        drift = float(np.dot(w0, grad[:n])) / n
+        phi_sq = float(np.dot(row, row)) / n
+        a0 = edge_mean - energy
+        a1 = edge_mean + drift
+        a2 = edge_mean + 2.0 * drift + energy
+        estimates.append(DiffusivityEstimates(a0, a1, a2, phi_sq, energy, edge_mean))
+    return estimates if v.ndim == 2 else estimates[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ comparisons against a constant field exact.
 One lockstep kernel, _simulate_batch, makes one numpy step per jump of every
 walk still short of the horizon, across all fields of a group, whose jump
 tables stack into at most _GROUP_ROWS rows; ensembles keep only the
-sample-time sites and displacements and each walk's jump count.  Field r of
-an ensemble under master seed s keeps one generator, child_rng(s, stream, r)
-(stream 1 for msd_estimate, 2 for the mc decay method): it draws the start
-sites, then each step exactly what the field's walks would draw alone, so
-results depend on neither grouping nor workers.  A single trajectory is the
-group of one walk.  On a shared 2-core x86-64 box, one core busy: about 1e7
-jumps/s for criterion 8's ensemble, 5e4-8e4 for a single path, where numpy's
-per-call cost dominates.
+sample-time sites and displacements (int32) and each walk's jump count, and
+a step does sample-time bookkeeping only for the walks whose jump passes a
+sample time or the horizon.  Field r of an ensemble under master seed s
+keeps one generator, child_rng(s, stream, r) (stream 1 for msd_estimate, 2
+for the mc decay method): it draws the start sites, then each step exactly
+what the field's walks would draw alone, so results depend on neither
+grouping nor workers.  A single trajectory is the group of one walk.  On a
+shared 2-core x86-64 box, one core busy: about 2.2e7 jumps/s for criterion
+8's ensemble, run as one group (1.5e7 as four groups of six fields), and
+8e4-9e4 for a single path, as before, where numpy's per-call cost dominates.
 """
 
 import math
@@ -76,8 +78,8 @@ class Trajectory:
     def site_at(self, t):
         """Site occupied at time t (vectorized over arrays of times)."""
         t = self._check_time(t)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        sites = np.where(idx < 0, self.start, self.sites[np.maximum(idx, 0)])
+        idx = np.searchsorted(self.times, t, side="right")
+        sites = np.concatenate(([self.start], self.sites))[idx]  # also for a walk that never jumps
         return sites if sites.ndim else int(sites)
 
     def displacement_at(self, t):
@@ -117,10 +119,11 @@ def _moves(d):
 class Batch:
     """What a lockstep group of walks leaves behind, walks in field order.
 
-    sites[w, j] and displacements[w, j] hold walk w at the j-th sample time,
-    jumps[w] its number of jumps up to the horizon.  With path recording,
-    path holds every jump of the group in step order as (walk, time, table
-    row, column) arrays, column k being the k-th edge of the star.
+    sites[w, j] and displacements[w, j] (int32) hold walk w at the j-th
+    sample time, jumps[w] its number of jumps up to the horizon.  With path
+    recording, path holds every jump of the group in step order as (walk,
+    time, table row, column) int64 and float arrays, column k being the k-th
+    edge of the star.
     """
 
     sites: np.ndarray
@@ -164,13 +167,13 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
     neighbors, cum = _walk_tables(lattice, weights)
     table = np.column_stack((cum, 1.0 / cum[:, last]))
     del cum  # the table holds all the loop reads of it
-    moves = _moves(d)
+    moves = _moves(d).astype(np.int32)
     stops = np.append(times, math.inf)
 
     walks = starts.size
     per = walks // fields
-    sites = np.empty((walks, times.size), dtype=np.int64)
-    displacements = np.empty((walks, times.size, d), dtype=np.int64)
+    sites = np.empty((walks, times.size), dtype=np.int32)
+    displacements = np.empty((walks, times.size, d), dtype=np.int32)
     jumps = np.empty(walks, dtype=np.int64)
     ids = np.arange(walks)
     firsts = np.arange(fields + 1) * per  # field i's walks are firsts[i] to firsts[i + 1] - 1
@@ -179,7 +182,7 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
     hop = (neighbors + offsets[:, None, None]).ravel()  # row x's star column k is entry x * 2d + k
     x = starts + np.repeat(offsets, per)  # field i's site x is table row i * n_sites + x
     t = np.zeros(walks)
-    disp = np.zeros((walks, d), dtype=np.int64)
+    disp = np.zeros((walks, d), dtype=np.int32)
     nxt = np.zeros(walks, dtype=np.intp)
     # a walk needs attention once its clock passes its next sample time or,
     # with none left, the horizon
@@ -195,19 +198,27 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
         for rng, exponentials, _ in spans:
             rng.standard_exponential(out=exponentials)
         tn = t + e * row[:, width]
-        if (tn > gate).any():
-            cross = tn > stops[nxt]
-            while cross.any():
-                c = np.flatnonzero(cross)
-                sites[ids[c], nxt[c]] = x[c] % n_sites
-                displacements[ids[c], nxt[c]] = disp[c]
-                nxt[c] += 1
-                cross[c] = tn[c] > stops[nxt[c]]
-            gate = np.minimum(stops[nxt], horizon)
-            done = tn > horizon
-            if done.any():
-                jumps[ids[done]] = step
-                keep = np.flatnonzero(~done)
+        due = tn > gate
+        if due.any():
+            # only the walks past their gate: each records the sample times
+            # its jump passes, then gets its next gate or, past the horizon,
+            # retires; the other walks' gates stand
+            due = np.flatnonzero(due)
+            late = tn.take(due)
+            c = due[late > stops.take(nxt.take(due))]
+            while c.size:
+                at = nxt.take(c)
+                walk = ids.take(c)
+                sites[walk, at] = x.take(c) % n_sites
+                displacements[walk, at] = disp.take(c, 0)
+                at += 1
+                nxt[c] = at
+                c = c[tn.take(c) > stops.take(at)]
+            gate[due] = np.minimum(stops.take(nxt.take(due)), horizon)
+            done = due[late > horizon]
+            if done.size:
+                jumps[ids.take(done)] = step
+                keep = np.flatnonzero(tn <= horizon)
                 ids, x, row, tn, disp, nxt, gate = (
                     a.take(keep, 0) for a in (ids, x, row, tn, disp, nxt, gate)
                 )
@@ -250,8 +261,9 @@ def _simulate(lattice, weights, start, horizon, rng):
 
 
 # Most table rows (fields x sites), and most walks, in one lockstep group unless a field
-# alone has more: at d=3 256 KB of table; at criterion 8's size 6 fields, 1536 walks a step
-_GROUP_ROWS = 1 << 12
+# alone has more: at d=3 0.9 MB of table, within a 2 MB per-core L2; at criterion 8's
+# size all 24 fields, 6144 walks a step
+_GROUP_ROWS = 1 << 14
 
 
 def _field_groups(realizations, n_sites, walks, workers):

@@ -165,6 +165,17 @@ def test_resolvent_second_moment_matches_the_solver():
         assert resolvent_second_moment(m, mu) == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("d, n", [(1, 7), (2, 5), (3, 3)])
+def test_estimators_of_a_stack_are_each_rows_estimates(d, n):
+    field = sample_field(LAW, Lattice(d, n), 2)
+    phis = np.random.default_rng(n).normal(size=(4, field.lattice.n_sites))
+    assert diffusivity_estimators(field, phis) == [diffusivity_estimators(field, p) for p in phis]
+    with pytest.raises(ParameterError):
+        diffusivity_estimators(field, phis[None])
+    with pytest.raises(ParameterError):
+        diffusivity_estimators(field, phis[:, 1:])
+
+
 def test_estimator_chain_and_error_term_identity():
     field, op, g, m = _field_measure(2, 8, 13)
     lam, w = m.lambdas, m.weights

@@ -118,6 +118,14 @@ def test_trajectory_queries_before_first_jump_and_validation():
                    np.array([[1], [2]]), lat)
 
 
+def test_a_walk_without_jumps_sits_at_its_start():
+    traj = simulate_srw(Lattice(2, 4), 3, 1e-6, np.random.default_rng(0))
+    assert traj.jump_count == 0
+    assert traj.site_at(1e-6) == 3
+    assert traj.site_at(np.array([0.0, 1e-6])).tolist() == [3, 3]
+    assert traj.displacement_at(np.array([0.0, 1e-6])).tolist() == [[0, 0], [0, 0]]
+
+
 def test_site_at_is_right_continuous_at_jump_times():
     lat = Lattice(1, 11)
     traj = simulate_srw(lat, 0, 6.0, np.random.default_rng(9))
@@ -295,9 +303,10 @@ def test_jump_column_on_a_cumulative_rate_is_the_one_past_it(d):
     assert np.array_equal(np.unique(columns), np.arange(total))
 
 
-# sha256 of the sites, displacements and jumps of criterion 8's first lockstep
-# group (6 fields x 256 walks, d=2 n=24, times 0.25 to 16, seed 23), recorded
-# with the column picked by argmax and walks retired by a boolean mask
+# sha256 of the sites, displacements and jumps (as int64) of criterion 8's
+# fields 0-5 (6 fields x 256 walks, d=2 n=24, times 0.25 to 16, seed 23),
+# recorded when they formed a lockstep group of their own, with the column
+# picked by argmax and walks retired by a boolean mask
 CRITERION_8_GROUP_SHA256 = {
     "sites": "553624214534c49a421abeb1f649c5ab69eab3fa08e6bc2e1905d62f756bed03",
     "displacements": "918df833ea70efe28a727f091bbbf0fe02cc3c62e3d20cc2597d04c6aad702ee",
@@ -306,14 +315,18 @@ CRITERION_8_GROUP_SHA256 = {
 
 
 def test_criterion_8_lockstep_group_is_pinned():
+    # fields 0-5 walk as they did in a group of six, also inside the one
+    # group that criterion 8's 24 fields now form
     lat, seed, walks = Lattice(2, 24), 23, 256
-    (group, *_) = _field_groups(24, lat.n_sites, walks, 1)
-    assert list(group) == list(range(6))
-    weights = [sample_field(LAW, lat, field_seed(seed, r)).omega for r in group]
+    (whole,) = _field_groups(24, lat.n_sites, walks, 1)
+    assert list(whole) == list(range(24))
     times = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    _, *records = zip(*_field_batch(lat, weights, walks, 16.0, times, seed, 1, group))
-    for (name, pin), parts in zip(CRITERION_8_GROUP_SHA256.items(), records):
-        assert hashlib.sha256(np.concatenate(parts).tobytes()).hexdigest() == pin, name
+    for group in (range(6), whole):
+        weights = [sample_field(LAW, lat, field_seed(seed, r)).omega for r in group]
+        _, *records = zip(*_field_batch(lat, weights, walks, 16.0, times, seed, 1, group))
+        for (name, pin), parts in zip(CRITERION_8_GROUP_SHA256.items(), records):
+            first_six = np.concatenate(parts[:6]).astype(np.int64)
+            assert hashlib.sha256(first_six.tobytes()).hexdigest() == pin, name
 
 
 def test_sample_time_records_match_the_path():
@@ -377,9 +390,29 @@ def _group_case(draw):
     # from a handful of jumps per walk to about a hundred, so the fields of
     # a group retire their last walk on different steps
     horizon = draw(st.floats(0.05, 8.0))
-    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    # up to 16 sample times: two anywhere, a run of up to 13 spaced far
+    # below a mean holding time (at most 1 here), so that one jump passes
+    # several, and sometimes the horizon itself
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=2))
+    spacing = draw(st.floats(1e-3, 0.05))
+    run = draw(st.floats(0.0, 1.0)) * horizon + spacing * np.arange(draw(st.integers(0, 13)))
+    ends = [horizon] if draw(st.booleans()) else []
+    times = np.unique(np.concatenate([np.array(fractions) * horizon, run[run <= horizon], ends]))
     seed = draw(st.integers(0, 2**16))
-    return parse_law(law), d, n, fields, walks, horizon, np.unique(np.array(fractions) * horizon), seed
+    return parse_law(law), d, n, fields, walks, horizon, times, seed
+
+
+def _assert_records_follow_the_path(lat, starts, horizon, times, batch):
+    # each walk's records against its own jumps, read off the recorded path
+    walk, when, rows, columns = batch.path
+    moves = walker._moves(lat.d)
+    assert np.array_equal(np.bincount(walk, minlength=starts.size), batch.jumps)
+    for w, start in enumerate(starts):
+        mine = walk == w
+        traj = Trajectory(int(start), horizon, when[mine], rows[mine],
+                          np.cumsum(moves[columns[mine]], axis=0), lat)
+        assert batch.sites[w].tolist() == traj.site_at(times).tolist()
+        assert batch.displacements[w].tolist() == traj.displacement_at(times).tolist()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -394,20 +427,21 @@ def test_each_field_of_a_group_walks_as_it_does_alone(case):
     for i in range(fields):
         rng = np.random.default_rng([seed, i])
         own = slice(i * walks, (i + 1) * walks)
-        alone = _simulate_batch(lat, omegas[i], starts[own], horizon, [rng], times)
+        alone = _simulate_batch(lat, omegas[i], starts[own], horizon, [rng], times, path=True)
         assert np.array_equal(group.sites[own], alone.sites)
         assert np.array_equal(group.displacements[own], alone.displacements)
         assert np.array_equal(group.jumps[own], alone.jumps)
         assert rngs[i].bit_generator.state == rng.bit_generator.state
+        _assert_records_follow_the_path(lat, starts[own], horizon, times, alone)
 
 
 def test_field_groups_bound_table_rows_and_walks_and_feed_every_worker():
     def sizes(*args):
         return [len(g) for g in _field_groups(*args)]
 
-    assert sizes(24, 576, 256, 1) == [6, 6, 6, 6]  # criterion 8: 4096 // 576 = 7 fields at most
-    assert sizes(10, 12, 4096, 1) == [1] * 10  # walks bound a group as rows do
-    assert sizes(3, 5000, 8, 1) == [1, 1, 1]  # a field larger than the cap runs alone
+    assert sizes(24, 576, 256, 1) == [24]  # criterion 8: 16384 // 576 = 28 fields at most
+    assert sizes(10, 12, 1 << 14, 1) == [1] * 10  # walks bound a group as rows do
+    assert sizes(3, 20000, 8, 1) == [1, 1, 1]  # a field larger than the cap runs alone
     assert sizes(5, 12, 8, 2) == [2, 3]  # one group fits, but each worker gets one
     assert sizes(1, 12, 8, 4) == [1]
 
