@@ -47,7 +47,7 @@ from .experiments import (
 from .functionals import evaluate_all, functional_by_name
 from .operators import build_generator, save_spectrum_csv
 from .spectral import asymptotic_variance, save_measure_csv, spectral_measure
-from .util import child_rng
+from .util import STREAM_SIMULATE_WALK, child_rng, field_seed
 from .walker import simulate_srw, simulate_vsrw, trajectory_to_csv
 
 __all__ = ["main", "parse_config"]
@@ -186,8 +186,8 @@ def _run_simulate(cfg):
     lat = Lattice(cfg["d"], cfg["n"])
     if cfg["start"] >= lat.n_sites:
         raise ConfigError([("--start", f"start site {cfg['start']} out of range (torus has {lat.n_sites} sites)")])
-    field = sample_field(cfg["law"], lat, cfg["seed"])
-    rng = child_rng(cfg["seed"], 9)
+    field = sample_field(cfg["law"], lat, field_seed(cfg["seed"], 0))
+    rng = child_rng(cfg["seed"], STREAM_SIMULATE_WALK)
     if cfg["kind"] == "conductance":
         traj = simulate_vsrw(field, cfg["start"], cfg["horizon"], rng)
     else:
@@ -238,7 +238,7 @@ def _run_msd(cfg):
 
 def _run_spectrum(cfg):
     lat = Lattice(cfg["d"], cfg["n"])
-    field = sample_field(cfg["law"], lat, cfg["seed"])
+    field = sample_field(cfg["law"], lat, field_seed(cfg["seed"], 0))
     op = build_generator(field, cfg["kind"])
     lam, _ = op.eigensystem()
     positive = lam[lam > 0]
@@ -282,7 +282,7 @@ def _run_nash_check(cfg):
 
 def _run_field_dump(cfg):
     lat = Lattice(cfg["d"], cfg["n"])
-    field = sample_field(cfg["law"], lat, cfg["seed"])
+    field = sample_field(cfg["law"], lat, field_seed(cfg["seed"], 0))
     try:
         eta = cfg["eta"] if cfg["eta"] is not None else default_eta(cfg["law"], cfg["d"])
     except ParameterError as exc:
@@ -346,8 +346,9 @@ _COMMANDS = {
         ["law"],
         _run_msd,
         "mean square displacement against the diffusive limit",
-        "writes msd.csv (time,msd_over_t,stderr,gap,gap_stderr); without --sigma2, sigma2 is the "
-        "torus diffusivity 2 A2(0) of 12 fields",
+        "writes msd.csv (time,msd_over_t,stderr,gap,gap_stderr); without --sigma2, each walked "
+        "field's torus diffusivity 2 A2(0) is solved and listed in fields.csv (field,sigma2_torus), "
+        "and the gap is the mean of the per-field gaps with their stderr",
     ),
     "spectrum": _Command(
         {"law": None, "d": 1, "n": 64, "kind": "conductance", "functional": None},
@@ -408,7 +409,7 @@ _FLAG_HELP = {
     "alpha-tol": "tolerance for --expected-alpha",
     "expected-order": "assert the fitted mu order is near this value",
     "order-tol": "tolerance for --expected-order",
-    "sigma2": "effective diffusivity to compare against (skips the torus solve)",
+    "sigma2": "effective diffusivity to compare against (skips the torus solves; the gap is then unpaired)",
     "workers": "process pool size (default: all cores)",
     "out": "output directory (default: condlab-out/<command>)",
 }

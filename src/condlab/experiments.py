@@ -40,7 +40,15 @@ from .spectral import (
     fourier_measure,
     variance_curve,
 )
-from .util import child_rng, field_groups, field_seed, mean_and_stderr, parallel_map
+from .util import (
+    STREAM_CONTRACT_WINDOWS,
+    STREAM_DECAY_WALKS,
+    child_rng,
+    field_groups,
+    field_seed,
+    mean_and_stderr,
+    parallel_map,
+)
 from .walker import EnsembleConfig, _field_batch, _field_groups, msd_estimate
 
 __all__ = [
@@ -248,7 +256,8 @@ def _decay_mc_group(args):
     weights = [field.omega if kind == "conductance" else lat.unit_weights for field in fields]
     values = [evaluate_all(f, field) for field in fields]
     sample_times = 2.0 * np.asarray(times)
-    runs = _field_batch(lat, weights, walks, sample_times[-1], sample_times, master, 2, group)
+    runs = _field_batch(lat, weights, walks, sample_times[-1], sample_times, master,
+                        STREAM_DECAY_WALKS, group)
     return [((vals[starts][:, None] * vals[sites]).mean(axis=0), int(jumps.sum()))
             for vals, (starts, sites, _, jumps) in zip(values, runs)]
 
@@ -391,6 +400,30 @@ def _diffusivity_one_field(args):
     return np.array(rows), worst, iterations, residual
 
 
+# worst relative residual of the estimator chain identities that passes
+_CHAIN_TOL = 1e-8
+
+
+def _chain_detail(worst_chain):
+    return f"worst relative chain residual {worst_chain:.3e} (target {_CHAIN_TOL:.0e})"
+
+
+def _torus_correctors(law, lat, shifts, realizations, seed, workers):
+    """Corrector runs on fields field_seed(seed, r), r < realizations, one per field.
+
+    Returns the estimator rows (fields, shifts, (a0, a1, a2, phi_sq)), the
+    worst chain residual, the most CG iterations and the worst verified
+    residual over the fields.
+    """
+    results = parallel_map(
+        _diffusivity_one_field,
+        [(law, lat, field_seed(seed, r), shifts) for r in range(realizations)],
+        workers,
+    )
+    return (np.stack([r[0] for r in results]), max(r[1] for r in results),
+            max(r[2] for r in results), max(r[3] for r in results))
+
+
 def diffusivity_experiment(
     law,
     d,
@@ -424,13 +457,8 @@ def diffusivity_experiment(
     if realizations < 2:
         raise ConfigError([("realizations", "need at least 2 realizations")])
     shifts = np.append(mus, 0.0)
-    seeds = [field_seed(seed, r) for r in range(realizations)]
-    lat = Lattice(d, n)
-    results = parallel_map(_diffusivity_one_field, [(law, lat, s, shifts) for s in seeds], workers)
-    stack = np.stack([r[0] for r in results])  # (fields, shifts, 4)
-    worst_chain = max(r[1] for r in results)
-    cg_steps = max(r[2] for r in results)
-    cg_residual = max(r[3] for r in results)
+    stack, worst_chain, cg_steps, cg_residual = _torus_correctors(
+        law, Lattice(d, n), shifts, realizations, seed, workers)
     a_means, a_ses = mean_and_stderr(stack, axis=0)
     # A2(mu) - A2(0) field by field; the zero shift's column is exactly 0
     d_mean, d_se = mean_and_stderr(stack[:, :, 2] - stack[:, -1:, 2], axis=0)
@@ -463,11 +491,7 @@ def diffusivity_experiment(
         f"torus diffusivity 2 A2(0) {sigma2:.6g} +/- {sigma2_se:.2g}, "
         f"field sd {float(np.std(torus, ddof=1)):.2g}"
     )
-    report.check(
-        "chain-identity",
-        worst_chain < 1e-8,
-        f"worst relative chain residual {worst_chain:.3e} (target 1e-08)",
-    )
+    report.check("chain-identity", worst_chain < _CHAIN_TOL, _chain_detail(worst_chain))
     # at mu = 0 the three estimators agree by algebra, which chain-identity checks
     positive = stack[:, :-1]
     order_ok = bool(np.all(positive[..., 2] <= positive[..., 1] + 1e-12) and
@@ -517,16 +541,21 @@ def msd_experiment(
     seed,
     sigma2=None,
     sigma2_se=0.0,
-    sigma2_realizations=12,
     trend_check=True,
     workers=1,
 ):
-    """Measure MSD/t and its gap above d sigma-bar^2.
+    """Measure MSD/t and its gap above d sigma^2.
 
-    When sigma2 is not supplied it is the torus diffusivity 2 A2(0) of
-    diffusivity_experiment's zero shift, averaged over sigma2_realizations
-    fields of the same law and torus; its standard error is propagated into
-    the gap's, and a failed chain-identity or ordering check is carried over.
+    Without a supplied sigma2, and unless the law is constant, each walked
+    field r (field_seed(seed, r)) gets its torus diffusivity
+    sigma2_r = 2 A2(0) from the zero-shift corrector of
+    diffusivity_experiment, one solve per field; the fields table lists
+    them.  The gap is then paired: the mean over fields of
+    MSD_r/t - d sigma2_r, with the standard error of those per-field gaps,
+    or for a single field the walks' standard error.  A failed
+    chain-identity check of the solves is carried over.  A supplied sigma2,
+    or the constant law's exact 2 w, is compared unpaired: its sigma2_se is
+    combined with the walks' standard error.
     """
     times = _check_times(times)
     _check_counts(realizations=realizations, walks=walks)
@@ -542,20 +571,29 @@ def msd_experiment(
             "seed": seed,
         },
     )
+    lat = Lattice(d, n)
     constant_law = isinstance(law, Constant)
-    if sigma2 is None:
-        if constant_law:
-            sigma2, sigma2_se = 2.0 * law.value, 0.0
-            report.notes.append("constant law: exact diffusivity used, no corrector needed")
-        else:
-            sub, sigma2, sigma2_se = diffusivity_experiment(
-                law, d, n, (), sigma2_realizations, seed + 1, workers=workers
-            )
-            report.targets.extend(t for t in sub.targets if not t.passed)
+    if sigma2 is None and constant_law:
+        sigma2, sigma2_se = 2.0 * law.value, 0.0
+        report.notes.append("constant law: exact diffusivity used, no corrector needed")
+    paired = sigma2 is None
+    if paired:
+        stack, worst_chain, cg_steps, cg_residual = _torus_correctors(
+            law, lat, [0.0], realizations, seed, workers)
+        torus = 2.0 * stack[:, 0, 2]
+        sigma2 = float(torus.mean())
+        report.add_table("fields", ("field", "sigma2_torus"), list(enumerate(torus)))
+        report.notes.append(
+            f"torus diffusivity 2 A2(0) of the walked fields {sigma2:.6g} "
+            f"+/- {float(mean_and_stderr(torus)[1]):.2g}; corrector solves: at most "
+            f"{cg_steps} CG iterations per field, worst verified residual {cg_residual:.2g}"
+        )
+        if worst_chain >= _CHAIN_TOL:
+            report.check("chain-identity", False, _chain_detail(worst_chain))
     report.config["sigma2"] = sigma2
     cfg = EnsembleConfig(
         law=law,
-        lattice=Lattice(d, n),
+        lattice=lat,
         kind="conductance",
         realizations=realizations,
         walks=walks,
@@ -564,8 +602,13 @@ def msd_experiment(
         seed=seed,
     )
     curve = msd_estimate(cfg, workers)
-    gap = curve.msd_over_t - d * sigma2
-    se_total = np.sqrt(curve.stderr**2 + (d * sigma2_se) ** 2)
+    if paired:
+        gap, se_total = mean_and_stderr(curve.field_msd_over_t - d * torus[:, None], axis=0)
+        if realizations == 1:
+            se_total = curve.stderr
+    else:
+        gap = curve.msd_over_t - d * sigma2
+        se_total = np.sqrt(curve.stderr**2 + (d * sigma2_se) ** 2)
     report.add_table(
         "msd",
         ("time", "msd_over_t", "stderr", "gap", "gap_stderr"),
@@ -616,6 +659,7 @@ class ContractivityResult:
     curve_times: np.ndarray
     curve_values: np.ndarray
     curve_monotone: bool
+    boundedpareto_mean: float
 
 
 def _contract_window_values(e):
@@ -663,7 +707,8 @@ def _contract_uniforms(seed, chunk_idx, size):
     The chunk's stream holds all of u, then all of v, one 64-bit output per
     double, so v is read from a second copy of the stream advanced past u.
     """
-    urng, vrng = child_rng(seed, 3, chunk_idx), child_rng(seed, 3, chunk_idx)
+    urng = child_rng(seed, STREAM_CONTRACT_WINDOWS, chunk_idx)
+    vrng = child_rng(seed, STREAM_CONTRACT_WINDOWS, chunk_idx)
     vrng.bit_generator.advance(8 * size)
     for lo in range(0, size, _CONTRACT_BLOCK):
         rows = min(_CONTRACT_BLOCK, size - lo)
@@ -708,7 +753,9 @@ def contractivity_experiment(
     the rate-1 walk analogue below it must stay nonincreasing.  On the ring
     of torus_n sites that analogue, E[(S_1 e^{tL} g)^2] per field, is the
     variance curve of the Fourier measure of S_1 g, exact by FFT at any
-    torus_n.
+    torus_n.  Its fields are field_seed(seed, k) of boundedpareto:p,eps,cap,
+    whose light mass sits at 1, not 0; the summary names both laws and gives
+    E[S_1(Lf) S_1(f)] under boundedpareto, by the same moment algebra.
     """
     _check_counts(realizations=realizations, fields=fields)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -720,6 +767,7 @@ def contractivity_experiment(
     m1, m2, m3, m4 = moments
     formula = m1 * m2 - m3 + m4 - m2 * m2 + 2.0 * m1 * m2 * m2 - 2.0 * m1 * m4
     _, exact_var = contract_exact_moments(p, eps, cap)
+    bp_mean = _contract_estimand_poly().expect(law.moment)
     exact_se = math.sqrt(exact_var / int(realizations))
 
     chunk = 1_000_000
@@ -748,7 +796,7 @@ def contractivity_experiment(
     curves = np.empty((fields, len(t_grid)))
     monotone = True
     for k in range(fields):
-        fld = sample_field(law, lat, field_seed(seed + 77, k))
+        fld = sample_field(law, lat, field_seed(seed, k))
         s = box_sum_field(evaluate_all(f, fld), lat, 1)
         curves[k] = variance_curve(fourier_measure(lat, s), t_grid).values
         steps = np.diff(curves[k])
@@ -789,6 +837,14 @@ def contractivity_experiment(
             f"empirical stderr {mc_se:.3g} is a heavy-tail underestimate; "
             f"exact stderr {exact_se:.3g} (from closed moments) decides the verdict"
         )
+    report.notes.append(
+        f"formula and windows: each edge 0 with probability {1.0 - p:.6g}, else Pareto(4+{eps:g}) "
+        f"truncated at {cap:g}; that light mass at 0 lies outside w >= 1"
+    )
+    report.notes.append(
+        f"analogue fields: {law.descriptor()}, light mass at 1; under it "
+        f"E[S_1(Lf) S_1(f)] = {bp_mean:.6g} by moment algebra, against the formula's {formula:.6g}"
+    )
     report.add_table(
         "analogue_curve",
         ("time", "mean_square_boxsum"),
@@ -811,7 +867,8 @@ def contractivity_experiment(
         monotone,
         "rate-1 curve nonincreasing at every grid step on every field",
     )
-    result = ContractivityResult(formula, mc, mc_se, exact_se, verdict, t_grid, mean_curve, monotone)
+    result = ContractivityResult(formula, mc, mc_se, exact_se, verdict, t_grid, mean_curve, monotone,
+                                 bp_mean)
     return report, result
 
 

@@ -4,6 +4,13 @@ import math
 
 import numpy as np
 
+# child_rng streams under a master seed, one per consumer of random draws, so
+# that no two share a stream; fields are the nodes field_seed(seed, r)
+STREAM_MSD_WALKS = 1
+STREAM_DECAY_WALKS = 2
+STREAM_CONTRACT_WINDOWS = 3
+STREAM_SIMULATE_WALK = 9
+
 
 def child_rng(master_seed, *path):
     """Independent generator for a node of the seed tree.
@@ -16,7 +23,11 @@ def child_rng(master_seed, *path):
 
 
 def field_seed(master_seed, index):
-    """Integer seed of field realization index under a master seed."""
+    """Integer seed of field realization index under a master seed.
+
+    Field r of master seed s is this one node in every experiment and
+    command, so runs on the same (law, d, n, seed) see the same fields.
+    """
     return int(np.random.SeedSequence((int(master_seed), int(index))).generate_state(1)[0])
 
 

@@ -12,10 +12,10 @@ tables stack into at most _GROUP_ROWS rows; ensembles keep only the
 sample-time sites and displacements (int32) and each walk's jump count, and
 a step does sample-time bookkeeping only for the walks whose jump passes a
 sample time or the horizon.  Field r of an ensemble under master seed s
-keeps one generator, child_rng(s, stream, r) (stream 1 for msd_estimate, 2
-for the mc decay method): it draws the start sites, then each step exactly
-what the field's walks would draw alone, so results depend on neither
-grouping nor workers.  A single trajectory is the group of one walk.  On a
+keeps one generator, child_rng(s, stream, r) (util.STREAM_MSD_WALKS for
+msd_estimate, util.STREAM_DECAY_WALKS for the mc decay method): it draws
+the start sites, then each step exactly what the field's walks would draw
+alone, so results depend on neither grouping nor workers.  A single trajectory is the group of one walk.  On a
 shared 2-core x86-64 box, one core busy: about 2.2e7 jumps/s for criterion
 8's ensemble, run as one group (1.5e7 as four groups of six fields), and
 8e4-9e4 for a single path, as before, where numpy's per-call cost dominates.
@@ -29,7 +29,7 @@ import numpy as np
 from .environment import Constant, sample_field
 from .errors import ParameterError
 from .functionals import evaluate_at_sites
-from .util import child_rng, field_groups, field_seed, mean_and_stderr, parallel_map
+from .util import STREAM_MSD_WALKS, child_rng, field_groups, field_seed, mean_and_stderr, parallel_map
 
 __all__ = [
     "Trajectory",
@@ -344,9 +344,12 @@ class EnsembleConfig:
 
 @dataclass
 class MsdCurve:
+    """The ensemble's MSD/t with its stderr, and each field's own MSD/t (fields x times)."""
+
     times: np.ndarray
     msd_over_t: np.ndarray
     stderr: np.ndarray
+    field_msd_over_t: np.ndarray
     walks_total: int
     jumps_total: int
     short_time_rate: float
@@ -361,7 +364,8 @@ def _msd_group(args):
         weights, rates = [f.omega for f in fields], [float(f.rates().mean()) for f in fields]
     else:
         weights, rates = [lat.unit_weights] * len(group), [2.0 * lat.d] * len(group)
-    runs = _field_batch(lat, weights, config.walks, config.horizon, config.times, config.seed, 1, group)
+    runs = _field_batch(lat, weights, config.walks, config.horizon, config.times, config.seed,
+                        STREAM_MSD_WALKS, group)
     return [(np.sum(disp.astype(float) ** 2, axis=2), rate, int(jumps.sum()))
             for (_, _, disp, jumps), rate in zip(runs, rates)]
 
@@ -374,15 +378,18 @@ def msd_estimate(config, workers=1):
     realizations, or across all walks when the fields cannot differ (a
     single field, a constant law, or the simple walk): there every walk is an
     independent sample, and the spread of a few field means would estimate
-    the same error from far fewer degrees of freedom.  Lockstep groups of
-    fields run through parallel_map, which changes no result.
+    the same error from far fewer degrees of freedom.  Each field's own
+    MSD/t is kept too, so a caller can pair it with that field's diffusivity.
+    Lockstep groups of fields run through parallel_map, which changes no
+    result.
     """
     groups = _field_groups(config.realizations, config.lattice.n_sites, config.walks, workers)
     tasks = [(config, g) for g in groups]
     results = [field for part in parallel_map(_msd_group, tasks, workers) for field in part]
     fields_differ = config.kind == "conductance" and not isinstance(config.law, Constant)
+    field_means = np.stack([squares.mean(axis=0) for squares, _, _ in results])
     if config.realizations > 1 and fields_differ:
-        samples = np.stack([squares.mean(axis=0) for squares, _, _ in results])
+        samples = field_means
     else:
         samples = np.concatenate([squares for squares, _, _ in results])
     mean, se = mean_and_stderr(samples, axis=0)
@@ -390,6 +397,7 @@ def msd_estimate(config, workers=1):
         times=config.times,
         msd_over_t=mean / config.times,
         stderr=se / config.times,
+        field_msd_over_t=field_means / config.times,
         walks_total=config.realizations * config.walks,
         jumps_total=sum(jumps for _, _, jumps in results),
         short_time_rate=float(np.mean([rate for _, rate, _ in results])),

@@ -14,6 +14,9 @@ carrying weight on eigenvalues below roughly 0.17 mu (a single atom at
 lambda = 0.1 with mu = 1 already breaks it).  The check is kept as stated
 rather than weakened, so that sub-check fails and the printed line reports
 the measured violation statistics.
+
+Run directly with ``--json PATH``, the file also writes each criterion's
+verdict, measured numbers and runtime to PATH as JSON.
 """
 
 import math
@@ -65,8 +68,13 @@ from condlab.spectral import (
 )
 
 
-def _line(name, ok, detail):
+# each criterion's verdict and measured numbers, by its printed name
+MEASURED = {}
+
+
+def _line(name, ok, detail, **numbers):
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", flush=True)
+    MEASURED[name] = {"passed": bool(ok), **numbers}
 
 
 def _target(report, name):
@@ -129,6 +137,7 @@ def test_criterion_1_exact_oracles():
         ok,
         f"ring spectrum err {worst_eig:.2e} (limit 1e-10), "
         f"dense-oracle rel err {worst_rel:.2e} (limit 1e-8), {elapsed:.2f}s",
+        ring_spectrum_err=worst_eig, dense_rel_err=worst_rel, seconds=elapsed,
     )
     assert worst_eig < 1e-10
     assert worst_rel < 1e-8
@@ -243,6 +252,9 @@ def test_criterion_2_inequality_suite():
         ok,
         f"{cases} cases, {w_checked} cluster checks, "
         f"{len(failures)} core failures; {recip_msg}; {elapsed:.1f}s",
+        cases=cases, core_failures=len(failures), reciprocal_violations=len(recip_bad),
+        reciprocal_cases=recip_total, worst_reciprocal_ratio=min(recip_bad, default=None),
+        seconds=elapsed,
     )
     assert cases >= 1000
     assert elapsed < 120.0
@@ -304,6 +316,8 @@ def test_criterion_3_identity_suite():
         ok,
         f"chain residual {worst_chain:.2e} (limit 1e-8) on {fields} fields, "
         f"additive identity {worst_zt:.1e}, Parseval {worst_parseval:.1e}, {elapsed:.1f}s",
+        chain_residual=worst_chain, additive_identity=worst_zt, parseval=worst_parseval,
+        seconds=elapsed,
     )
     assert fields >= 20
     assert worst_chain < 1e-8
@@ -321,6 +335,7 @@ def test_criterion_4_decay_exponents():
         ("edge d=2", 2, 32, "edge", np.geomspace(0.1, 8.0, 25), 48, 13, 1.0, 0.2),
     ]
     fitted = []
+    exponents = {}
     all_ok = True
     for label, d, n, fname, times, reals, seed, alpha, tol in runs:
         _, report = variance_decay_experiment(
@@ -328,11 +343,13 @@ def test_criterion_4_decay_exponents():
             expected_alpha=alpha, alpha_tol=tol,
         )
         got = report.fits["alpha"].exponent
+        exponents[label] = got
         fitted.append(f"{label} {got:.3f} (target {alpha:g}+/-{tol:g})")
         all_ok = all_ok and _target(report, "decay-exponent").passed
     elapsed = time.perf_counter() - t0
     ok = all_ok and elapsed < 600.0
-    _line("criterion-4 decay exponents", ok, "; ".join(fitted) + f"; {elapsed:.1f}s")
+    _line("criterion-4 decay exponents", ok, "; ".join(fitted) + f"; {elapsed:.1f}s",
+          exponents=exponents, seconds=elapsed)
     assert all_ok, fitted
     assert elapsed < 600.0
 
@@ -386,6 +403,7 @@ def test_criterion_5_tail_decay_equivalence():
         "criterion-5 tail/decay equivalence",
         ok,
         f"{instances} measures, {len(disagreements)} verdict disagreements, {elapsed:.1f}s",
+        measures=instances, disagreements=len(disagreements), seconds=elapsed,
     )
     assert instances >= 50
     assert not disagreements, disagreements[:5]
@@ -414,6 +432,7 @@ def test_criterion_6_diffusivity_convergence():
         ok,
         f"d=3 order {order3:.3f} (target 1.5+/-0.35), d=2 slope {order2:.3f} "
         f"(floor 0.7), {elapsed:.1f}s",
+        order_d3=order3, slope_d2=order2, seconds=elapsed,
     )
     assert ok3, f"d=3 order {order3}"
     assert order2 >= 0.7, f"d=2 slope {order2}"
@@ -439,6 +458,8 @@ def test_criterion_7_non_contractivity():
         f"formula {res.formula:.6f} > 0, mc {res.mc_estimate:.4f} "
         f"+/- {res.exact_stderr:.4f} (exact), analogue monotone "
         f"{res.curve_monotone}, {elapsed:.1f}s",
+        formula=res.formula, mc_estimate=res.mc_estimate, exact_stderr=res.exact_stderr,
+        boundedpareto_mean=res.boundedpareto_mean, seconds=elapsed,
     )
     assert res.formula > 0
     assert res.verdict == "positive-agree", res
@@ -455,17 +476,21 @@ def test_criterion_8_msd_gap():
     const_ok = _target(report_c, "constant-baseline").passed
     report_t, _ = msd_experiment(
         TwoPoint(0.5, 1.0, 4.0), 2, 24, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-        realizations=24, walks=256, seed=22, sigma2_realizations=16,
+        realizations=24, walks=256, seed=22,
     )
     gap_ok = _target(report_t, "gap-nonnegative").passed
     trend_ok = _target(report_t, "gap-decreasing").passed
     elapsed = time.perf_counter() - t0
+    _, rows = report_t.tables["msd"]
+    gaps, gap_ses = [row[3] for row in rows], [row[4] for row in rows]
     ok = const_ok and gap_ok and trend_ok and elapsed < 600.0
     _line(
         "criterion-8 msd gap",
         ok,
         f"constant baseline {_target(report_c, 'constant-baseline').detail}; "
         f"gap nonnegative {gap_ok}, eventually decreasing {trend_ok}; {elapsed:.1f}s",
+        min_gap_stderrs=min(g / s for g, s in zip(gaps, gap_ses)),
+        times=[row[0] for row in rows], gap=gaps, gap_stderr=gap_ses, seconds=elapsed,
     )
     assert const_ok, _target(report_c, "constant-baseline").detail
     assert gap_ok, _target(report_t, "gap-nonnegative").detail
@@ -474,6 +499,13 @@ def test_criterion_8_msd_gap():
 
 
 if __name__ == "__main__":
+    import argparse
+    import json
+
+    parser = argparse.ArgumentParser(description="Run the acceptance criteria, one line each.")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write each criterion's verdict, numbers and runtime to PATH")
+    args = parser.parse_args()
     tests = [
         test_criterion_1_exact_oracles,
         test_criterion_2_inequality_suite,
@@ -490,4 +522,8 @@ if __name__ == "__main__":
             fn()
         except AssertionError:
             failed += 1
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(MEASURED, fh, indent=1, default=float)
+            fh.write("\n")
     raise SystemExit(1 if failed else 0)

@@ -15,7 +15,10 @@ import pytest
 
 import condlab
 from condlab.cli import main, parse_config
+from condlab.environment import Lattice, load_field, parse_law, sample_field
 from condlab.errors import ConfigError
+from condlab.operators import build_generator, save_spectrum_csv
+from condlab.util import field_seed
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,22 @@ def test_field_dump_smoke(tmp_path, capsys):
     assert (out / "field.txt").exists()
     assert (out / "classification.csv").exists()
     assert "bad fraction" in (out / "summary.txt").read_text()
+    capsys.readouterr()
+
+
+def test_commands_given_one_seed_use_its_field_zero(tmp_path, capsys):
+    # simulate, spectrum and field-dump sample field_seed(seed, 0), field 0 of
+    # every experiment run with that seed
+    law, d, n, seed = "twopoint:0.5,1,4", 2, 6, 5
+    field = sample_field(parse_law(law), Lattice(d, n), field_seed(seed, 0))
+    common = ["--law", law, "--d", str(d), "--n", str(n), "--seed", str(seed), "--workers", "1"]
+    for command in ("simulate", "field-dump"):
+        out = tmp_path / command
+        assert main([command] + common + ["--out", str(out)]) == 0
+        assert np.array_equal(load_field(str(out / "field.txt")).omega, field.omega), command
+    assert main(["spectrum"] + common + ["--out", str(tmp_path / "spectrum")]) == 0
+    save_spectrum_csv(build_generator(field, "conductance"), str(tmp_path / "expected.csv"))
+    assert (tmp_path / "spectrum" / "spectrum.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     capsys.readouterr()
 
 

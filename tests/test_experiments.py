@@ -1,6 +1,7 @@
 """Experiment drivers: fits, reports, and the cross-method oracles."""
 
 import functools
+import hashlib
 import math
 import tracemalloc
 
@@ -39,6 +40,7 @@ from condlab.functionals import (
 from condlab.operators import DENSE_LIMIT, build_generator, semigroup_apply, simple_generator
 from condlab.spectral import DecayCurve, asymptotic_variance, corrector_error_term, spectral_measure
 from condlab.util import child_rng, field_groups, field_seed
+from condlab.walker import EnsembleConfig, msd_estimate
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
@@ -178,7 +180,7 @@ def test_contract_analogue_curve_matches_the_evolved_box_sums(torus_n):
         # one field per run, so the mean curve is that field's curve
         _, res = contractivity_experiment(0.9, 8.0, 3.0, realizations=100, seed=seed, fields=1,
                                           torus_n=torus_n, t_grid=t_grid)
-        g = evaluate_all(contract_example(law), sample_field(law, lat, field_seed(seed + 77, 0)))
+        g = evaluate_all(contract_example(law), sample_field(law, lat, field_seed(seed, 0)))
         if dense:
             evolved = [semigroup_apply(op, g, t) for t in t_grid]
         else:
@@ -200,6 +202,32 @@ def test_contractivity_rejects_heavy_stderr_hiding():
     # recorded when each chunk drew its 1e5 x 8 uniforms at once
     assert res.mc_estimate == pytest.approx(-1.6909035487229493, rel=1e-12)
     assert res.mc_stderr == pytest.approx(0.9008870502768779, rel=1e-12)
+
+
+def test_contract_summary_names_both_laws_and_the_boundedpareto_mean():
+    rep, res = contractivity_experiment(0.25, 0.1, 1e3, realizations=1000, fields=2)
+    assert res.formula == pytest.approx(0.8811072891599946, rel=1e-12)
+    assert res.boundedpareto_mean == pytest.approx(-5.371740740948194, rel=1e-12)
+    assert any("light mass at 0 lies outside w >= 1" in note for note in rep.notes)
+    (analogue,) = [note for note in rep.notes if note.startswith("analogue fields: ")]
+    assert analogue.startswith("analogue fields: boundedpareto:0.25,0.1,1000, light mass at 1")
+    assert "= -5.37174 by moment algebra, against the formula's 0.881107" in analogue
+
+
+def test_contract_boundedpareto_mean_matches_a_ring_average():
+    # S_1(Lg) S_1(g) averaged over a ring through the lattice pipeline, which
+    # does not transcribe the polynomial; block means of 64 sites carry the
+    # short-range correlation of neighbouring windows into the stderr
+    p, eps, cap = 0.3, 0.5, 5.0
+    law, lat = BoundedPareto(p, eps, cap), Lattice(1, 1 << 20)
+    field = sample_field(law, lat, 3)
+    g = evaluate_all(contract_example(law), field)
+    lg = build_generator(field, "conductance").matrix @ g
+    h = (box_sum_field(lg, lat, 1) * box_sum_field(g, lat, 1)).reshape(-1, 64).mean(axis=1)
+    se = h.std(ddof=1) / math.sqrt(h.size)
+    _, res = contractivity_experiment(p, eps, cap, realizations=1000, fields=1)
+    assert abs(h.mean() - res.boundedpareto_mean) <= 4.0 * se
+    assert h.mean() + 4.0 * se < 0.0  # the ring resolves the negative sign
 
 
 def _one_shot_contract_chunk(p, eps, cap, seed, chunk_idx, size):
@@ -398,13 +426,12 @@ def test_nash_check_report_does_not_depend_on_workers(tmp_path):
 
 
 def test_msd_report_does_not_depend_on_workers(tmp_path):
-    # workers reach the corrector sweep that supplies sigma2 and the walker's fields
+    # workers reach the walked fields' corrector solves and their walks
     _assert_report_does_not_depend_on_workers(
         tmp_path,
         lambda workers: msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20,
-                                       seed=4, sigma2_realizations=3, trend_check=False,
-                                       workers=workers)[0],
-        ["msd"],
+                                       seed=4, trend_check=False, workers=workers)[0],
+        ["msd", "fields"],
     )
 
 
@@ -515,6 +542,81 @@ def test_msd_constant_law_uses_the_exact_diffusivity():
         msd_experiment(Constant(1.0), 1, 12, [0.5, 1.0, np.inf], realizations=4, walks=60, seed=3)
 
 
+MSD_TIMES = (0.5, 1.0, 2.0, 4.0)
+
+
+def _msd_columns(report):
+    columns, rows = report.tables["msd"]
+    return {name: np.array([row[i] for row in rows]) for i, name in enumerate(columns)}
+
+
+def test_msd_pairs_each_walked_field_with_its_own_torus_diffusivity(tmp_path):
+    d, n, realizations, walks, seed = 2, 8, 6, 32, 9
+    report, gap_curve = msd_experiment(LAW, d, n, MSD_TIMES, realizations, walks, seed)
+    # the walked fields are diffusivity's fields on the same (law, d, n, seed)
+    sub, sigma2, _ = diffusivity_experiment(LAW, d, n, (), realizations, seed)
+    write_report(report, tmp_path / "msd")
+    write_report(sub, tmp_path / "diffusivity")
+    assert (tmp_path / "msd" / "fields.csv").read_bytes() == (tmp_path / "diffusivity" / "fields.csv").read_bytes()
+    assert report.config["sigma2"] == pytest.approx(sigma2, rel=1e-14)
+    # the gap is the mean of the per-field gaps MSD_r/t - d sigma2_r, with their stderr
+    torus = np.array([value for _, value in sub.tables["fields"][1]])
+    config = EnsembleConfig(LAW, Lattice(d, n), "conductance", realizations, walks, MSD_TIMES[-1],
+                            MSD_TIMES, seed)
+    curve = msd_estimate(config)
+    gaps = curve.field_msd_over_t - d * torus[:, None]
+    columns = _msd_columns(report)
+    assert np.array_equal(columns["msd_over_t"], curve.msd_over_t)
+    assert columns["gap"] == pytest.approx(gaps.mean(axis=0), rel=1e-12, abs=1e-14)
+    assert columns["gap_stderr"] == pytest.approx(gaps.std(axis=0, ddof=1) / math.sqrt(realizations),
+                                                  rel=1e-12)
+    assert np.array_equal(gap_curve.stderrs, columns["gap_stderr"])
+    assert report.passed
+
+
+def test_msd_of_one_field_uses_its_exact_diffusivity_and_the_walks_stderr():
+    d, n, walks, seed = 2, 8, 64, 9
+    report, _ = msd_experiment(LAW, d, n, MSD_TIMES, 1, walks, seed)
+    ((field, sigma2),) = report.tables["fields"][1]
+    alone = experiments._diffusivity_one_field((LAW, Lattice(d, n), field_seed(seed, 0), [0.0]))[0]
+    assert field == 0 and sigma2 == 2.0 * alone[0, 2]
+    columns = _msd_columns(report)
+    assert np.array_equal(columns["gap"], columns["msd_over_t"] - d * sigma2)
+    # one field has no field-to-field spread: its walks give the error bar
+    assert np.all(columns["stderr"] > 0)
+    assert np.array_equal(columns["gap_stderr"], columns["stderr"])
+
+
+def test_msd_carries_over_a_failed_chain_identity(monkeypatch):
+    monkeypatch.setattr(experiments, "_CHAIN_TOL", 0.0)
+    report, _ = msd_experiment(LAW, 1, 12, (0.5, 1.0), 2, 8, 4, trend_check=False)
+    assert not _target(report, "chain-identity").passed
+    assert not report.passed
+
+
+# sha256 of msd.csv when sigma2 is supplied (the `walk` benchmark's seed-0 run)
+# and for the constant law (criterion 8's baseline): both compare unpaired,
+# and these were recorded before the gap was paired per field
+UNPAIRED_MSD_SHA256 = {
+    "supplied": "8410b76c98f84189bf316e2b72686aa9be61f7ca004959001eeeea14a9608cfd",
+    "constant": "85eed209c459ca815c957257f66fe934697d89e9a6cb199fb91ae133fea7a8a4",
+}
+
+
+def test_unpaired_msd_tables_are_pinned(tmp_path):
+    runs = {
+        "supplied": msd_experiment(LAW, 2, 24, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0), 24, 256, 0,
+                                   sigma2=4.0181196468082, sigma2_se=0.029903292720652844),
+        "constant": msd_experiment(Constant(1.0), 2, 16, (0.5, 1.0, 2.0, 4.0, 8.0),
+                                   realizations=16, walks=100, seed=21),
+    }
+    for name, (report, _) in runs.items():
+        assert "fields" not in report.tables
+        write_report(report, tmp_path / name)
+        digest = hashlib.sha256((tmp_path / name / "msd.csv").read_bytes()).hexdigest()
+        assert digest == UNPAIRED_MSD_SHA256[name], name
+
+
 @pytest.fixture
 def built_stars(monkeypatch):
     """(d, n) of every lattice whose star table is built while the test runs."""
@@ -537,7 +639,7 @@ def test_only_runs_that_walk_build_the_star_table(built_stars):
     diffusivity_experiment(LAW, 2, 6, [1.0, 0.5, 0.25], 2, 0)
     assert built_stars == []
     msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20, seed=4,
-                   sigma2_realizations=3, trend_check=False)
+                   trend_check=False)
     assert built_stars == [(1, 12)]
 
 
