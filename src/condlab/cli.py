@@ -20,7 +20,6 @@ from .environment import (
     Lattice,
     classify_sites,
     default_eta,
-    field_to_csv,
     parse_law,
     sample_field,
     save_field,
@@ -45,10 +44,10 @@ from .experiments import (
     write_report,
 )
 from .functionals import evaluate_all, functional_by_name
-from .operators import build_generator, save_spectrum_csv
-from .spectral import asymptotic_variance, save_measure_csv, spectral_measure
+from .operators import build_generator
+from .spectral import asymptotic_variance, spectral_measure
 from .util import STREAM_SIMULATE_WALK, child_rng, field_seed
-from .walker import simulate_srw, simulate_vsrw, trajectory_to_csv
+from .walker import simulate_srw, simulate_vsrw
 
 __all__ = ["main", "parse_config"]
 
@@ -197,14 +196,14 @@ def _run_simulate(cfg):
         config={k: cfg[k] if k != "law" else cfg["law"].descriptor()
                 for k in ("law", "d", "n", "kind", "horizon", "start", "seed")},
     )
-    final = traj.displacements[-1]
+    final = traj.displacement_at(traj.horizon)  # the start for a walk that never jumps
     report.notes.append(f"{traj.jump_count} jumps in time {cfg['horizon']:g}")
     report.notes.append(f"final displacement {tuple(int(x) for x in final)}")
-    extras = [
-        lambda out: trajectory_to_csv(traj, os.path.join(out, "trajectory.csv")),
-        lambda out: save_field(field, os.path.join(out, "field.txt")),
-    ]
-    return report, extras
+    # the t = 0 row, then one row per jump
+    jumps = zip(traj.times.tolist(), traj.sites.tolist(), traj.displacements.tolist())
+    report.add_table("trajectory", ["time", "site"] + [f"dx{i}" for i in range(lat.d)],
+                     [(0, traj.start) + (0,) * lat.d] + [(t, s, *dx) for t, s, dx in jumps])
+    return report, [lambda out: save_field(field, os.path.join(out, "field.txt"))]
 
 
 def _run_decay(cfg):
@@ -248,7 +247,7 @@ def _run_spectrum(cfg):
                 for k in ("law", "d", "n", "kind", "seed")},
     )
     report.notes.append(f"{int(np.sum(lam == 0))} zero modes, spectral gap {positive[0]:.12g}")
-    extras = [lambda out: save_spectrum_csv(op, os.path.join(out, "spectrum.csv"))]
+    report.add_table("spectrum", ("index", "eigenvalue"), enumerate(lam.tolist()))
     if cfg["functional"] is not None:
         f = functional_by_name(cfg["functional"], cfg["d"], cfg["law"])
         m = spectral_measure(op, evaluate_all(f, field), center=True)
@@ -258,8 +257,10 @@ def _run_spectrum(cfg):
             report.notes.append(f"asymptotic variance {asymptotic_variance(m):.12g}")
         except NonergodicError:
             report.notes.append("measure keeps weight at 0; no asymptotic variance")
-        extras.append(lambda out: save_measure_csv(m, os.path.join(out, "measure.csv")))
-    return report, extras
+        # repr strings, which write_report keeps as they are, so load_measure_csv reads m back exactly
+        report.add_table("measure", ("lambda", "weight"),
+                         [(repr(x), repr(w)) for x, w in zip(m.lambdas.tolist(), m.weights.tolist())])
+    return report, []
 
 
 def _run_contract(cfg):
@@ -305,11 +306,11 @@ def _run_field_dump(cfg):
     report.notes.append(
         f"bad fraction {cls.bad_fraction:.6g} at eta {eta:.6g}, W = {w_text}"
     )
-    extras = [
-        lambda out: field_to_csv(field, os.path.join(out, "field.csv")),
-        lambda out: save_field(field, os.path.join(out, "field.txt")),
-    ]
-    return report, extras
+    coords = list(zip(*(c.tolist() for c in np.unravel_index(np.arange(lat.n_sites), lat.shape))))
+    report.add_table("field", ["axis", "site"] + [f"x{i}" for i in range(lat.d)] + ["value"],
+                     [(axis, site, *coords[site], value) for axis in range(lat.d)
+                      for site, value in enumerate(field.omega[axis].tolist())])
+    return report, [lambda out: save_field(field, os.path.join(out, "field.txt"))]
 
 
 _COMMANDS = {

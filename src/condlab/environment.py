@@ -33,7 +33,6 @@ __all__ = [
     "w_statistic",
     "save_field",
     "load_field",
-    "field_to_csv",
 ]
 
 
@@ -51,13 +50,14 @@ class Lattice:
 
     Everything the walks need is derived from this one structure.  Rolls of
     the grid give the edge increments of a site array (gradient, the signed
-    incidence matrix B applied), the sites' jump rates (jump_rates) and the
-    values of local functionals (functionals.evaluate_all), with no index
-    table.  The tables are built on first use, each by the runs that read
-    it: the generator's sparse layout (generator_pattern) by every run with
-    a sparse or dense product, the per-site rows of B (star) only by runs
-    that walk (the walker's jump tables, bad_cluster, w_statistic), and the
-    unit weights (unit_weights) by the simple walk.
+    incidence matrix B applied), the sites' jump rates (jump_rates), the
+    walker's cumulative rates and the values of local functionals
+    (functionals.evaluate_all), with no index table.  The tables are built
+    on first use, each by the runs that read it: the generator's sparse
+    layout (generator_pattern) by every run with a sparse or dense product,
+    the neighbour table (star) only by runs that walk (the walker's jumps,
+    bad_cluster, w_statistic), and the unit weights (unit_weights) by the
+    simple walk.
     """
 
     def __init__(self, d, n):
@@ -85,24 +85,20 @@ class Lattice:
 
     @cached_property
     def star(self):
-        """The 2d edges at every site and the sites across them.
+        """The sites across the 2d edges at every site.
 
-        Returns (neighbours, edges), two n_sites x 2d index arrays whose
-        columns are ordered (+e_0, -e_0, +e_1, -e_1, ...): column 2a holds the
-        site's own edge (a, x) and x + e_a, column 2a + 1 the edge (a, x - e_a)
-        and x - e_a.  This is the column order of the walker's jump tables.
+        An n_sites x 2d index array whose columns are ordered (+e_0, -e_0,
+        +e_1, -e_1, ...): column 2a holds x + e_a, across the site's own edge
+        (a, x), and column 2a + 1 holds x - e_a, across the edge (a, x - e_a).
+        This is the column order of the walker's jump tables.
         """
         here = np.arange(self.n_sites, dtype=np.int64)
         sites = np.empty((self.n_sites, 2 * self.d), dtype=np.int64)
         for axis, unit in enumerate(np.eye(self.d, dtype=int)):
             sites[:, 2 * axis] = self.shifted(here, unit)
             sites[:, 2 * axis + 1] = self.shifted(here, -unit)
-        base = np.arange(self.d) * self.n_sites
-        edges = np.empty_like(sites)
-        edges[:, 0::2], edges[:, 1::2] = here[:, None] + base, sites[:, 1::2] + base
-        for table in (sites, edges):
-            table.setflags(write=False)
-        return sites, edges
+        sites.setflags(write=False)
+        return sites
 
     @cached_property
     def _row_blocks(self):
@@ -211,7 +207,7 @@ class Lattice:
 
     def shift(self, sites, axis, sign=1):
         """Neighbour indices of the given sites along one axis."""
-        return self.star[0][sites, 2 * axis + (sign < 0)]
+        return self.star[sites, 2 * axis + (sign < 0)]
 
     def offset_index(self, sites, offset):
         """Site indices of x + offset, vectorized over x."""
@@ -224,7 +220,7 @@ class Lattice:
 
     def neighbors(self, site):
         """The 2d neighbour indices, ordered (+0, -0, +1, -1, ...)."""
-        return self.star[0][site]
+        return self.star[site]
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and (self.d, self.n) == (other.d, other.n)
@@ -607,7 +603,7 @@ def w_statistic(field, eta, origin=0):
     if any(len(c) == lat.n_sites for c in comps):
         raise SaturationError("a bad component covers the whole torus; raise eta or enlarge n")
     # closure of each component: members plus all their neighbours
-    neighbours = lat.star[0]
+    neighbours = lat.star
     closures = [set(members.tolist()) | set(neighbours[members].ravel().tolist())
                 for members in comps]
     total = 0
@@ -659,16 +655,3 @@ def load_field(path):
     if values.size != lat.n_edges:
         raise ParameterError(f"{path}: expected {lat.n_edges} edge values, found {values.size}")
     return ConductanceField(lat, values.reshape(lat.d, lat.n_sites), law=law, seed=seed)
-
-
-def field_to_csv(field, path):
-    """Per-edge CSV for inspection: axis, base site index, coordinates, value."""
-    lat = field.lattice
-    with open(path, "w") as fh:
-        fh.write("# condlab-csv v1 field\n")
-        coord_cols = ",".join(f"x{i}" for i in range(lat.d))
-        fh.write(f"axis,site,{coord_cols},value\n")
-        for axis in range(lat.d):
-            for s in range(lat.n_sites):
-                coords = ",".join(str(c) for c in lat.site_coords(s))
-                fh.write(f"{axis},{s},{coords},{field.omega[axis, s]:.12g}\n")

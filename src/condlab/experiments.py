@@ -105,7 +105,11 @@ def _fmt(x):
 
 
 def write_report(report, out_dir):
-    """Write config echo, summary, and CSV tables; returns the paths written."""
+    """Write config echo, summary, and CSV tables; returns the paths written.
+
+    This is the one writer of `# condlab-csv v1` files: a cell is written
+    with 12 significant digits, or as it is when it is already a string.
+    """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -841,6 +845,11 @@ def contractivity_experiment(
         f"formula and windows: each edge 0 with probability {1.0 - p:.6g}, else Pareto(4+{eps:g}) "
         f"truncated at {cap:g}; that light mass at 0 lies outside w >= 1"
     )
+    if 3.0 * exact_se >= abs(formula):
+        report.notes.append(
+            f"sampled sign unresolved: 3 exact stderr {3.0 * exact_se:.3g} >= |formula| {abs(formula):.3g}, "
+            f"so {int(realizations)} windows cannot tell the derivative's sign"
+        )
     report.notes.append(
         f"analogue fields: {law.descriptor()}, light mass at 1; under it "
         f"E[S_1(Lf) S_1(f)] = {bp_mean:.6g} by moment algebra, against the formula's {formula:.6g}"

@@ -23,7 +23,6 @@ __all__ = [
     "dirichlet_form",
     "box_spectral_gap",
     "sobolev_constant",
-    "save_spectrum_csv",
 ]
 
 # largest site count for which a full eigendecomposition is attempted
@@ -393,12 +392,3 @@ def box_spectral_gap(d, n):
 def sobolev_constant(d, n):
     """The per-box constant C_S(n) = 4 / (n^2 lambda_2) used by the box inequality."""
     return 4.0 / (n * n * box_spectral_gap(d, n))
-
-
-def save_spectrum_csv(op, path):
-    lam, _ = op.eigensystem()
-    with open(path, "w") as fh:
-        fh.write("# condlab-csv v1 spectrum\n")
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(lam):
-            fh.write(f"{i},{v:.12g}\n")

@@ -43,7 +43,6 @@ __all__ = [
     "DiffusivityEstimates",
     "diffusivity_estimators",
     "synthetic_power_measure",
-    "save_measure_csv",
     "load_measure_csv",
     "TailDecayAgreement",
     "tail_decay_agreement",
@@ -498,16 +497,8 @@ def synthetic_power_measure(alpha, atoms=10000, lo=1e-6, hi=1.0):
 _MEASURE_MAGIC = "# condlab-csv v1 measure"
 
 
-def save_measure_csv(m, path):
-    with open(path, "w") as fh:
-        fh.write(_MEASURE_MAGIC + "\n")
-        fh.write("lambda,weight\n")
-        for lam, w in zip(m.lambdas, m.weights):
-            # plain float repr round-trips exactly; numpy scalar repr does not
-            fh.write(f"{float(lam)!r},{float(w)!r}\n")
-
-
 def load_measure_csv(path):
+    """Read the measure.csv of `condlab spectrum --functional`, whose cells are exact float reprs."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _MEASURE_MAGIC:

@@ -39,7 +39,6 @@ __all__ = [
     "EnsembleConfig",
     "MsdCurve",
     "msd_estimate",
-    "trajectory_to_csv",
 ]
 
 
@@ -101,11 +100,17 @@ def _walk_tables(lattice, weights):
     """Neighbour indices and cumulative jump rates per site, in star order.
 
     Column k of a site's row is the k-th edge of its star (+e_0, -e_0, +e_1,
-    ...); weights may stack several fields, field i filling rows i * n_sites.
+    ...): w_a(x) in column 2a, w_a(x - e_a) in column 2a + 1, read from rolls
+    of the grid and summed left to right as Lattice.jump_rates sums them.
+    weights may stack several fields, field i filling rows i * n_sites.
     """
-    sites, edges = lattice.star
-    cum = np.asarray(weights, dtype=float).reshape(-1, edges.size // 2)[:, edges].cumsum(axis=2)
-    return sites, cum.reshape(-1, edges.shape[1])
+    d, n_sites = lattice.d, lattice.n_sites
+    w = np.asarray(weights, dtype=float).reshape(-1, d, n_sites)
+    rates = np.empty((w.shape[0], n_sites, 2 * d))
+    for axis, unit in enumerate(np.eye(d, dtype=int)):
+        rates[..., 2 * axis] = w[:, axis]
+        rates[..., 2 * axis + 1] = lattice.shifted(w[:, axis], -unit)
+    return lattice.star, rates.cumsum(axis=2).reshape(-1, 2 * d)
 
 
 def _moves(d):
@@ -402,17 +407,3 @@ def msd_estimate(config, workers=1):
         jumps_total=sum(jumps for _, _, jumps in results),
         short_time_rate=float(np.mean([rate for _, rate, _ in results])),
     )
-
-
-def trajectory_to_csv(traj, path):
-    """Write (time, site, displacement components) rows, starting at t=0."""
-    d = traj.lattice.d
-    with open(path, "w") as fh:
-        fh.write("# condlab-csv v1 trajectory\n")
-        cols = ",".join(f"dx{i}" for i in range(d))
-        fh.write(f"time,site,{cols}\n")
-        zero = ",".join("0" for _ in range(d))
-        fh.write(f"0,{traj.start},{zero}\n")
-        for k in range(traj.jump_count):
-            comps = ",".join(str(int(c)) for c in traj.displacements[k])
-            fh.write(f"{traj.times[k]:.12g},{traj.sites[k]},{comps}\n")

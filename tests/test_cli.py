@@ -5,6 +5,7 @@ and the exit code contract (0 pass, 1 target failed, 2 bad config with nothing
 written, 3 backend gave up) are exercised through main() in process.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,8 +18,11 @@ import condlab
 from condlab.cli import main, parse_config
 from condlab.environment import Lattice, load_field, parse_law, sample_field
 from condlab.errors import ConfigError
-from condlab.operators import build_generator, save_spectrum_csv
-from condlab.util import field_seed
+from condlab.functionals import evaluate_all, functional_by_name
+from condlab.operators import build_generator
+from condlab.spectral import load_measure_csv, spectral_measure
+from condlab.util import STREAM_SIMULATE_WALK, child_rng, field_seed
+from condlab.walker import simulate_srw
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +336,9 @@ def test_commands_given_one_seed_use_its_field_zero(tmp_path, capsys):
         assert main([command] + common + ["--out", str(out)]) == 0
         assert np.array_equal(load_field(str(out / "field.txt")).omega, field.omega), command
     assert main(["spectrum"] + common + ["--out", str(tmp_path / "spectrum")]) == 0
-    save_spectrum_csv(build_generator(field, "conductance"), str(tmp_path / "expected.csv"))
-    assert (tmp_path / "spectrum" / "spectrum.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    lam, _ = build_generator(field, "conductance").eigensystem()
+    expected = ["# condlab-csv v1 spectrum", "index,eigenvalue"] + [f"{i},{v:.12g}" for i, v in enumerate(lam)]
+    assert (tmp_path / "spectrum" / "spectrum.csv").read_text() == "\n".join(expected) + "\n"
     capsys.readouterr()
 
 
@@ -358,6 +363,135 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
     assert "spectrum.csv" in names and "measure.csv" in names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# CSV files: write_report writes every one of them, in one layout
+
+
+SMALL_RUNS = [
+    ["simulate", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6", "--horizon", "3"],
+    ["decay", "--law", "twopoint:0.5,1,4", "--functional", "edge", "--d", "1", "--n", "32",
+     "--times", "1,2,4", "--realizations", "2"],
+    ["diffusivity", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "6", "--realizations", "2"],
+    ["msd", "--law", "twopoint:0.5,1,4", "--d", "1", "--n", "8", "--times", "0.5,1",
+     "--realizations", "2", "--walks", "8", "--no-trend"],
+    ["spectrum", "--law", "uniform:1,3", "--d", "2", "--n", "4", "--functional", "drift"],
+    ["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--realizations", "5000",
+     "--fields", "2", "--torus-n", "8"],
+    ["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "1,2", "--realizations", "2"],
+    ["field-dump", "--law", "twopoint:0.5,1,4", "--d", "3", "--n", "3"],
+]
+
+
+def test_every_csv_of_every_command_has_one_layout(tmp_path, capsys):
+    for argv in SMALL_RUNS:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--seed", "1", "--workers", "1", "--out", str(out)]) == 0, argv[0]
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs, argv[0]
+        for path in csvs:
+            magic, columns, *rows = path.read_text().splitlines()
+            assert magic == f"# condlab-csv v1 {path.stem}", path
+            width = len(columns.split(","))
+            assert width >= 2 and all(len(row.split(",")) == width for row in rows), path
+    capsys.readouterr()
+
+
+# sha256 of the files that had writers of their own, recorded with those writers
+CSV_SHA256 = {
+    "simulate-readme": (["simulate", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "16", "--horizon", "50"],
+                        {"trajectory.csv": "84462890df6b7b4d7dd5c87bbeda4272b90484782b2a6c2e57a25e24e9c97b72"}),
+    "simulate-d1": (["simulate", "--law", "boundedpareto:0.3,0.5,20", "--d", "1", "--n", "64", "--horizon", "200"],
+                    {"trajectory.csv": "38443850aec0c8d1c3bd0c89aacfc6d8f1c2ccb4b68bf726f425b2a85a254e10"}),
+    "simulate-d3": (["simulate", "--law", "uniform:1,3", "--d", "3", "--n", "6", "--horizon", "20", "--seed", "4"],
+                    {"trajectory.csv": "df709596c815a044f9a4cf1250ac57b7574aee22f7b94c44a841d771b2bc87ea"}),
+    "simulate-simple": (["simulate", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "10", "--kind", "simple",
+                         "--horizon", "30", "--start", "7"],
+                        {"trajectory.csv": "635480a5c401597b40fce7174713d37997a34a3c009668d4517749e87f69477f"}),
+    "spectrum-readme": (["spectrum", "--law", "uniform:1,3", "--n", "64", "--functional", "drift"],
+                        {"spectrum.csv": "3ea52408ecaa20cab23c9d0f8792829a2f1619557e5c3e4072fd816fb13a814d",
+                         "measure.csv": "fc68a3a422d197fe3178fce7114491b8d33abf9b857466089ca6221e197df189"}),
+    "spectrum-no-functional": (["spectrum", "--law", "twopoint:0.3,1,5", "--d", "2", "--n", "8"],
+                               {"spectrum.csv": "0cafdc766a388e559963fc1e7389b2b831e2401c95d6aa4f552e048d7b8cea0f"}),
+    "spectrum-simple": (["spectrum", "--law", "uniform:1,3", "--d", "2", "--n", "6", "--kind", "simple",
+                         "--functional", "edge"],
+                        {"spectrum.csv": "e3936e9b1e975be320ae6862138397b37ab059400ce3178d815a45b486e20b8b",
+                         "measure.csv": "3b168d5ad52c1992f5597c0fc8f5ee4b1348b51d08f56df9389ebe5788bd92fb"}),
+    "field-dump-readme": (["field-dump", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "8"],
+                          {"field.csv": "9b60049b98b72a7c7a8f3114410c5bb4203414ffd12946a59aed5611b8f00371"}),
+    "field-dump-d3": (["field-dump", "--law", "uniform:1,3", "--d", "3", "--n", "4"],
+                      {"field.csv": "a19ac92d481d2f3d4d01a51363574abe32d47d43344ce795d77c5fa7f2571393"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_csv_files_are_pinned(name, tmp_path, capsys):
+    argv, digests = CSV_SHA256[name]
+    assert main(argv + ["--workers", "1", "--out", str(tmp_path)]) == 0
+    for filename, digest in digests.items():
+        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+    capsys.readouterr()
+
+
+def test_trajectory_csv_layout(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--law", "constant:1", "--kind", "simple", "--d", "2", "--n", "6",
+                 "--start", "4", "--horizon", "3", "--seed", "2", "--out", str(out)]) == 0
+    traj = simulate_srw(Lattice(2, 6), 4, 3.0, child_rng(2, STREAM_SIMULATE_WALK))
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "# condlab-csv v1 trajectory"
+    assert lines[1] == "time,site,dx0,dx1"
+    assert lines[2] == "0,4,0,0"
+    assert len(lines) == 3 + traj.jump_count
+    last = lines[-1].split(",")
+    assert int(last[1]) == traj.sites[-1]
+    capsys.readouterr()
+
+
+def test_simulate_without_jumps_writes_the_start_row(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--law", "boundedpareto:0.3,0.5,20", "--d", "1", "--n", "9",
+                 "--horizon", "0.01", "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "note: 0 jumps in time 0.01" in summary
+    assert "note: final displacement (0,)" in summary
+    assert (out / "trajectory.csv").read_text() == "# condlab-csv v1 trajectory\ntime,site,dx0\n0,0,0\n"
+    capsys.readouterr()
+
+
+def test_spectrum_csv_layout(tmp_path, capsys):
+    assert main(["spectrum", "--law", "uniform:1,3", "--d", "1", "--n", "5", "--seed", "2",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "# condlab-csv v1 spectrum"
+    assert lines[1] == "index,eigenvalue"
+    vals = np.array([float(line.split(",")[1]) for line in lines[2:]])
+    assert vals[0] == 0.0 and np.all(np.diff(vals) >= 0)
+    capsys.readouterr()
+
+
+def test_measure_csv_round_trip(tmp_path, capsys):
+    law, d, n, seed = "uniform:1,3", 1, 32, 6
+    assert main(["spectrum", "--law", law, "--d", str(d), "--n", str(n), "--seed", str(seed),
+                 "--functional", "drift", "--out", str(tmp_path)]) == 0
+    field = sample_field(parse_law(law), Lattice(d, n), field_seed(seed, 0))
+    f = functional_by_name("drift", d, parse_law(law))
+    m = spectral_measure(build_generator(field, "conductance"), evaluate_all(f, field), center=True)
+    back = load_measure_csv(tmp_path / "measure.csv")
+    assert np.array_equal(back.lambdas, m.lambdas)
+    assert np.array_equal(back.weights, m.weights)
+    capsys.readouterr()
+
+
+def test_field_csv_layout(tmp_path, capsys):
+    lat = Lattice(2, 6)
+    assert main(["field-dump", "--law", "boundedpareto:0.3,0.5,50", "--d", "2", "--n", "6",
+                 "--eta", "2", "--seed", "21", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "field.csv").read_text().splitlines()
+    assert text[0].startswith("# condlab-csv v1")
+    assert len(text) == 2 + lat.d * lat.n_sites
     capsys.readouterr()
 
 

@@ -16,7 +16,6 @@ from condlab.environment import (
     bad_cluster,
     classify_sites,
     default_eta,
-    field_to_csv,
     load_field,
     parse_law,
     sample_field,
@@ -260,12 +259,6 @@ def test_field_save_load_round_trip(tmp_path):
     assert back.lattice.d == 2 and back.lattice.n == 6
     assert np.array_equal(back.omega, field.omega)
     assert back.law == field.law
-
-    csv_path = tmp_path / "field.csv"
-    field_to_csv(field, csv_path)
-    text = csv_path.read_text().splitlines()
-    assert text[0].startswith("# condlab-csv v1")
-    assert len(text) == 2 + lat.d * lat.n_sites
 
 
 def test_lattice_basics():

@@ -214,6 +214,19 @@ def test_contract_summary_names_both_laws_and_the_boundedpareto_mean():
     assert "= -5.37174 by moment algebra, against the formula's 0.881107" in analogue
 
 
+@pytest.mark.parametrize("p, eps, cap, windows, unresolved", [
+    (0.25, 0.1, 1e3, 4_000_000, True),  # the README law: 3 x 208 >= 0.881
+    (0.1, 0.1, 20.0, 1_000_000, False),  # exact stderr about 0.12 against 0.420
+])
+def test_contract_notes_when_the_sampled_sign_is_unresolved(p, eps, cap, windows, unresolved):
+    rep, res = contractivity_experiment(p, eps, cap, realizations=windows, fields=1)
+    notes = [note for note in rep.notes if note.startswith("sampled sign unresolved")]
+    assert (3.0 * res.exact_stderr >= abs(res.formula)) == unresolved
+    assert len(notes) == unresolved
+    # the gate keeps its 3 sigma rule either way
+    assert _target(rep, "derivative-agreement").passed
+
+
 def test_contract_boundedpareto_mean_matches_a_ring_average():
     # S_1(Lg) S_1(g) averaged over a ring through the lattice pipeline, which
     # does not transcribe the polynomial; block means of 64 sites carry the

@@ -29,7 +29,6 @@ from condlab.operators import (
     build_generator,
     dirichlet_form,
     resolvent_solve,
-    save_spectrum_csv,
     semigroup_apply,
     simple_generator,
     sobolev_constant,
@@ -546,14 +545,3 @@ def test_box_spectral_gap_matches_cosine_form_and_is_d_independent():
         assert box_spectral_gap(3, n) == box_spectral_gap(1, n)
     assert box_spectral_gap(1, 1) == pytest.approx(1.0, rel=1e-12)
     assert sobolev_constant(2, 4) == pytest.approx(4.0 / (16.0 * box_spectral_gap(2, 4)))
-
-
-def test_operator_and_spectrum_serialization(tmp_path):
-    _, op = _random_op(1, 5, 2)
-    spec_path = tmp_path / "spectrum.csv"
-    save_spectrum_csv(op, spec_path)
-    lines = spec_path.read_text().splitlines()
-    assert lines[0] == "# condlab-csv v1 spectrum"
-    assert lines[1] == "index,eigenvalue"
-    vals = np.array([float(line.split(",")[1]) for line in lines[2:]])
-    assert vals[0] == 0.0 and np.all(np.diff(vals) >= 0)

@@ -44,7 +44,6 @@ from condlab.spectral import (
     load_measure_csv,
     quadrature_measure,
     resolvent_second_moment,
-    save_measure_csv,
     spectral_measure,
     spectral_tail,
     synthetic_power_measure,
@@ -216,13 +215,8 @@ def test_reciprocal_tail_bound_has_a_unit_atom_counterexample():
     assert spectral_tail(m2, mu) <= 8.0 * mu * resolvent_second_moment(m2, mu)
 
 
-def test_measure_csv_round_trip(tmp_path):
-    m = _random_measure(np.random.default_rng(6))
-    path = tmp_path / "measure.csv"
-    save_measure_csv(m, path)
-    back = load_measure_csv(path)
-    assert np.array_equal(back.lambdas, m.lambdas)
-    assert np.array_equal(back.weights, m.weights)
+def test_load_measure_csv_refuses_a_file_without_its_header(tmp_path):
+    # the round trip of a written measure.csv is a CLI test
     bad = tmp_path / "bad.csv"
     bad.write_text("lambda,weight\n1.0,1.0\n")
     with pytest.raises(ParameterError):

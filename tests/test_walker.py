@@ -34,7 +34,6 @@ from condlab.walker import (
     msd_estimate,
     simulate_srw,
     simulate_vsrw,
-    trajectory_to_csv,
 )
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
@@ -193,20 +192,6 @@ def test_ensemble_config_validation():
         cfg[key] = bad
         with pytest.raises(ParameterError):
             EnsembleConfig(**cfg)
-
-
-def test_trajectory_csv_layout(tmp_path):
-    lat = Lattice(2, 6)
-    traj = simulate_srw(lat, 4, 3.0, np.random.default_rng(2))
-    path = tmp_path / "walk.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# condlab-csv v1 trajectory"
-    assert lines[1] == "time,site,dx0,dx1"
-    assert lines[2] == "0,4,0,0"
-    assert len(lines) == 3 + traj.jump_count
-    last = lines[-1].split(",")
-    assert int(last[1]) == traj.sites[-1]
 
 
 # Recorded with the per-walk jump loop that preceded the lockstep kernel:
