@@ -97,6 +97,7 @@ _KEYS = {
     "expected-order": ("float", None, None),
     "order-tol": ("float", lambda v: v > 0, "order-tol must be > 0"),
     "sigma2": ("float", lambda v: v > 0, "sigma2 must be > 0"),
+    "no-trend": ("flag", None, None),
     "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
     "out": ("str", None, None),
     "experiment": ("str", None, None),
@@ -116,6 +117,11 @@ def _convert(key, raw, location):
             value = _ints(raw)
         elif tag == "law":
             value = parse_law(raw)
+        elif tag == "flag":
+            value = raw.strip()
+            if value not in ("true", "false"):
+                raise ConfigError([(location, f"{key} must be true or false, got {raw!r}")])
+            value = value == "true"
         elif tag.startswith("choice:"):
             choices = tag.split(":", 1)[1].split(",")
             value = raw.strip()
@@ -411,6 +417,7 @@ _FLAG_HELP = {
     "expected-order": "assert the fitted mu order is near this value",
     "order-tol": "tolerance for --expected-order",
     "sigma2": "effective diffusivity to compare against (skips the torus solves; the gap is then unpaired)",
+    "no-trend": "skip the gap trend target (in a config file: no-trend=true)",
     "workers": "process pool size (default: all cores)",
     "out": "output directory (default: condlab-out/<command>)",
 }
@@ -429,11 +436,10 @@ def _build_parser():
             p.add_argument(f"--{key}", help=_FLAG_HELP[key])
         for key in spec.defaults:
             flag = key.replace("_", "-")
-            if flag == "no-trend":
-                p.add_argument("--no-trend", action="store_true",
-                               help="skip the gap trend target")
-                continue
-            p.add_argument(f"--{flag}", help=_FLAG_HELP[flag], metavar=flag.upper())
+            if _KEYS[flag][0] == "flag":  # a bare flag stands for flag=true
+                p.add_argument(f"--{flag}", action="store_const", const="true", help=_FLAG_HELP[flag])
+            else:
+                p.add_argument(f"--{flag}", help=_FLAG_HELP[flag], metavar=flag.upper())
     return parser
 
 
@@ -469,8 +475,6 @@ def _assemble(args):
             cfg[dest] = _convert(key, raw, f"--{key}")
         except ConfigError as exc:
             errors.extend(exc.errors)
-    if getattr(args, "no_trend", False):
-        cfg["no_trend"] = True
     for key in spec.required:
         if cfg.get(key) is None:
             errors.append((f"--{key.replace('_', '-')}", "required (flag or config file)"))

@@ -239,10 +239,6 @@ class ConductanceLaw:
     def sample(self, rng, size):
         raise NotImplementedError
 
-    def support(self):
-        """(lo, hi) bounds of the support."""
-        raise NotImplementedError
-
     def moment(self, k):
         """Exact k-th moment."""
         raise NotImplementedError
@@ -268,9 +264,6 @@ class Constant(ConductanceLaw):
     def sample(self, rng, size):
         return np.full(size, float(self.value))
 
-    def support(self):
-        return (self.value, self.value)
-
     def moment(self, k):
         return float(self.value) ** k
 
@@ -289,9 +282,6 @@ class Uniform(ConductanceLaw):
 
     def sample(self, rng, size):
         return rng.uniform(self.a, self.b, size)
-
-    def support(self):
-        return (self.a, self.b)
 
     def moment(self, k):
         a, b = self.a, self.b
@@ -317,9 +307,6 @@ class TwoPoint(ConductanceLaw):
 
     def sample(self, rng, size):
         return np.where(rng.random(size) < self.p, float(self.hi), float(self.lo))
-
-    def support(self):
-        return (self.lo, self.hi)
 
     def moment(self, k):
         return (1 - self.p) * self.lo**k + self.p * self.hi**k
@@ -363,9 +350,6 @@ class BoundedPareto(ConductanceLaw):
             # inverse CDF of the truncated Pareto on [1, cap]
             out[heavy] = (1.0 - u * (1.0 - self.cap**-a)) ** (-1.0 / a)
         return out
-
-    def support(self):
-        return (1.0, self.cap)
 
     def pareto_moment(self, k):
         """k-th moment of the truncated Pareto component alone.

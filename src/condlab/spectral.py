@@ -58,7 +58,6 @@ class SpectralMeasure:
 
     lambdas: np.ndarray
     weights: np.ndarray
-    centered: bool = False
     removed_mean: float = 0.0
 
     def __post_init__(self):
@@ -98,7 +97,7 @@ def spectral_measure(op, g, center=True):
         v -= mean
     lam, vec = op.eigensystem()
     w = (vec.T @ v) ** 2 / op.lattice.n_sites
-    return SpectralMeasure(lam, w, centered=center, removed_mean=mean if center else 0.0)
+    return SpectralMeasure(lam, w, removed_mean=mean if center else 0.0)
 
 
 def fourier_measure(lattice, g):

@@ -11,7 +11,8 @@ walk still short of the horizon, across all fields of a group, whose jump
 tables stack into at most _GROUP_ROWS rows; ensembles keep only the
 sample-time sites and displacements (int32) and each walk's jump count, and
 a step does sample-time bookkeeping only for the walks whose jump passes a
-sample time or the horizon.  Field r of an ensemble under master seed s
+sample time or the horizon.  Ensembles walk the fields their caller
+samples; this module samples none.  Field r of an ensemble under master seed s
 keeps one generator, child_rng(s, stream, r) (util.STREAM_MSD_WALKS for
 msd_estimate, util.STREAM_DECAY_WALKS for the mc decay method): it draws
 the start sites, then each step exactly what the field's walks would draw
@@ -26,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Constant, sample_field
 from .errors import ParameterError
 from .functionals import evaluate_at_sites
-from .util import STREAM_MSD_WALKS, child_rng, field_groups, field_seed, mean_and_stderr, parallel_map
+from .util import STREAM_MSD_WALKS, child_rng, field_groups, mean_and_stderr, parallel_map
 
 __all__ = [
     "Trajectory",
     "simulate_vsrw",
     "simulate_srw",
     "additive_functional",
-    "EnsembleConfig",
     "MsdCurve",
     "msd_estimate",
 ]
@@ -319,35 +318,6 @@ def additive_functional(field, functional, trajectory, t, t0=0.0):
 
 
 @dataclass
-class EnsembleConfig:
-    """What to run: the law and torus, which walk, and how much of it."""
-
-    law: object
-    lattice: object
-    kind: str
-    realizations: int
-    walks: int
-    horizon: float
-    times: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in ("conductance", "simple"):
-            raise ParameterError(f"kind must be 'conductance' or 'simple', got {self.kind!r}")
-        if self.realizations < 1 or self.walks < 1:
-            raise ParameterError("realizations and walks must be >= 1")
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be > 0")
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.size == 0:
-            raise ParameterError("sampling times must not be empty")
-        if np.any(np.diff(self.times) <= 0):
-            raise ParameterError("sampling times must be strictly increasing")
-        if self.times[0] <= 0 or self.times[-1] > self.horizon:
-            raise ParameterError("sampling times must lie in (0, horizon]")
-
-
-@dataclass
 class MsdCurve:
     """The ensemble's MSD/t with its stderr, and each field's own MSD/t (fields x times)."""
 
@@ -362,48 +332,53 @@ class MsdCurve:
 
 def _msd_group(args):
     """Each field's squared displacements at the sample times, mean jump rate and jumps."""
-    config, group = args
-    lat = config.lattice
-    if config.kind == "conductance":
-        fields = [sample_field(config.law, lat, field_seed(config.seed, r)) for r in group]
-        weights, rates = [f.omega for f in fields], [float(f.rates().mean()) for f in fields]
-    else:
-        weights, rates = [lat.unit_weights] * len(group), [2.0 * lat.d] * len(group)
-    runs = _field_batch(lat, weights, config.walks, config.horizon, config.times, config.seed,
+    fields, walks, times, seed, group = args
+    runs = _field_batch(fields[0].lattice, [f.omega for f in fields], walks, times[-1], times, seed,
                         STREAM_MSD_WALKS, group)
-    return [(np.sum(disp.astype(float) ** 2, axis=2), rate, int(jumps.sum()))
-            for (_, _, disp, jumps), rate in zip(runs, rates)]
+    return [(np.sum(disp.astype(float) ** 2, axis=2), float(f.rates().mean()), int(jumps.sum()))
+            for (_, _, disp, jumps), f in zip(runs, fields)]
 
 
-def msd_estimate(config, workers=1):
-    """Ensemble- and path-averaged mean square displacement over time.
+def msd_estimate(fields, walks, times, seed, workers=1):
+    """Ensemble- and path-averaged mean square displacement over time, on the given fields.
 
-    Walk starts are uniform over sites, matching the stationary environment
-    measure.  Standard errors come from the spread across independent field
-    realizations, or across all walks when the fields cannot differ (a
-    single field, a constant law, or the simple walk): there every walk is an
-    independent sample, and the spread of a few field means would estimate
-    the same error from far fewer degrees of freedom.  Each field's own
-    MSD/t is kept too, so a caller can pair it with that field's diffusivity.
-    Lockstep groups of fields run through parallel_map, which changes no
-    result.
+    Field r walks `walks` walks up to the last sample time, driven by
+    child_rng(seed, STREAM_MSD_WALKS, r); the simple walk is a list of
+    Constant(1.0) fields.  Walk starts are uniform over sites, matching the
+    stationary environment measure.  Standard errors come from the spread
+    across the fields, or across all walks when the fields are all equal (a
+    single field, a constant law, or the simple walk): there every walk is
+    an independent sample, and the spread of a few field means would
+    estimate the same error from far fewer degrees of freedom.  Each field's
+    own MSD/t is kept too, so a caller can pair it with that field's
+    diffusivity.  Lockstep groups of fields run through parallel_map, which
+    changes no result.
     """
-    groups = _field_groups(config.realizations, config.lattice.n_sites, config.walks, workers)
-    tasks = [(config, g) for g in groups]
+    if not fields:
+        raise ParameterError("need at least one field")
+    lat = fields[0].lattice
+    if any(f.lattice != lat for f in fields):
+        raise ParameterError("all fields must live on the same lattice")
+    if walks < 1:
+        raise ParameterError("walks must be >= 1")
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
+        raise ParameterError("sampling times must be positive and strictly increasing")
+    groups = _field_groups(len(fields), lat.n_sites, walks, workers)
+    tasks = [(fields[g.start:g.stop], walks, times, seed, g) for g in groups]
     results = [field for part in parallel_map(_msd_group, tasks, workers) for field in part]
-    fields_differ = config.kind == "conductance" and not isinstance(config.law, Constant)
     field_means = np.stack([squares.mean(axis=0) for squares, _, _ in results])
-    if config.realizations > 1 and fields_differ:
+    if any(not np.array_equal(f.omega, fields[0].omega) for f in fields[1:]):
         samples = field_means
     else:
         samples = np.concatenate([squares for squares, _, _ in results])
     mean, se = mean_and_stderr(samples, axis=0)
     return MsdCurve(
-        times=config.times,
-        msd_over_t=mean / config.times,
-        stderr=se / config.times,
-        field_msd_over_t=field_means / config.times,
-        walks_total=config.realizations * config.walks,
+        times=times,
+        msd_over_t=mean / times,
+        stderr=se / times,
+        field_msd_over_t=field_means / times,
+        walks_total=len(fields) * walks,
         jumps_total=sum(jumps for _, _, jumps in results),
         short_time_rate=float(np.mean([rate for _, rate, _ in results])),
     )

@@ -291,6 +291,33 @@ def test_msd_smoke_with_no_trend(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_no_trend_in_a_config_file_equals_the_flag(tmp_path, capsys):
+    flags = ["--law", "twopoint:0.5,1,4", "--d", "2", "--n", "8", "--times", "0.5,1,2",
+             "--realizations", "2", "--walks", "8", "--workers", "1"]
+    cfg = tmp_path / "msd.cfg"
+    cfg.write_text("no-trend = true\n")
+    rc = main(["msd", *flags, "--no-trend", "--out", str(tmp_path / "flag")])
+    assert main(["msd", *flags, "--config", str(cfg), "--out", str(tmp_path / "file")]) == rc != 2
+    for name in ("config.txt", "summary.txt", "msd.csv", "fields.csv"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+    assert "gap-decreasing" not in (tmp_path / "file" / "summary.txt").read_text()
+    cfg.write_text("no-trend = yes\n")
+    assert main(["msd", *flags, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert "no-trend must be true or false" in capsys.readouterr().err
+
+
+def test_msd_with_one_sampling_time_skips_the_trend(tmp_path, capsys):
+    # with one time the gap has no trend: the target is skipped, not failed
+    out = tmp_path / "msd"
+    rc = main(["msd", "--law", "twopoint:0.5,1,4", "--d", "2", "--n", "8", "--times", "4",
+               "--realizations", "2", "--walks", "32", "--workers", "1", "--out", str(out)])
+    summary = (out / "summary.txt").read_text()
+    assert rc == 0, summary
+    assert "gap-decreasing" not in summary
+    assert "note: one sampling time: no gap trend to check" in summary
+    capsys.readouterr()
+
+
 def test_contract_smoke(tmp_path, capsys):
     # light tail: the formula is negative, so the verdict path is deterministic
     out = tmp_path / "contract"

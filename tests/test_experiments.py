@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from condlab import experiments
+from condlab import experiments, walker
 from condlab.environment import BoundedPareto, Constant, Lattice, TwoPoint, Uniform, sample_field
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
@@ -40,7 +40,7 @@ from condlab.functionals import (
 from condlab.operators import DENSE_LIMIT, build_generator, semigroup_apply, simple_generator
 from condlab.spectral import DecayCurve, asymptotic_variance, corrector_error_term, spectral_measure
 from condlab.util import child_rng, field_groups, field_seed
-from condlab.walker import EnsembleConfig, msd_estimate
+from condlab.walker import msd_estimate
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
@@ -574,9 +574,8 @@ def test_msd_pairs_each_walked_field_with_its_own_torus_diffusivity(tmp_path):
     assert report.config["sigma2"] == pytest.approx(sigma2, rel=1e-14)
     # the gap is the mean of the per-field gaps MSD_r/t - d sigma2_r, with their stderr
     torus = np.array([value for _, value in sub.tables["fields"][1]])
-    config = EnsembleConfig(LAW, Lattice(d, n), "conductance", realizations, walks, MSD_TIMES[-1],
-                            MSD_TIMES, seed)
-    curve = msd_estimate(config)
+    fields = [sample_field(LAW, Lattice(d, n), field_seed(seed, r)) for r in range(realizations)]
+    curve = msd_estimate(fields, walks, MSD_TIMES, seed)
     gaps = curve.field_msd_over_t - d * torus[:, None]
     columns = _msd_columns(report)
     assert np.array_equal(columns["msd_over_t"], curve.msd_over_t)
@@ -607,27 +606,54 @@ def test_msd_carries_over_a_failed_chain_identity(monkeypatch):
     assert not report.passed
 
 
-# sha256 of msd.csv when sigma2 is supplied (the `walk` benchmark's seed-0 run)
-# and for the constant law (criterion 8's baseline): both compare unpaired,
-# and these were recorded before the gap was paired per field
-UNPAIRED_MSD_SHA256 = {
-    "supplied": "8410b76c98f84189bf316e2b72686aa9be61f7ca004959001eeeea14a9608cfd",
-    "constant": "85eed209c459ca815c957257f66fe934697d89e9a6cb199fb91ae133fea7a8a4",
+def test_msd_samples_each_field_once(monkeypatch):
+    # every module-level binding of sample_field counts, the walker's included
+    calls = []
+    real = sample_field
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (experiments, walker):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counting)
+    realizations = 3
+    for law, sigma2 in ((LAW, None), (LAW, 4.0), (Constant(2.0), None)):
+        calls.clear()
+        msd_experiment(law, 2, 8, MSD_TIMES, realizations, 8, 5, sigma2=sigma2, trend_check=False)
+        assert len(calls) == realizations, (law, sigma2)
+        assert [seed for _, _, seed in calls] == [field_seed(5, r) for r in range(realizations)]
+
+
+# sha256 of msd.csv (and fields.csv when paired): the README's `msd` (paired,
+# seed 0), a supplied sigma2 (the `walk` benchmark's seed-0 run) and the
+# constant law (criterion 8's baseline).  The unpaired pins were recorded
+# before the gap was paired per field, the paired ones when every field was
+# sampled twice, once for its solve and once for its walks
+MSD_SHA256 = {
+    "paired": {"msd.csv": "bc148f3992270e3c3f7fc541a4e45bf3a38afdf05bfb3800434669f4530188bc",
+               "fields.csv": "46a2babba3ab6b00f838c14129722847bcbbf5a5a3210793f4c2848b4f006f37"},
+    "supplied": {"msd.csv": "8410b76c98f84189bf316e2b72686aa9be61f7ca004959001eeeea14a9608cfd"},
+    "constant": {"msd.csv": "85eed209c459ca815c957257f66fe934697d89e9a6cb199fb91ae133fea7a8a4"},
 }
 
 
-def test_unpaired_msd_tables_are_pinned(tmp_path):
+def test_msd_tables_are_pinned(tmp_path):
     runs = {
+        "paired": msd_experiment(LAW, 2, 24, (0.5, 1.0, 2.0, 4.0, 8.0, 16.0), 8, 64, 0),
         "supplied": msd_experiment(LAW, 2, 24, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0), 24, 256, 0,
                                    sigma2=4.0181196468082, sigma2_se=0.029903292720652844),
         "constant": msd_experiment(Constant(1.0), 2, 16, (0.5, 1.0, 2.0, 4.0, 8.0),
                                    realizations=16, walks=100, seed=21),
     }
     for name, (report, _) in runs.items():
-        assert "fields" not in report.tables
+        assert ("fields" in report.tables) == (name == "paired"), name
         write_report(report, tmp_path / name)
-        digest = hashlib.sha256((tmp_path / name / "msd.csv").read_bytes()).hexdigest()
-        assert digest == UNPAIRED_MSD_SHA256[name], name
+        for filename, pin in MSD_SHA256[name].items():
+            digest = hashlib.sha256((tmp_path / name / filename).read_bytes()).hexdigest()
+            assert digest == pin, (name, filename)
 
 
 @pytest.fixture

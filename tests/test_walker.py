@@ -25,7 +25,6 @@ from condlab.operators import build_generator
 from condlab.util import child_rng, field_seed
 from condlab import walker
 from condlab.walker import (
-    EnsembleConfig,
     Trajectory,
     _field_batch,
     _field_groups,
@@ -52,11 +51,7 @@ def test_simple_walk_jump_count_is_poisson_2dt():
 
 def test_simple_walk_msd_grows_at_2d():
     lat = Lattice(2, 32)
-    cfg = EnsembleConfig(
-        law=None, lattice=lat, kind="simple", realizations=1, walks=400,
-        horizon=8.0, times=np.array([2.0, 4.0, 8.0]), seed=1,
-    )
-    curve = msd_estimate(cfg)
+    curve = msd_estimate([sample_field(Constant(1.0), lat, 0)], 400, [2.0, 4.0, 8.0], 1)
     for k in range(3):
         assert abs(curve.msd_over_t[k] - 4.0) < 4 * curve.stderr[k]
     assert curve.short_time_rate == 4.0
@@ -170,28 +165,25 @@ def test_additive_functional_is_the_exact_piecewise_integral():
 
 def test_msd_estimate_is_deterministic_and_tracks_mean_rate():
     lat = Lattice(1, 24)
-    cfg = dict(law=LAW, lattice=lat, kind="conductance", realizations=6,
-               walks=20, horizon=4.0, times=np.array([1.0, 2.0, 4.0]), seed=9)
-    a = msd_estimate(EnsembleConfig(**cfg))
-    b = msd_estimate(EnsembleConfig(**cfg))
+    fields = [sample_field(LAW, lat, field_seed(9, r)) for r in range(6)]
+    a = msd_estimate(fields, 20, [1.0, 2.0, 4.0], 9)
+    b = msd_estimate(fields, 20, [1.0, 2.0, 4.0], 9)
     assert np.array_equal(a.msd_over_t, b.msd_over_t)
     assert np.array_equal(a.stderr, b.stderr)
     # mean total jump rate at a site is 2 d E[omega]
     assert abs(a.short_time_rate - 2.0 * LAW.mean()) < 0.5
 
 
-def test_ensemble_config_validation():
+def test_msd_estimate_validation():
     lat = Lattice(1, 8)
-    good = dict(law=LAW, lattice=lat, kind="conductance", realizations=2,
-                walks=2, horizon=2.0, times=np.array([1.0, 2.0]), seed=0)
-    EnsembleConfig(**good)
-    for key, bad in (("kind", "jumpy"), ("realizations", 0), ("horizon", 0.0),
-                     ("times", np.array([1.0, 0.5])), ("times", np.array([1.0, 3.0])),
-                     ("times", np.array([]))):
-        cfg = dict(good)
-        cfg[key] = bad
+    fields = [sample_field(LAW, lat, r) for r in range(2)]
+    good = dict(fields=fields, walks=2, times=[1.0, 2.0], seed=0)
+    assert msd_estimate(**good).walks_total == 4
+    for key, bad in (("fields", []), ("fields", fields + [sample_field(LAW, Lattice(1, 9), 2)]),
+                     ("walks", 0), ("times", [1.0, 0.5]), ("times", [0.0, 1.0]),
+                     ("times", [-1.0]), ("times", [])):
         with pytest.raises(ParameterError):
-            EnsembleConfig(**cfg)
+            msd_estimate(**dict(good, **{key: bad}))
 
 
 # Recorded with the per-walk jump loop that preceded the lockstep kernel:
@@ -434,18 +426,18 @@ def test_field_groups_bound_table_rows_and_walks_and_feed_every_worker():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_results_do_not_depend_on_the_grouping_of_fields(monkeypatch, workers):
     lat = Lattice(2, 6)
-    cfg = EnsembleConfig(law=LAW, lattice=lat, kind="conductance", realizations=5, walks=30,
-                         horizon=4.0, times=np.array([0.5, 1.0, 4.0]), seed=3)
+    fields = [sample_field(LAW, lat, field_seed(3, r)) for r in range(5)]
+    times = [0.5, 1.0, 4.0]
 
     def decay(workers):
         return variance_decay_experiment(LAW, 2, 6, "edge", "conductance", [0.5, 2.0], 5, 4,
                                           method="mc", walks=30, workers=workers)
 
     assert len(_field_groups(5, lat.n_sites, 30, 1)) == 1
-    whole, (whole_curve, whole_report) = msd_estimate(cfg), decay(1)
+    whole, (whole_curve, whole_report) = msd_estimate(fields, 30, times, 3), decay(1)
     monkeypatch.setattr(walker, "_GROUP_ROWS", 2 * lat.n_sites)
     assert [list(g) for g in _field_groups(5, lat.n_sites, 30, 1)] == [[0], [1, 2], [3, 4]]
-    split, (split_curve, split_report) = msd_estimate(cfg, workers), decay(workers)
+    split, (split_curve, split_report) = msd_estimate(fields, 30, times, 3, workers), decay(workers)
     for a, b in ((whole.msd_over_t, split.msd_over_t), (whole.stderr, split.stderr),
                  (whole_curve.values, split_curve.values), (whole_curve.stderrs, split_curve.stderrs)):
         assert np.array_equal(a, b)
