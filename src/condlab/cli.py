@@ -7,12 +7,14 @@ echoes its resolved config next to its outputs, so artifacts are reproducible
 from the directory alone.
 
 Exit codes: 0 all targets passed, 1 a target failed, 2 invalid configuration
-(nothing is written), 3 a backend or solver gave up.
+(nothing is written) or an --out that cannot be written, 3 a backend or
+solver gave up.
 """
 
 import argparse
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -104,19 +106,15 @@ _KEYS = {
 }
 
 
+# parser tag -> parser; flags and choices are parsed in _convert
+_PARSERS = {"int": int, "float": float, "floats": _floats, "ints": _ints, "law": parse_law, "str": str.strip}
+
+
 def _convert(key, raw, location):
     tag, constraint, message = _KEYS[key]
     try:
-        if tag == "int":
-            value = int(raw)
-        elif tag == "float":
-            value = float(raw)
-        elif tag == "floats":
-            value = _floats(raw)
-        elif tag == "ints":
-            value = _ints(raw)
-        elif tag == "law":
-            value = parse_law(raw)
+        if tag in _PARSERS:
+            value = _PARSERS[tag](raw)
         elif tag == "flag":
             value = raw.strip()
             if value not in ("true", "false"):
@@ -127,8 +125,6 @@ def _convert(key, raw, location):
             value = raw.strip()
             if value not in choices:
                 raise ConfigError([(location, f"{key} must be one of {', '.join(choices)}, got {raw!r}")])
-        else:
-            value = raw.strip()
     except ConfigError:
         raise
     except ParameterError as exc:
@@ -178,13 +174,8 @@ def parse_config(text):
 # Subcommand table
 
 
-class _Command:
-    def __init__(self, defaults, required, runner, help_text, epilog):
-        self.defaults = defaults
-        self.required = required
-        self.runner = runner
-        self.help = help_text
-        self.epilog = epilog
+# a subcommand's keys with their defaults, the keys it requires, its runner, help and epilog
+_Command = namedtuple("_Command", "defaults required runner help epilog")
 
 
 def _run_simulate(cfg):
@@ -445,10 +436,7 @@ def _build_parser():
 
 def _assemble(args):
     spec = _COMMANDS[args.command]
-    cfg = {key: val for key, val in spec.defaults.items()}
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("workers", None)
-    cfg.setdefault("out", None)
+    cfg = {"seed": 0, "workers": None, "out": None, **spec.defaults}
     errors = []
     if args.config is not None:
         try:
@@ -466,6 +454,8 @@ def _assemble(args):
         for key, val in loaded.items():
             if key in cfg:
                 cfg[key] = val
+            else:
+                errors.append((args.config, f"{args.command} takes no key {key.replace('_', '-')!r}"))
     for key in _KEYS:
         dest = key.replace("-", "_")
         raw = getattr(args, dest, None)
@@ -507,9 +497,13 @@ def main(argv=None):
         print(f"backend error: {exc}", file=sys.stderr)
         return 3
     out = cfg["out"]
-    paths = write_report(report, out)
-    for extra in extras:
-        extra(out)
+    try:
+        write_report(report, out)
+        for extra in extras:
+            extra(out)
+    except OSError as exc:
+        print(f"config error (--out): {exc}", file=sys.stderr)
+        return 2
     with open(os.path.join(out, "summary.txt")) as fh:
         sys.stdout.write(fh.read())
     print(f"wrote {out}")

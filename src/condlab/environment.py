@@ -6,7 +6,6 @@ diagnostics (good/bad classification, bad clusters, the W statistic) used by
 the heat-kernel experiments.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,13 +50,12 @@ class Lattice:
     Everything the walks need is derived from this one structure.  Rolls of
     the grid give the edge increments of a site array (gradient, the signed
     incidence matrix B applied), the sites' jump rates (jump_rates), the
-    walker's cumulative rates and the values of local functionals
-    (functionals.evaluate_all), with no index table.  The tables are built
-    on first use, each by the runs that read it: the generator's sparse
-    layout (generator_pattern) by every run with a sparse or dense product,
-    the neighbour table (star) only by runs that walk (the walker's jumps,
-    bad_cluster, w_statistic), and the unit weights (unit_weights) by the
-    simple walk.
+    generator's entries (generator_entries; the walker's cumulative rates
+    are their partial sums) and the values of local functionals
+    (functionals.evaluate_all).  The one index table, generator_pattern, is
+    built on first use: sparse and dense products read it as the generator's
+    CSR layout, and the walker, bad_cluster and w_statistic read its
+    neighbour columns as star.
     """
 
     def __init__(self, d, n):
@@ -84,81 +82,47 @@ class Lattice:
         return rolled.reshape(values.shape)
 
     @cached_property
-    def star(self):
-        """The sites across the 2d edges at every site.
+    def generator_pattern(self):
+        """CSR layout of the generator L: the torus's one index table.
 
-        An n_sites x 2d index array whose columns are ordered (+e_0, -e_0,
+        Returns (indptr, indices), int32 and read-only.  Row x holds x, then
+        the sites across its 2d edges in star order; generator_entries
+        fills it, and star is its last 2d columns.
+        """
+        here = np.arange(self.n_sites, dtype=np.int32)
+        rows = np.empty((self.n_sites, 2 * self.d + 1), dtype=np.int32)
+        rows[:, 0] = here
+        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
+            rows[:, 2 * axis + 1] = self.shifted(here, unit)
+            rows[:, 2 * axis + 2] = self.shifted(here, -unit)
+        indptr = np.arange(0, rows.size + 1, 2 * self.d + 1, dtype=np.int32)
+        for table in (indptr, rows):
+            table.setflags(write=False)
+        return indptr, rows.ravel()
+
+    @cached_property
+    def star(self):
+        """The sites across the 2d edges at every site, a view of generator_pattern.
+
+        An n_sites x 2d int32 array whose columns are ordered (+e_0, -e_0,
         +e_1, -e_1, ...): column 2a holds x + e_a, across the site's own edge
         (a, x), and column 2a + 1 holds x - e_a, across the edge (a, x - e_a).
-        This is the column order of the walker's jump tables.
         """
-        here = np.arange(self.n_sites, dtype=np.int64)
-        sites = np.empty((self.n_sites, 2 * self.d), dtype=np.int64)
-        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
-            sites[:, 2 * axis] = self.shifted(here, unit)
-            sites[:, 2 * axis + 1] = self.shifted(here, -unit)
-        sites.setflags(write=False)
-        return sites
-
-    @cached_property
-    def _row_blocks(self):
-        """The generator's rows in boxes of the grid that share one column order.
-
-        Row x holds x and its 2d neighbours.  Site x + e_a has index
-        x + n^(d-1-a), or x - (n-1) n^(d-1-a) where x_a = n - 1, and x - e_a
-        likewise; for n >= 3 these 2d + 1 offsets are distinct and their order
-        depends only on which coordinates of x sit at 0 or n - 1.  So the
-        sites with each coordinate at 0, inside or at n - 1 (3^d boxes) share
-        one ascending column order.  Returns a list of (here, row): here is
-        the box as slices of the grid, and row lists its columns in ascending
-        order as (axis, edge, across): the axis and box of the edge joining x
-        to the column's site (None and here on the diagonal), and the box of
-        the column's sites.
-        """
-        n = self.n
-        blocks = []
-        for box in itertools.product(((0, 1), (1, n - 1), (n - 1, n)), repeat=self.d):
-            here = tuple(slice(lo, hi) for lo, hi in box)
-            columns = [(0, (None, here, here))]
-            for axis, (lo, hi) in enumerate(box):
-                for step in (1, -1):
-                    to = (lo + step) % n
-                    across = here[:axis] + (slice(to, to + hi - lo),) + here[axis + 1:]
-                    # the edge toward x + e_a is (a, x), the one toward x - e_a is (a, x - e_a)
-                    edge = here if step > 0 else across
-                    columns.append(((to - lo) * n ** (self.d - 1 - axis), (axis, edge, across)))
-            columns.sort(key=lambda column: column[0])
-            blocks.append((here, [column for _, column in columns]))
-        return blocks
-
-    @cached_property
-    def generator_pattern(self):
-        """CSR layout of the generator L, shared by every field on this torus.
-
-        Returns (indptr, indices), int32: row x holds the 2d neighbours of x
-        and x itself, in ascending column order.  generator_entries fills it.
-        """
-        sites = self.grid(np.arange(self.n_sites, dtype=np.int32))
-        indices = np.empty(self.shape + (2 * self.d + 1,), dtype=np.int32)
-        for here, row in self._row_blocks:
-            for k, (_, _, across) in enumerate(row):
-                indices[here + (k,)] = sites[across]
-        indices = indices.ravel()
-        indptr = np.arange(0, indices.size + 1, 2 * self.d + 1, dtype=np.int32)
-        for table in (indptr, indices):
-            table.setflags(write=False)
-        return indptr, indices
+        return self.generator_pattern[1].reshape(self.n_sites, -1)[:, 1:]
 
     def generator_entries(self, weights, diagonal):
         """Values stored over generator_pattern, written in its order.
 
-        The weight of the edge joining x and y at (x, y), diagonal[x] at (x, x).
+        diagonal[x] at (x, x), then w(a, x) and w(a, x - e_a), the weights of
+        the edges to x + e_a and x - e_a, for a = 0, 1, ...  Weights stacked
+        on a leading axis give one block of n_sites rows per field.
         """
-        w, diag = self.grid(weights), self.grid(diagonal)
-        out = np.empty(self.shape + (2 * self.d + 1,))
-        for here, row in self._row_blocks:
-            for k, (axis, edge, _) in enumerate(row):
-                out[here + (k,)] = diag[edge] if axis is None else w[axis][edge]
+        w = np.asarray(weights).reshape(-1, self.d, self.n_sites)
+        out = np.empty((w.shape[0], self.n_sites, 2 * self.d + 1))
+        out[..., 0] = diagonal
+        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
+            out[..., 2 * axis + 1] = w[:, axis]
+            out[..., 2 * axis + 2] = self.shifted(w[:, axis], -unit)
         return out.ravel()
 
     def gradient(self, g):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .environment import BoundedPareto, Constant, Lattice, sample_field
+from .environment import _FIELD_MAGIC, BoundedPareto, Constant, Lattice, sample_field
 from .errors import ConfigError, FitError
 from .functionals import (
     Polynomial,
@@ -109,10 +109,21 @@ def write_report(report, out_dir):
 
     This is the one writer of `# condlab-csv v1` files: a cell is written
     with 12 significant digits, or as it is when it is already a string.
+    First it removes the files in out_dir that this report does not write
+    and that begin as a table or a field record does, so a rerun into the
+    same directory keeps none of an earlier run's artifacts (the CLI saves
+    a run's field.txt after this call).
     """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
+    for name in set(os.listdir(out_dir)) - {f"{name}.csv" for name in report.tables}:
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):
+            with open(path, errors="replace") as fh:
+                head = fh.readline(80)
+            if head == _FIELD_MAGIC + "\n" or head.startswith("# condlab-csv v1 "):
+                os.remove(path)
     paths = []
 
     cfg_path = os.path.join(out_dir, "config.txt")

@@ -34,9 +34,11 @@ class TorusOperator:
 
     Rows sum to zero and off-diagonal entries are the edge weights, so -L is
     positive semidefinite with the constants as its kernel.  The entries are
-    written in `Lattice.generator_pattern` order per field
-    (`Lattice.generator_entries`); the scipy matrix
-    over them (`matrix`) is built only when a sparse product asks for it.
+    written per field (`Lattice.generator_entries`) in the order of the
+    lattice's one index table, `Lattice.generator_pattern`: row x holds the
+    diagonal, then the edges to x + e_0, x - e_0, x + e_1, ... in star
+    order, unsorted by column.  The scipy matrix over them (`matrix`) is
+    built only when a sparse product asks for it.
     """
 
     def __init__(self, lattice, weights, kind):

@@ -98,18 +98,14 @@ class Trajectory:
 def _walk_tables(lattice, weights):
     """Neighbour indices and cumulative jump rates per site, in star order.
 
-    Column k of a site's row is the k-th edge of its star (+e_0, -e_0, +e_1,
-    ...): w_a(x) in column 2a, w_a(x - e_a) in column 2a + 1, read from rolls
-    of the grid and summed left to right as Lattice.jump_rates sums them.
+    Both are the generator's rows without the diagonal: Lattice.star, the
+    neighbour columns of its index table, and the cumulative sums of
+    Lattice.generator_entries, w_a(x) in column 2a and w_a(x - e_a) in
+    column 2a + 1, summed left to right as Lattice.jump_rates sums them.
     weights may stack several fields, field i filling rows i * n_sites.
     """
-    d, n_sites = lattice.d, lattice.n_sites
-    w = np.asarray(weights, dtype=float).reshape(-1, d, n_sites)
-    rates = np.empty((w.shape[0], n_sites, 2 * d))
-    for axis, unit in enumerate(np.eye(d, dtype=int)):
-        rates[..., 2 * axis] = w[:, axis]
-        rates[..., 2 * axis + 1] = lattice.shifted(w[:, axis], -unit)
-    return lattice.star, rates.cumsum(axis=2).reshape(-1, 2 * d)
+    rows = lattice.generator_entries(weights, 0.0)
+    return lattice.star, rows.reshape(-1, 2 * lattice.d + 1)[:, 1:].cumsum(axis=1)
 
 
 def _moves(d):

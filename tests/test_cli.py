@@ -204,6 +204,54 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_config_keys_the_command_does_not_take_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("law=constant:1\nhorizon=1\nmu=0.5\nwalks=7\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"config error ({cfg}): simulate takes no key 'mu'" in err
+    assert f"config error ({cfg}): simulate takes no key 'walks'" in err
+    # experiment, seed, workers and out are keys of every command
+    cfg.write_text(f"experiment=simulate\nlaw=constant:1\nhorizon=1\nseed=3\nworkers=1\nout={out}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert "seed=3" in (out / "config.txt").read_text()
+    capsys.readouterr()
+
+
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert main(["field-dump", "--law", "constant:1", "--out", str(blocker / "sub")]) == 2
+    assert "config error (--out): " in capsys.readouterr().err
+    # the report is written, but field.txt cannot be
+    out = tmp_path / "sim"
+    (out / "field.txt").mkdir(parents=True)
+    assert main(["simulate", "--law", "constant:1", "--horizon", "1", "--out", str(out)]) == 2
+    assert "config error (--out): " in capsys.readouterr().err
+
+
+def test_a_rerun_into_the_same_out_keeps_no_earlier_artifact(tmp_path, capsys):
+    out = tmp_path / "msd"
+    flags = ["--law", "twopoint:0.5,1,4", "--d", "1", "--n", "12", "--times", "0.5,1,2",
+             "--realizations", "2", "--walks", "8", "--no-trend", "--workers", "1", "--out", str(out)]
+    assert main(["msd", *flags]) != 2
+    assert (out / "fields.csv").exists()
+    assert main(["msd", *flags, "--sigma2", "4.0"]) != 2
+    assert not (out / "fields.csv").exists()
+    assert "sigma2=4" in (out / "config.txt").read_text()
+    out = tmp_path / "run"
+    assert main(["field-dump", "--law", "constant:1", "--out", str(out)]) == 0
+    # files that are not condlab tables or field records stay
+    (out / "notes.txt").write_text("# condlab-csv notes\n")
+    (out / "other.csv").write_text("a,b\n1,2\n")
+    assert main(["simulate", "--law", "constant:1", "--horizon", "1", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["config.txt", "field.txt", "notes.txt", "other.csv",
+                                       "summary.txt", "trajectory.csv"]
+    capsys.readouterr()
+
+
 def test_argparse_failures_map_to_exit_codes(capsys):
     assert main([]) == 2
     assert main(["simulate", "--bogus", "x"]) == 2

@@ -1,6 +1,5 @@
 """Experiment drivers: fits, reports, and the cross-method oracles."""
 
-import functools
 import hashlib
 import math
 import tracemalloc
@@ -654,32 +653,6 @@ def test_msd_tables_are_pinned(tmp_path):
         for filename, pin in MSD_SHA256[name].items():
             digest = hashlib.sha256((tmp_path / name / filename).read_bytes()).hexdigest()
             assert digest == pin, (name, filename)
-
-
-@pytest.fixture
-def built_stars(monkeypatch):
-    """(d, n) of every lattice whose star table is built while the test runs."""
-    built = []
-    star = Lattice.star
-
-    def recording(self):
-        built.append((self.d, self.n))
-        return star.func(self)
-
-    recorded = functools.cached_property(recording)
-    recorded.__set_name__(Lattice, "star")
-    monkeypatch.setattr(Lattice, "star", recorded)
-    return built
-
-
-def test_only_runs_that_walk_build_the_star_table(built_stars):
-    # the star is the walker's table; decay and the corrector read rolls of the grid
-    variance_decay_experiment(LAW, 2, 8, "drift", "conductance", np.geomspace(0.5, 8.0, 5), 2, 0)
-    diffusivity_experiment(LAW, 2, 6, [1.0, 0.5, 0.25], 2, 0)
-    assert built_stars == []
-    msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20, seed=4,
-                   trend_check=False)
-    assert built_stars == [(1, 12)]
 
 
 def test_nash_chain_check_holds_and_reports_the_tightest_box():

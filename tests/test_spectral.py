@@ -470,22 +470,25 @@ def test_each_field_of_a_group_gets_the_quadrature_it_gets_alone(case):
 
 # Quadratures recorded on numpy's OpenBLAS 0.3.31 (x86-64), as
 # (steps, width, rounding, sha256 of the measure's lambdas and weights).  A
-# result depends only on the step where its bracket closes.  All but edge-0
-# were recorded with the engine that ran one field at a time and checked its
+# result depends only on the step where its bracket closes and on the
+# summation order of the generator's rows.  All but edge-0 were first
+# recorded with the engine that ran one field at a time and checked its
 # bracket every 10 steps, and close at the same step now.  edge-0 closed at 90
 # there; its own widths now place a check at 85, where it closes, and its
-# curve agrees with the step-90 one to 2.9e-12 relative.
+# curve agrees with the step-90 one to 2.9e-12 relative.  Re-recorded when the
+# rows went from ascending column order to star order (diagonal, x + e_0,
+# x - e_0, ...): same steps and bracket checks, curves within 5.7e-14 relative.
 PARENT_QUADRATURES = {
-    "edge-0": (85, "0x1.7f243ade94ef4p-38", "0x1.a900000000000p-36",
-               "b95751213d2e79576ce7618c16aa258f6e0dc09694ab473e9da2ffb5deb571ef"),
-    "edge-1": (90, "0x1.007fc7969f555p-40", "0x1.c200000000000p-36",
-               "ee01621fc831b6121f641e480028c2969e56a6c7725de6321a5d0006cd8cc91a"),
+    "edge-0": (85, "0x1.7b4c78c33e1edp-38", "0x1.a900000000000p-36",
+               "732fdfdb3e9fd370aa0522e07de304e0ca1691a365e29bf8e9526c88696e37ce"),
+    "edge-1": (90, "0x1.0061cd930c2fcp-40", "0x1.c200000000000p-36",
+               "ab0767274f7c2bc94dc119b731e916c31763e0e33e7d1116eb404bde46d646b2"),
     "uniform-3d": (20, "0x1.371ea98be022ep-39", "0x1.e915f470317fbp-37",
-                   "d43abb83c9e7032b791614a8972c0ebad5546c16ef6e469c68951e78b9318d21"),
+                   "147c8ccc628b83d379e3292fa6645dd8bea9a743cdacb08bfbd44eb392aa04dc"),
     "pareto-1d": (8, "0x0.0p+0", "0x1.ee0fe387b8f87p-41",
-                  "a72b0fba1d012fcdb0ee8348288bfbaf33eeab30ab3e89422571e21bf3cbae85"),
+                  "57d260758c0b4bbfc426f2c267cb099126e2f554a56b6b35a2a67764ca44f759"),
     "constant-2d": (12, "0x0.0p+0", "0x1.c200000000000p-39",
-                    "44200b60c9bd991a7850a9cbbc6dead8507043f3cc77ce24f5868850b88d687d"),
+                    "8534fcad8e379dc23e8ab08ad79e621d170ff08b4cd1351901fedf3868df141f"),
 }
 
 

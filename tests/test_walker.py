@@ -280,6 +280,15 @@ def test_jump_column_on_a_cumulative_rate_is_the_one_past_it(d):
     assert np.array_equal(np.unique(columns), np.arange(total))
 
 
+@pytest.mark.parametrize("d, n", [(1, 12), (2, 5), (3, 4)])
+def test_the_walker_reads_the_star_view_of_the_generator_pattern(d, n):
+    # one index table: the star is the generator rows' neighbour columns
+    lat = Lattice(d, n)
+    assert np.shares_memory(lat.star, lat.generator_pattern[1])
+    neighbors, _ = walker._walk_tables(lat, lat.unit_weights)
+    assert neighbors is lat.star
+
+
 # sha256 of the sites, displacements and jumps (as int64) of criterion 8's
 # fields 0-5 (6 fields x 256 walks, d=2 n=24, times 0.25 to 16, seed 23),
 # recorded when they formed a lockstep group of their own, with the column
