@@ -2,9 +2,11 @@
 
 Eight subcommands drive the library: simulate, decay, diffusivity, msd,
 spectrum, contract, nash-check, field-dump.  Parameters come from flags or
-from a key=value config file (--config); flags win on conflict.  Every run
-echoes its resolved config next to its outputs, so artifacts are reproducible
-from the directory alone.
+from a key=value config file (--config); flags win on conflict.  Each
+subcommand's runner returns an ExperimentReport, and write_report writes all
+of it, field.txt included, after checking that none of its paths is a
+directory.  Every run echoes its resolved config next to its outputs, so
+artifacts are reproducible from the directory alone.
 
 Exit codes: 0 all targets passed, 1 a target failed, 2 invalid configuration
 (nothing is written) or an --out that cannot be written, 3 a backend or
@@ -24,7 +26,6 @@ from .environment import (
     default_eta,
     parse_law,
     sample_field,
-    save_field,
     w_statistic,
 )
 from .errors import (
@@ -66,43 +67,47 @@ def _increasing(vals):
     return len(vals) > 0 and all(b > a for a, b in zip(vals, vals[1:]))
 
 
-# key -> (parser tag, constraint, message); shared by config files and flags
+# key -> (parser tag, constraint, message, flag help); shared by config files and flags
 _KEYS = {
-    "law": ("law", None, None),
-    "d": ("int", lambda v: v >= 1, "d must be >= 1"),
-    "n": ("int", lambda v: v >= 3, "n must be >= 3"),
-    "functional": ("str", None, None),
-    "kind": ("choice:conductance,simple", None, None),
-    "method": ("choice:spectral,mc", None, None),
+    "law": ("law", None, None,
+            "conductance law: constant:V | uniform:A,B | twopoint:P,LO,HI | boundedpareto:P,EPS[,CAP]"),
+    "d": ("int", lambda v: v >= 1, "d must be >= 1", "lattice dimension"),
+    "n": ("int", lambda v: v >= 3, "n must be >= 3", "torus period per axis (>= 3)"),
+    "functional": ("str", None, None, "drift | edge | contract-example | poly:EXPR"),
+    "kind": ("choice:conductance,simple", None, None, "walk kind: conductance (rates = edges) or simple (rate 1)"),
+    "method": ("choice:spectral,mc", None, None, "decay estimator: spectral (exact atoms) or mc (walk ensemble)"),
     "times": ("floats", lambda v: _increasing(v) and v[0] > 0,
-              "times must be positive and strictly increasing"),
-    "mu": ("floats", lambda v: len(v) > 0 and bool(np.all(np.array(v) > 0)),
-           "all mu values must be > 0"),
+              "times must be positive and strictly increasing", "comma-separated sampling times, increasing"),
+    "mu": ("floats", lambda v: len(v) > 0 and bool(np.all(np.array(v) > 0)), "all mu values must be > 0",
+           "comma-separated positive resolvent parameters; mu=0 is always solved too"),
     "t-grid": ("floats", lambda v: len(v) >= 2 and _increasing(v) and v[0] >= 0,
-               "t-grid must be at least two nonnegative, strictly increasing times"),
+               "t-grid must be at least two nonnegative, strictly increasing times",
+               "comma-separated times for the analogue curve"),
     "fit-window": ("floats", lambda v: len(v) == 2 and 0 < v[0] < v[1],
-                   "fit-window must be LO,HI with 0 < LO < HI"),
-    "n-list": ("ints", lambda v: len(v) > 0 and min(v) >= 1, "box sizes must be >= 1"),
-    "realizations": ("int", lambda v: v >= 1, "realizations must be >= 1"),
-    "walks": ("int", lambda v: v >= 1, "walks must be >= 1"),
-    "fields": ("int", lambda v: v >= 1, "fields must be >= 1"),
-    "horizon": ("float", lambda v: v > 0, "horizon must be > 0"),
-    "seed": ("int", lambda v: v >= 0, "seed must be >= 0"),
-    "start": ("int", lambda v: v >= 0, "start must be >= 0"),
-    "eta": ("float", lambda v: v > 0, "eta must be > 0"),
-    "torus-n": ("int", lambda v: v >= 3, "torus-n must be >= 3"),
-    "p": ("float", lambda v: 0 <= v <= 1, "p must be in [0, 1]"),
-    "eps": ("float", lambda v: v > 0, "eps must be > 0"),
-    "cap": ("float", lambda v: v > 1, "cap must be > 1"),
-    "expected-alpha": ("float", None, None),
-    "alpha-tol": ("float", lambda v: v > 0, "alpha-tol must be > 0"),
-    "expected-order": ("float", None, None),
-    "order-tol": ("float", lambda v: v > 0, "order-tol must be > 0"),
-    "sigma2": ("float", lambda v: v > 0, "sigma2 must be > 0"),
-    "no-trend": ("flag", None, None),
-    "workers": ("int", lambda v: v >= 1, "workers must be >= 1"),
-    "out": ("str", None, None),
-    "experiment": ("str", None, None),
+                   "fit-window must be LO,HI with 0 < LO < HI", "LO,HI window for the power-law fit"),
+    "n-list": ("ints", lambda v: len(v) > 0 and min(v) >= 1, "box sizes must be >= 1", "comma-separated box radii"),
+    "realizations": ("int", lambda v: v >= 1, "realizations must be >= 1", "number of independent fields"),
+    "walks": ("int", lambda v: v >= 1, "walks must be >= 1", "walks per field"),
+    "fields": ("int", lambda v: v >= 1, "fields must be >= 1", "fields for the analogue curve"),
+    "horizon": ("float", lambda v: v > 0, "horizon must be > 0", "simulation end time"),
+    "seed": ("int", lambda v: v >= 0, "seed must be >= 0", "master seed"),
+    "start": ("int", lambda v: v >= 0, "start must be >= 0", "starting site index"),
+    "eta": ("float", lambda v: v > 0, "eta must be > 0",
+            "good-site threshold (default: analytic, when the law has one)"),
+    "torus-n": ("int", lambda v: v >= 3, "torus-n must be >= 3", "torus period override for auxiliary runs"),
+    "p": ("float", lambda v: 0 <= v <= 1, "p must be in [0, 1]", "weight of the heavy component"),
+    "eps": ("float", lambda v: v > 0, "eps must be > 0", "tail exponent offset (tail index 4+eps)"),
+    "cap": ("float", lambda v: v > 1, "cap must be > 1", "upper truncation of the heavy component"),
+    "expected-alpha": ("float", None, None, "assert the fitted decay exponent is near this value"),
+    "alpha-tol": ("float", lambda v: v > 0, "alpha-tol must be > 0", "tolerance for --expected-alpha"),
+    "expected-order": ("float", None, None, "assert the fitted mu order is near this value"),
+    "order-tol": ("float", lambda v: v > 0, "order-tol must be > 0", "tolerance for --expected-order"),
+    "sigma2": ("float", lambda v: v > 0, "sigma2 must be > 0",
+               "effective diffusivity to compare against (skips the torus solves; the gap is then unpaired)"),
+    "no-trend": ("flag", None, None, "skip the gap trend target (in a config file: no-trend=true)"),
+    "workers": ("int", lambda v: v >= 1, "workers must be >= 1", "process pool size (default: all cores)"),
+    "out": ("str", None, None, "output directory (default: condlab-out/<command>)"),
+    "experiment": ("str", None, None, None),
 }
 
 
@@ -111,7 +116,7 @@ _PARSERS = {"int": int, "float": float, "floats": _floats, "ints": _ints, "law":
 
 
 def _convert(key, raw, location):
-    tag, constraint, message = _KEYS[key]
+    tag, constraint, message, _ = _KEYS[key]
     try:
         if tag in _PARSERS:
             value = _PARSERS[tag](raw)
@@ -174,8 +179,15 @@ def parse_config(text):
 # Subcommand table
 
 
-# a subcommand's keys with their defaults, the keys it requires, its runner, help and epilog
+# a subcommand's keys with their defaults, the keys it requires, its runner, help and epilog;
+# a runner takes the resolved config and returns the ExperimentReport that write_report writes
 _Command = namedtuple("_Command", "defaults required runner help epilog")
+
+
+def _library_args(cfg):
+    """The resolved config minus out: for decay, contract and nash-check, its keys
+    are exactly the keyword parameters of the experiment the command runs."""
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _run_simulate(cfg):
@@ -192,6 +204,7 @@ def _run_simulate(cfg):
         "simulate",
         config={k: cfg[k] if k != "law" else cfg["law"].descriptor()
                 for k in ("law", "d", "n", "kind", "horizon", "start", "seed")},
+        field=field,
     )
     final = traj.displacement_at(traj.horizon)  # the start for a walk that never jumps
     report.notes.append(f"{traj.jump_count} jumps in time {cfg['horizon']:g}")
@@ -200,18 +213,7 @@ def _run_simulate(cfg):
     jumps = zip(traj.times.tolist(), traj.sites.tolist(), traj.displacements.tolist())
     report.add_table("trajectory", ["time", "site"] + [f"dx{i}" for i in range(lat.d)],
                      [(0, traj.start) + (0,) * lat.d] + [(t, s, *dx) for t, s, dx in jumps])
-    return report, [lambda out: save_field(field, os.path.join(out, "field.txt"))]
-
-
-def _run_decay(cfg):
-    _, report = variance_decay_experiment(
-        cfg["law"], cfg["d"], cfg["n"], cfg["functional"], cfg["kind"],
-        cfg["times"], cfg["realizations"], cfg["seed"], method=cfg["method"],
-        walks=cfg["walks"], fit_window=cfg["fit_window"],
-        expected_alpha=cfg["expected_alpha"], alpha_tol=cfg["alpha_tol"],
-        workers=cfg["workers"],
-    )
-    return report, []
+    return report
 
 
 def _run_diffusivity(cfg):
@@ -220,7 +222,7 @@ def _run_diffusivity(cfg):
         expected_order=cfg["expected_order"], order_tol=cfg["order_tol"],
         workers=cfg["workers"],
     )
-    return report, []
+    return report
 
 
 def _run_msd(cfg):
@@ -229,7 +231,7 @@ def _run_msd(cfg):
         cfg["walks"], cfg["seed"], sigma2=cfg["sigma2"],
         trend_check=not cfg["no_trend"], workers=cfg["workers"],
     )
-    return report, []
+    return report
 
 
 def _run_spectrum(cfg):
@@ -257,25 +259,7 @@ def _run_spectrum(cfg):
         # repr strings, which write_report keeps as they are, so load_measure_csv reads m back exactly
         report.add_table("measure", ("lambda", "weight"),
                          [(repr(x), repr(w)) for x, w in zip(m.lambdas.tolist(), m.weights.tolist())])
-    return report, []
-
-
-def _run_contract(cfg):
-    report, _ = contractivity_experiment(
-        cfg["p"], cfg["eps"], cfg["cap"], realizations=cfg["realizations"],
-        seed=cfg["seed"], fields=cfg["fields"], torus_n=cfg["torus_n"],
-        t_grid=cfg["t_grid"], workers=cfg["workers"],
-    )
-    return report, []
-
-
-def _run_nash_check(cfg):
-    report = nash_chain_check(
-        cfg["law"], cfg["d"], cfg["n_list"], cfg["functional"],
-        cfg["realizations"], cfg["seed"], torus_n=cfg["torus_n"],
-        workers=cfg["workers"],
-    )
-    return report, []
+    return report
 
 
 def _run_field_dump(cfg):
@@ -290,6 +274,7 @@ def _run_field_dump(cfg):
         "field-dump",
         config={k: cfg[k] if k != "law" else cfg["law"].descriptor()
                 for k in ("law", "d", "n", "seed")},
+        field=field,
     )
     report.config["eta"] = eta
     try:
@@ -307,7 +292,7 @@ def _run_field_dump(cfg):
     report.add_table("field", ["axis", "site"] + [f"x{i}" for i in range(lat.d)] + ["value"],
                      [(axis, site, *coords[site], value) for axis in range(lat.d)
                       for site, value in enumerate(field.omega[axis].tolist())])
-    return report, [lambda out: save_field(field, os.path.join(out, "field.txt"))]
+    return report
 
 
 _COMMANDS = {
@@ -324,7 +309,7 @@ _COMMANDS = {
          "realizations": 16, "walks": 32, "fit_window": None,
          "expected_alpha": None, "alpha_tol": 0.2},
         ["law", "functional"],
-        _run_decay,
+        lambda cfg: variance_decay_experiment(**_library_args(cfg))[1],
         "variance decay of a local functional along the walk",
         "writes curve.csv (time,value,stderr); exponent fitted on the last decade unless --fit-window is given",
     ),
@@ -359,7 +344,7 @@ _COMMANDS = {
         {"p": 0.25, "eps": 0.1, "cap": 1e3, "realizations": 4_000_000,
          "fields": 12, "torus_n": 12, "t_grid": [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]},
         [],
-        _run_contract,
+        lambda cfg: contractivity_experiment(**_library_args(cfg))[0],
         "initial derivative of the box-sum square under heavy-tailed edges",
         "writes derivative.csv (formula,mc_estimate,mc_stderr,verdict) and analogue_curve.csv (time,mean_square_boxsum)",
     ),
@@ -367,7 +352,7 @@ _COMMANDS = {
         {"law": None, "d": 1, "functional": "drift", "n_list": [1, 2, 4, 8],
          "realizations": 4, "torus_n": None},
         ["law"],
-        _run_nash_check,
+        lambda cfg: nash_chain_check(**_library_args(cfg)),
         "pathwise box inequality across box sizes",
         "writes boxes.csv (n_box,c_s,lhs_mean,rhs_mean,min_slack)",
     ),
@@ -380,40 +365,6 @@ _COMMANDS = {
     ),
 }
 
-_FLAG_HELP = {
-    "law": "conductance law: constant:V | uniform:A,B | twopoint:P,LO,HI | boundedpareto:P,EPS[,CAP]",
-    "d": "lattice dimension",
-    "n": "torus period per axis (>= 3)",
-    "functional": "drift | edge | contract-example | poly:EXPR",
-    "kind": "walk kind: conductance (rates = edges) or simple (rate 1)",
-    "method": "decay estimator: spectral (exact atoms) or mc (walk ensemble)",
-    "times": "comma-separated sampling times, increasing",
-    "mu": "comma-separated positive resolvent parameters; mu=0 is always solved too",
-    "t-grid": "comma-separated times for the analogue curve",
-    "fit-window": "LO,HI window for the power-law fit",
-    "n-list": "comma-separated box radii",
-    "realizations": "number of independent fields",
-    "walks": "walks per field",
-    "fields": "fields for the analogue curve",
-    "horizon": "simulation end time",
-    "seed": "master seed",
-    "start": "starting site index",
-    "eta": "good-site threshold (default: analytic, when the law has one)",
-    "torus-n": "torus period override for auxiliary runs",
-    "p": "weight of the heavy component",
-    "eps": "tail exponent offset (tail index 4+eps)",
-    "cap": "upper truncation of the heavy component",
-    "expected-alpha": "assert the fitted decay exponent is near this value",
-    "alpha-tol": "tolerance for --expected-alpha",
-    "expected-order": "assert the fitted mu order is near this value",
-    "order-tol": "tolerance for --expected-order",
-    "sigma2": "effective diffusivity to compare against (skips the torus solves; the gap is then unpaired)",
-    "no-trend": "skip the gap trend target (in a config file: no-trend=true)",
-    "workers": "process pool size (default: all cores)",
-    "out": "output directory (default: condlab-out/<command>)",
-}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="condlab",
@@ -424,13 +375,13 @@ def _build_parser():
         p = sub.add_parser(name, help=spec.help, epilog=spec.epilog)
         p.add_argument("--config", metavar="FILE", help="key=value file; flags override it")
         for key in ("seed", "workers", "out"):
-            p.add_argument(f"--{key}", help=_FLAG_HELP[key])
+            p.add_argument(f"--{key}", help=_KEYS[key][3])
         for key in spec.defaults:
             flag = key.replace("_", "-")
             if _KEYS[flag][0] == "flag":  # a bare flag stands for flag=true
-                p.add_argument(f"--{flag}", action="store_const", const="true", help=_FLAG_HELP[flag])
+                p.add_argument(f"--{flag}", action="store_const", const="true", help=_KEYS[flag][3])
             else:
-                p.add_argument(f"--{flag}", help=_FLAG_HELP[flag], metavar=flag.upper())
+                p.add_argument(f"--{flag}", help=_KEYS[flag][3], metavar=flag.upper())
     return parser
 
 
@@ -485,7 +436,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _assemble(args)
-        report, extras = _COMMANDS[args.command].runner(cfg)
+        report = _COMMANDS[args.command].runner(cfg)
     except ConfigError as exc:
         for loc, msg in exc.errors:
             print(f"config error ({loc}): {msg}", file=sys.stderr)
@@ -499,8 +450,6 @@ def main(argv=None):
     out = cfg["out"]
     try:
         write_report(report, out)
-        for extra in extras:
-            extra(out)
     except OSError as exc:
         print(f"config error (--out): {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .environment import _FIELD_MAGIC, BoundedPareto, Constant, Lattice, sample_field
+from .environment import _FIELD_MAGIC, BoundedPareto, Constant, Lattice, sample_field, save_field
 from .errors import ConfigError, FitError
 from .functionals import (
     Polynomial,
@@ -80,6 +80,7 @@ class ExperimentReport:
     fits: dict = dc_field(default_factory=dict)
     targets: list = dc_field(default_factory=list)
     notes: list = dc_field(default_factory=list)
+    field: object = None  # a Field that write_report saves as field.txt
 
     @property
     def passed(self):
@@ -105,46 +106,50 @@ def _fmt(x):
 
 
 def write_report(report, out_dir):
-    """Write config echo, summary, and CSV tables; returns the paths written.
+    """Write config echo, summary, CSV tables and field.txt; returns the paths written.
 
     This is the one writer of `# condlab-csv v1` files: a cell is written
     with 12 significant digits, or as it is when it is already a string.
-    First it removes the files in out_dir that this report does not write
-    and that begin as a table or a field record does, so a rerun into the
-    same directory keeps none of an earlier run's artifacts (the CLI saves
-    a run's field.txt after this call).
+    First it checks that no path it will write is a directory, and raises
+    IsADirectoryError naming the path if one is, so that such a run writes
+    nothing.  Then it removes the files in out_dir that this report does not
+    write and that begin as a table or a field record does, so a rerun into
+    the same directory keeps none of an earlier run's artifacts.  A report
+    that carries a field saves it as field.txt.
     """
+    import errno
     import os
 
+    written = ["config.txt", *(f"{name}.csv" for name in sorted(report.tables)), "summary.txt"]
+    if report.field is not None:
+        written.append("field.txt")
+    paths = [os.path.join(out_dir, name) for name in written]
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     os.makedirs(out_dir, exist_ok=True)
-    for name in set(os.listdir(out_dir)) - {f"{name}.csv" for name in report.tables}:
+    for name in set(os.listdir(out_dir)) - set(written):
         path = os.path.join(out_dir, name)
         if os.path.isfile(path):
             with open(path, errors="replace") as fh:
                 head = fh.readline(80)
             if head == _FIELD_MAGIC + "\n" or head.startswith("# condlab-csv v1 "):
                 os.remove(path)
-    paths = []
 
-    cfg_path = os.path.join(out_dir, "config.txt")
-    with open(cfg_path, "w") as fh:
+    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write("# condlab-config v1\n")
         fh.write(f"experiment={report.experiment}\n")
         for key in sorted(report.config):
             fh.write(f"{key}={_fmt(report.config[key])}\n")
-    paths.append(cfg_path)
 
     for name, (columns, rows) in sorted(report.tables.items()):
-        tbl_path = os.path.join(out_dir, f"{name}.csv")
-        with open(tbl_path, "w") as fh:
+        with open(os.path.join(out_dir, f"{name}.csv"), "w") as fh:
             fh.write(f"# condlab-csv v1 {name}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-        paths.append(tbl_path)
 
-    sum_path = os.path.join(out_dir, "summary.txt")
-    with open(sum_path, "w") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("# condlab-summary v1\n")
         fh.write(f"experiment: {report.experiment}\n")
         for note in report.notes:
@@ -158,7 +163,8 @@ def write_report(report, out_dir):
         for t in report.targets:
             fh.write(f"{'PASS' if t.passed else 'FAIL'} {t.name}: {t.detail}\n")
         fh.write(f"result: {'pass' if report.passed else 'fail'}\n")
-    paths.append(sum_path)
+    if report.field is not None:
+        save_field(report.field, os.path.join(out_dir, "field.txt"))
     return paths
 
 

@@ -230,6 +230,7 @@ def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
     (out / "field.txt").mkdir(parents=True)
     assert main(["simulate", "--law", "constant:1", "--horizon", "1", "--out", str(out)]) == 2
     assert "config error (--out): " in capsys.readouterr().err
+    assert os.listdir(out) == ["field.txt"]
 
 
 def test_a_rerun_into_the_same_out_keeps_no_earlier_artifact(tmp_path, capsys):
@@ -258,6 +259,27 @@ def test_argparse_failures_map_to_exit_codes(capsys):
     # argparse exits 0 on --help; main translates instead of letting it escape
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# sha256 of each --help text at 80 columns, as Python 3.11's argparse lays it out
+HELP_SHA256 = {
+    "": "9a270c73746b79166dff6fa5ac84e57e51ef8ca539701d1dd75221757d127d55",
+    "simulate": "4c270e7c6a3f0287a8451b4fc375ff87fd53e1d4498a06baa4feb0573e2e55eb",
+    "decay": "681bd023963f614668507b97859c79b61fbc533a9192f8927e64856ccb1b2809",
+    "diffusivity": "c3d0b9d5beb4825160fbcfa138c5cec0508ef25f9bea03f1d703f264e3b935e1",
+    "msd": "df70307900f93e5b8840b648de18baa0449a30f82233aebe6ecdb6f7d0902a34",
+    "spectrum": "e1400cda288d4f95a58068d433d7ce2cf5968f62591215077319c378d2a8a2a9",
+    "contract": "83689e4f2428a7dde2dc8b8ee0d753e78418d74692ae7eac8de5b021c1d861c0",
+    "nash-check": "a73424289c2cdfc39fa197829bdce55cf6db3bdc08e849ea37b083c1ba862b7a",
+    "field-dump": "89eaa2df13d5ced46d9ad1f45df904b2cf27e6525e78e4f64bdd64b62ab2726c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_texts_are_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_backend_failure_exits_3(tmp_path, capsys):
@@ -385,6 +407,27 @@ def test_nash_check_smoke(tmp_path, capsys):
     assert rc == 0
     assert "PASS box-inequality" in (out / "summary.txt").read_text()
     assert (out / "boxes.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["decay", "--law", "twopoint:0.5,1,4", "--functional", "edge", "--n", "32", "--realizations", "2",
+      "--times", "1,2,4,8,16,32,64", "--kind", "simple", "--fit-window", "2,50", "--expected-alpha", "0.4",
+      "--alpha-tol", "0.3"],
+     ["kind=simple", "window=[2,50]", "expected 0.4 +/- 0.3"]),
+    (["decay", "--law", "twopoint:0.5,1,4", "--functional", "edge", "--n", "16", "--realizations", "2",
+      "--times", "1,2,4", "--method", "mc", "--walks", "5"],
+     ["method=mc", "walks=5"]),
+    (["contract", "--realizations", "1000", "--fields", "2", "--torus-n", "10", "--t-grid", "0,1"],
+     ["realizations=1000", "fields=2", "torus_n=10", "t_grid=0,1"]),
+    (["nash-check", "--law", "twopoint:0.5,1,4", "--torus-n", "21", "--n-list", "1,2", "--functional", "edge"],
+     ["n=21", "n_list=1,2", "functional=edge"]),
+])
+def test_forwarded_flags_reach_the_experiment(argv, shown, tmp_path, capsys):
+    assert main(argv + ["--workers", "1", "--out", str(tmp_path)]) in (0, 1)
+    echoed = (tmp_path / "config.txt").read_text() + (tmp_path / "summary.txt").read_text()
+    for text in shown:
+        assert text in echoed, text
     capsys.readouterr()
 
 
