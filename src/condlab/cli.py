@@ -5,8 +5,11 @@ spectrum, contract, nash-check, field-dump.  Parameters come from flags or
 from a key=value config file (--config); flags win on conflict.  Each
 subcommand's runner returns an ExperimentReport, and write_report writes all
 of it, field.txt included, after checking that none of its paths is a
-directory.  Every run echoes its resolved config next to its outputs, so
-artifacts are reproducible from the directory alone.
+directory.  config.txt is written here, from the resolved config: every
+input but out and workers, unset ones left out, under the keys parse_config
+reads, floats in shortest round-trip form and laws by descriptor.  Results
+go to summary.txt and the tables, so `--config <out>/config.txt` reruns the
+command and rewrites the directory byte for byte.
 
 Exit codes: 0 all targets passed, 1 a target failed, 2 invalid configuration
 (nothing is written) or an --out that cannot be written, 3 a backend or
@@ -21,6 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .environment import (
+    ConductanceLaw,
     Lattice,
     classify_sites,
     default_eta,
@@ -49,7 +53,7 @@ from .experiments import (
 from .functionals import evaluate_all, functional_by_name
 from .operators import build_generator
 from .spectral import asymptotic_variance, spectral_measure
-from .util import STREAM_SIMULATE_WALK, child_rng, field_seed
+from .util import STREAM_SIMULATE_WALK, child_rng, field_seed, float_text
 from .walker import simulate_srw, simulate_vsrw
 
 __all__ = ["main", "parse_config"]
@@ -145,6 +149,19 @@ def _convert(key, raw, location):
     return value
 
 
+def _config_text(value):
+    """A resolved config value as parse_config reads it back: floats exact, laws by descriptor."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return float_text(value)
+    if isinstance(value, list):
+        return ",".join(_config_text(v) for v in value)
+    if isinstance(value, ConductanceLaw):
+        return value.descriptor()
+    return str(value)
+
+
 def parse_config(text):
     """Parse a key=value config file, reporting every problem at once.
 
@@ -200,12 +217,7 @@ def _run_simulate(cfg):
         traj = simulate_vsrw(field, cfg["start"], cfg["horizon"], rng)
     else:
         traj = simulate_srw(lat, cfg["start"], cfg["horizon"], rng)
-    report = ExperimentReport(
-        "simulate",
-        config={k: cfg[k] if k != "law" else cfg["law"].descriptor()
-                for k in ("law", "d", "n", "kind", "horizon", "start", "seed")},
-        field=field,
-    )
+    report = ExperimentReport("simulate", field=field)
     final = traj.displacement_at(traj.horizon)  # the start for a walk that never jumps
     report.notes.append(f"{traj.jump_count} jumps in time {cfg['horizon']:g}")
     report.notes.append(f"final displacement {tuple(int(x) for x in final)}")
@@ -240,17 +252,12 @@ def _run_spectrum(cfg):
     op = build_generator(field, cfg["kind"])
     lam, _ = op.eigensystem()
     positive = lam[lam > 0]
-    report = ExperimentReport(
-        "spectrum",
-        config={k: cfg[k] if k != "law" else cfg["law"].descriptor()
-                for k in ("law", "d", "n", "kind", "seed")},
-    )
+    report = ExperimentReport("spectrum")
     report.notes.append(f"{int(np.sum(lam == 0))} zero modes, spectral gap {positive[0]:.12g}")
     report.add_table("spectrum", ("index", "eigenvalue"), enumerate(lam.tolist()))
     if cfg["functional"] is not None:
         f = functional_by_name(cfg["functional"], cfg["d"], cfg["law"])
         m = spectral_measure(op, evaluate_all(f, field), center=True)
-        report.config["functional"] = cfg["functional"]
         report.notes.append(f"measure mass {m.total_mass:.12g} (mean {m.removed_mean:.12g} removed)")
         try:
             report.notes.append(f"asymptotic variance {asymptotic_variance(m):.12g}")
@@ -270,13 +277,7 @@ def _run_field_dump(cfg):
     except ParameterError as exc:
         raise ConfigError([("--eta", str(exc))])
     cls = classify_sites(field, eta)
-    report = ExperimentReport(
-        "field-dump",
-        config={k: cfg[k] if k != "law" else cfg["law"].descriptor()
-                for k in ("law", "d", "n", "seed")},
-        field=field,
-    )
-    report.config["eta"] = eta
+    report = ExperimentReport("field-dump", field=field)
     try:
         w = w_statistic(field, eta)
         w_text = f"{w:.12g}"
@@ -448,6 +449,9 @@ def main(argv=None):
         print(f"backend error: {exc}", file=sys.stderr)
         return 3
     out = cfg["out"]
+    # the run's inputs under their config-file keys, so --config <out>/config.txt reruns it
+    report.config = {key.replace("_", "-"): _config_text(value) for key, value in cfg.items()
+                     if key not in ("out", "workers") and value is not None}
     try:
         write_report(report, out)
     except OSError as exc:

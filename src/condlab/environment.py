@@ -6,6 +6,7 @@ diagnostics (good/bad classification, bad clusters, the W statistic) used by
 the heat-kernel experiments.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -13,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SaturationError
+from .util import float_text
 
 __all__ = [
     "Lattice",
@@ -211,7 +213,9 @@ class ConductanceLaw:
         return self.moment(1)
 
     def descriptor(self):
-        raise NotImplementedError
+        """The text parse_law reads back as this law: the class name, lowercased, and exact parameters."""
+        params = (float_text(getattr(self, f.name)) for f in dataclasses.fields(self))
+        return f"{type(self).__name__.lower()}:{','.join(params)}"
 
     def __repr__(self):
         return self.descriptor()
@@ -231,9 +235,6 @@ class Constant(ConductanceLaw):
     def moment(self, k):
         return float(self.value) ** k
 
-    def descriptor(self):
-        return f"constant:{self.value:g}"
-
 
 @dataclass(frozen=True)
 class Uniform(ConductanceLaw):
@@ -250,9 +251,6 @@ class Uniform(ConductanceLaw):
     def moment(self, k):
         a, b = self.a, self.b
         return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
-
-    def descriptor(self):
-        return f"uniform:{self.a:g},{self.b:g}"
 
 
 @dataclass(frozen=True)
@@ -274,9 +272,6 @@ class TwoPoint(ConductanceLaw):
 
     def moment(self, k):
         return (1 - self.p) * self.lo**k + self.p * self.hi**k
-
-    def descriptor(self):
-        return f"twopoint:{self.p:g},{self.lo:g},{self.hi:g}"
 
 
 @dataclass(frozen=True)
@@ -329,9 +324,6 @@ class BoundedPareto(ConductanceLaw):
 
     def moment(self, k):
         return (1 - self.p) * 1.0 + self.p * self.pareto_moment(k)
-
-    def descriptor(self):
-        return f"boundedpareto:{self.p:g},{self.eps:g},{self.cap:g}"
 
 
 def parse_law(text):

@@ -1,10 +1,12 @@
 """Desk-scale reproductions: decay exponents, diffusivity orders, MSD gaps,
 the non-contractivity counterexample, and the box-inequality chain.
 
-Every experiment returns an ExperimentReport holding a canonical config echo,
-result tables, fits, and pass/fail target checks; write_report serializes all
-of it deterministically (no timestamps, fixed float formatting), so reruns of
-the same config produce byte-identical artifacts.
+Every experiment returns an ExperimentReport holding result tables, fits,
+notes and pass/fail target checks; write_report serializes all of it
+deterministically (no timestamps, fixed float formatting), so reruns of the
+same inputs produce byte-identical artifacts.  The report's config, the
+inputs that config.txt lists, is left empty here: the command line fills it
+from the config it resolved.
 """
 
 import functools
@@ -75,7 +77,7 @@ class TargetCheck:
 @dataclass
 class ExperimentReport:
     experiment: str
-    config: dict
+    config: dict = dc_field(default_factory=dict)  # key -> text, written to config.txt as it is
     tables: dict = dc_field(default_factory=dict)
     fits: dict = dc_field(default_factory=dict)
     targets: list = dc_field(default_factory=list)
@@ -100,13 +102,15 @@ def _fmt(x):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.12g}"
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return ",".join(_fmt(v) for v in x)
     return str(x)
 
 
 def write_report(report, out_dir):
-    """Write config echo, summary, CSV tables and field.txt; returns the paths written.
+    """Write config.txt, summary, CSV tables and field.txt; returns the paths written.
+
+    config.txt holds an experiment= line, then each report.config key with
+    its text as it is, in key order; a report built by the library alone has
+    no keys there.
 
     This is the one writer of `# condlab-csv v1` files: a cell is written
     with 12 significant digits, or as it is when it is already a string.
@@ -139,8 +143,8 @@ def write_report(report, out_dir):
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write("# condlab-config v1\n")
         fh.write(f"experiment={report.experiment}\n")
-        for key in sorted(report.config):
-            fh.write(f"{key}={_fmt(report.config[key])}\n")
+        for key, text in sorted(report.config.items()):
+            fh.write(f"{key}={text}\n")
 
     for name, (columns, rows) in sorted(report.tables.items()):
         with open(os.path.join(out_dir, f"{name}.csv"), "w") as fh:
@@ -345,21 +349,7 @@ def variance_decay_experiment(
     clipped = int(np.count_nonzero(mean < 0))
     curve = DecayCurve(times, np.maximum(mean, 0.0), se, label="variance")
 
-    report = ExperimentReport(
-        "decay",
-        config={
-            "law": law.descriptor(),
-            "d": d,
-            "n": n,
-            "functional": fname,
-            "kind": kind,
-            "method": method,
-            "times": times,
-            "realizations": realizations,
-            "walks": walks if method == "mc" else 0,
-            "seed": seed,
-        },
-    )
+    report = ExperimentReport("decay")
     report.add_table(
         "curve",
         ("time", "value", "stderr"),
@@ -489,18 +479,7 @@ def diffusivity_experiment(
     torus = 2.0 * stack[:, -1, 2]
     sigma2, sigma2_se = (float(v) for v in mean_and_stderr(torus))
 
-    report = ExperimentReport(
-        "diffusivity",
-        config={
-            "law": law.descriptor(),
-            "d": d,
-            "n": n,
-            "mu": mus,
-            "realizations": realizations,
-            "seed": seed,
-            "sigma2": sigma2,
-        },
-    )
+    report = ExperimentReport("diffusivity")
     report.add_table(
         "estimators",
         ("mu", "a0", "a1", "a2", "a2_stderr", "phi_sq", "a2_minus_torus", "diff_stderr"),
@@ -585,18 +564,9 @@ def msd_experiment(
     """
     times = _check_times(times)
     _check_counts(realizations=realizations, walks=walks)
-    report = ExperimentReport(
-        "msd",
-        config={
-            "law": law.descriptor(),
-            "d": d,
-            "n": n,
-            "times": times,
-            "realizations": realizations,
-            "walks": walks,
-            "seed": seed,
-        },
-    )
+    if realizations * walks < 2:
+        raise ConfigError([("walks", "need at least 2 walks in all (realizations x walks) for a stderr")])
+    report = ExperimentReport("msd")
     lat = Lattice(d, n)
     fields = [sample_field(law, lat, field_seed(seed, r)) for r in range(realizations)]
     constant_law = isinstance(law, Constant)
@@ -617,7 +587,6 @@ def msd_experiment(
         )
         if worst_chain >= _CHAIN_TOL:
             report.check("chain-identity", False, _chain_detail(worst_chain))
-    report.config["sigma2"] = sigma2
     curve = msd_estimate(fields, walks, times, seed, workers)
     if paired:
         gap, se_total = mean_and_stderr(curve.field_msd_over_t - d * torus[:, None], axis=0)
@@ -833,19 +802,7 @@ def contractivity_experiment(
     else:
         verdict = "inconclusive"
 
-    report = ExperimentReport(
-        "contract",
-        config={
-            "p": p,
-            "eps": eps,
-            "cap": cap,
-            "realizations": realizations,
-            "fields": fields,
-            "torus_n": torus_n,
-            "seed": seed,
-            "t_grid": t_grid,
-        },
-    )
+    report = ExperimentReport("contract")
     report.add_table(
         "derivative",
         ("formula", "mc_estimate", "mc_stderr", "exact_stderr", "verdict"),
@@ -931,7 +888,8 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     if repeated:
         raise ConfigError([("n_list", f"box size {repeated[0]} is repeated")])
     f = functional_by_name(functional, d, law) if isinstance(functional, str) else functional
-    if torus_n is None:
+    derived = torus_n is None
+    if derived:
         torus_n = 2 * (n_list[-1] + f.radius) + 3
     lat = Lattice(d, torus_n)
     if 2 * (n_list[-1] + f.radius) >= torus_n:
@@ -960,18 +918,9 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
         argmins.append(min(rhs_by_n, key=rhs_by_n.get))
         if energy > 0:
             w_opts.append((best_norm / (2.0 * math.e * energy)) ** (1.0 / (d + 2)))
-    report = ExperimentReport(
-        "nash-check",
-        config={
-            "law": law.descriptor(),
-            "d": d,
-            "n": torus_n,
-            "n_list": n_list,
-            "functional": f.name,
-            "realizations": realizations,
-            "seed": seed,
-        },
-    )
+    report = ExperimentReport("nash-check")
+    if derived:
+        report.notes.append(f"torus period {torus_n}: 2 (largest box + stencil radius) + 3")
     table = []
     for nb in n_list:
         arr = np.array(rows[nb])
@@ -990,5 +939,4 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     report.notes.append(
         f"tightest box size {modal} (counts {counts}); heuristic optimum w = {w_mean:.3g}"
     )
-    report.config["modal_box"] = modal
     return report

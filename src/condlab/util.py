@@ -1,4 +1,4 @@
-"""Seeding, reductions, and optional process-level parallelism."""
+"""Seeding, reductions, exact float text, and optional process-level parallelism."""
 
 import math
 
@@ -10,6 +10,12 @@ STREAM_MSD_WALKS = 1
 STREAM_DECAY_WALKS = 2
 STREAM_CONTRACT_WINDOWS = 3
 STREAM_SIMULATE_WALK = 9
+
+
+def float_text(x):
+    """x in shortest round-trip form, a trailing .0 dropped: 50, 0.25, 0.7071067811865476."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def child_rng(master_seed, *path):

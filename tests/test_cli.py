@@ -121,6 +121,9 @@ def test_bad_mu_exits_2_and_writes_nothing(tmp_path, capsys):
          "(n_list): box size 2 is repeated"),
         (["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--t-grid", "1"],
          "(--t-grid): t-grid must be at least two nonnegative, strictly increasing times"),
+        # one walk in all has no standard error for the gap gates to divide by
+        (["msd", "--law", "twopoint:0.5,1,4", "--d", "1", "--n", "3", "--realizations", "1", "--walks", "1",
+          "--times", "1"], "(walks): need at least 2 walks in all"),
     ],
 )
 def test_nonfinite_and_repeated_values_exit_2(tmp_path, capsys, argv, message):
@@ -178,8 +181,8 @@ def test_diffusivity_summary_gives_the_torus_diffusivity_and_its_field_sd(tmp_pa
     assert lines[:2] == ["# condlab-csv v1 fields", "field,sigma2_torus"]
     torus = np.array([float(line.split(",")[1]) for line in lines[2:]])
     assert [line.split(",")[0] for line in lines[2:]] == ["0", "1", "2"]
-    config = (out / "config.txt").read_text().splitlines()
-    sigma2 = float(next(line for line in config if line.startswith("sigma2="))[7:])
+    # sigma2 = 2 a2 on the mu=0 row, the last one
+    sigma2 = 2.0 * float((out / "estimators.csv").read_text().splitlines()[-1].split(",")[3])
     assert sigma2 == pytest.approx(torus.mean(), rel=1e-11)
     notes = [line for line in (out / "summary.txt").read_text().splitlines()
              if line.startswith("note: torus diffusivity 2 A2(0) ")]
@@ -419,9 +422,9 @@ def test_nash_check_smoke(tmp_path, capsys):
       "--times", "1,2,4", "--method", "mc", "--walks", "5"],
      ["method=mc", "walks=5"]),
     (["contract", "--realizations", "1000", "--fields", "2", "--torus-n", "10", "--t-grid", "0,1"],
-     ["realizations=1000", "fields=2", "torus_n=10", "t_grid=0,1"]),
+     ["realizations=1000", "fields=2", "torus-n=10", "t-grid=0,1"]),
     (["nash-check", "--law", "twopoint:0.5,1,4", "--torus-n", "21", "--n-list", "1,2", "--functional", "edge"],
-     ["n=21", "n_list=1,2", "functional=edge"]),
+     ["torus-n=21", "n-list=1,2", "functional=edge"]),
 ])
 def test_forwarded_flags_reach_the_experiment(argv, shown, tmp_path, capsys):
     assert main(argv + ["--workers", "1", "--out", str(tmp_path)]) in (0, 1)
@@ -481,6 +484,52 @@ def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
     assert "spectrum.csv" in names and "measure.csv" in names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    capsys.readouterr()
+
+
+LAW = "twopoint:0.5,1,4"
+DECAY = ["decay", "--law", LAW, "--functional", "edge", "--n", "16", "--realizations", "2"]
+MSD = ["msd", "--law", LAW, "--d", "1", "--n", "8", "--times", "0.5,1", "--realizations", "2", "--walks", "8"]
+NASH = ["nash-check", "--law", LAW, "--n-list", "1,2", "--realizations", "2"]
+RERUNS = {
+    "simulate": ["simulate", "--law", LAW, "--d", "2", "--n", "6", "--horizon", "3"],
+    "simulate-inexact-law": ["simulate", "--law", "twopoint:0.123456789,1,4", "--n", "8", "--horizon", "2"],
+    "decay-default-times": DECAY,
+    "decay-window": DECAY + ["--times", "1,2,4,8,16,32,64", "--kind", "simple", "--fit-window", "2,50",
+                             "--expected-alpha", "0.4", "--alpha-tol", "0.3"],
+    "decay-mc": DECAY + ["--times", "1,2,4", "--method", "mc", "--walks", "5"],
+    "diffusivity-default-mu": ["diffusivity", "--law", LAW, "--d", "2", "--n", "4", "--realizations", "2"],
+    "msd-paired": MSD,
+    "msd-sigma2": MSD + ["--sigma2", "4.0"],
+    "msd-no-trend": MSD + ["--no-trend"],
+    "spectrum": ["spectrum", "--law", "uniform:1,3", "--d", "2", "--n", "4"],
+    "spectrum-functional": ["spectrum", "--law", "uniform:1,3", "--d", "2", "--n", "4", "--functional", "drift"],
+    "contract": ["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--realizations", "5000",
+                 "--fields", "2"],
+    "contract-torus": ["contract", "--realizations", "1000", "--fields", "2", "--torus-n", "10", "--t-grid", "0,1"],
+    "nash-check": NASH,
+    "nash-check-torus": NASH + ["--torus-n", "11"],
+    "field-dump": ["field-dump", "--law", LAW, "--d", "2", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RERUNS))
+def test_every_command_reruns_from_its_own_config(name, tmp_path, capsys):
+    # config.txt holds the run's inputs exactly, so it reproduces the directory byte for byte
+    argv = RERUNS[name]
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    rc = main(argv + ["--workers", "1", "--out", str(first)])
+    assert rc in (0, 1), capsys.readouterr().err
+    # each flag given reads back from config.txt as the same value; a trailing bare flag is skipped
+    echoed = parse_config((first / "config.txt").read_text())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        dest = flag[2:].replace("-", "_")
+        assert echoed[dest] == parse_config(f"{flag[2:]}={value}")[dest], flag
+    assert main([argv[0], "--config", str(first / "config.txt"), "--workers", "1", "--out", str(rerun)]) == rc
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(rerun))
+    for filename in names:
+        assert (first / filename).read_bytes() == (rerun / filename).read_bytes(), filename
     capsys.readouterr()
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from condlab.environment import (
@@ -98,6 +100,24 @@ def test_parse_law_round_trips_and_rejects():
         parse_law("uniform:1")
     with pytest.raises(ParameterError):
         parse_law("constant:abc")
+
+
+_AT_LEAST_1 = st.floats(min_value=1.0, max_value=1e300)
+_WEIGHT = st.floats(min_value=0.0, max_value=1.0)
+LAWS = st.one_of(
+    st.builds(Constant, _AT_LEAST_1),
+    st.tuples(_AT_LEAST_1, _AT_LEAST_1).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: Uniform(*sorted(ab))),
+    st.builds(lambda p, a, b: TwoPoint(p, min(a, b), max(a, b)), _WEIGHT, _AT_LEAST_1, _AT_LEAST_1),
+    st.builds(BoundedPareto, _WEIGHT, st.floats(min_value=1e-300, max_value=1e300),
+              st.floats(min_value=1.0, max_value=1e300, exclude_min=True)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(LAWS)
+def test_a_law_descriptor_reads_back_as_the_same_law(law):
+    # descriptors go into config.txt, field.txt and summaries, so they keep every bit
+    assert parse_law(law.descriptor()) == law
 
 
 def test_uniform_and_twopoint_moments():
