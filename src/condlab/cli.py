@@ -437,7 +437,11 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _assemble(args)
-        report = _COMMANDS[args.command].runner(cfg)
+        try:
+            report = _COMMANDS[args.command].runner(cfg)
+        except ConfigError as exc:  # the library names a config key, the command line its flag
+            raise ConfigError([(f"--{loc.replace('_', '-')}" if loc.replace("_", "-") in _KEYS else loc, msg)
+                               for loc, msg in exc.errors])
     except ConfigError as exc:
         for loc, msg in exc.errors:
             print(f"config error ({loc}): {msg}", file=sys.stderr)

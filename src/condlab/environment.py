@@ -3,7 +3,8 @@
 Sites live on the torus (Z/nZ)^d and every nearest-neighbour edge carries an
 i.i.d. conductance >= 1.  The module also holds the percolation-style site
 diagnostics (good/bad classification, bad clusters, the W statistic) used by
-the heat-kernel experiments.
+the heat-kernel experiments; clusters and W both read one labelling of the
+bad components and their closures.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SaturationError
-from .util import float_text
+from .util import child_rng, float_text
 
 __all__ = [
     "Lattice",
@@ -176,17 +177,13 @@ class Lattice:
         return self.star[sites, 2 * axis + (sign < 0)]
 
     def offset_index(self, sites, offset):
-        """Site indices of x + offset, vectorized over x."""
+        """Site indices of x + offset, vectorized over x: the tests' oracle for rolls of the grid."""
         off = np.asarray(offset, dtype=np.int64).reshape(self.d)
         sites = np.asarray(sites)
         # the coordinates of these sites only: no table of every site's coordinates
         c = np.unravel_index(sites.ravel(), self.shape)
         out = np.ravel_multi_index(tuple((ci + oi) % self.n for ci, oi in zip(c, off)), self.shape)
         return out.reshape(sites.shape) if sites.shape else np.int64(out[0])
-
-    def neighbors(self, site):
-        """The 2d neighbour indices, ordered (+0, -0, +1, -1, ...)."""
-        return self.star[site]
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and (self.d, self.n) == (other.d, other.n)
@@ -388,9 +385,8 @@ class ConductanceField:
 
 
 def sample_field(law, lattice, seed):
-    """Draw an i.i.d. conductance field; deterministic given the seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    omega = law.sample(rng, (lattice.d, lattice.n_sites))
+    """Draw an i.i.d. conductance field from child_rng(seed); deterministic given the seed."""
+    omega = law.sample(child_rng(seed), (lattice.d, lattice.n_sites))
     return ConductanceField(lattice, omega, law=law, seed=int(seed))
 
 
@@ -474,86 +470,80 @@ class Cluster:
     origin: int
 
 
+def _bad_closures(lattice, good, sites):
+    """Labels and closures of the bad components that meet sites, in one traversal of lattice.star.
+
+    A component is a connected set of bad sites, its closure the set of its
+    members and all their neighbours.  label[x] indexes closures for every
+    site of a labelled component and is -1 at every other site.
+    """
+    star = lattice.star
+    label = [-1] * lattice.n_sites
+    closures = []
+    for s in sites:
+        if good[s] or label[s] >= 0:
+            continue
+        label[s] = len(closures)
+        closure, queue = {s}, [s]
+        while queue:
+            for v in star[queue.pop()].tolist():
+                closure.add(v)
+                if not good[v] and label[v] < 0:
+                    label[v] = label[s]
+                    queue.append(v)
+        closures.append(closure)
+    return label, closures
+
+
+def _cluster(lattice, label, closures, origin):
+    """The origin, its neighbours, and the closures of the labelled bad sites among them."""
+    sites = {origin, *lattice.star[origin].tolist()}
+    for x in list(sites):
+        if label[x] >= 0:
+            sites |= closures[label[x]]
+    return Cluster(np.array(sorted(sites), dtype=np.int64), saturated=len(sites) == lattice.n_sites,
+                   origin=origin)
+
+
 def bad_cluster(field, eta, origin=0):
     """Sites reachable from origin through paths with all-bad interiors.
 
     A path's endpoints are unconstrained, so the cluster always contains the
-    origin and its 2d neighbours.  If it grows to the whole torus the result
-    is flagged saturated instead of guessing an unwrapped shape.
+    origin and its 2d neighbours; past a bad neighbour, a path reaches the
+    closure of its bad component.  If the cluster grows to the whole torus
+    the result is flagged saturated instead of guessing an unwrapped shape.
     """
-    lat = field.lattice
+    lat, origin = field.lattice, int(origin)
     good = classify_sites(field, eta).good
-    origin = int(origin)
-    visited = np.zeros(lat.n_sites, dtype=bool)
-    visited[origin] = True
-    frontier = [origin]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            # paths may only continue through bad interior vertices
-            if u != origin and good[u]:
-                continue
-            for v in lat.neighbors(u):
-                if not visited[v]:
-                    visited[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    sites = np.flatnonzero(visited)
-    return Cluster(sites, saturated=len(sites) == lat.n_sites, origin=origin)
-
-
-def _bad_components(lattice, good):
-    """Connected components of the bad sites, as index arrays."""
-    comp = np.full(lattice.n_sites, -1, dtype=np.int64)
-    comps = []
-    for s in np.flatnonzero(~good):
-        if comp[s] >= 0:
-            continue
-        cid = len(comps)
-        comp[s] = cid
-        queue = [int(s)]
-        members = [int(s)]
-        while queue:
-            u = queue.pop()
-            for v in lattice.neighbors(u):
-                if not good[v] and comp[v] < 0:
-                    comp[v] = cid
-                    queue.append(int(v))
-                    members.append(int(v))
-        comps.append(np.array(sorted(members), dtype=np.int64))
-    return comp, comps
+    return _cluster(lat, *_bad_closures(lat, good, [origin, *lat.star[origin].tolist()]), origin)
 
 
 def w_statistic(field, eta, origin=0):
     """Total size of extended edge neighbourhoods that contain the origin.
 
-    Each edge's vertex set is extended by the bad components of its bad
-    endpoints together with their outer boundaries; W sums the sizes of the
-    extended sets that contain the origin.  All-good fields give W = 4d.
+    Each edge's vertex set is extended by the closures (members plus outer
+    boundary) of the bad components of its bad endpoints; W sums the sizes
+    of the extended sets that contain the origin.  All-good fields give
+    W = 4d.
     """
     lat = field.lattice
     origin = int(origin)
-    cluster = bad_cluster(field, eta, origin)
-    if cluster.saturated:
+    good = classify_sites(field, eta).good
+    label, closures = _bad_closures(lat, good, range(lat.n_sites))
+    if _cluster(lat, label, closures, origin).saturated:
         raise SaturationError(
             f"bad cluster at site {origin} covers the whole torus; raise eta or enlarge n"
         )
-    good = classify_sites(field, eta).good
-    comp, comps = _bad_components(lat, good)
-    if any(len(c) == lat.n_sites for c in comps):
+    if not good.any():
         raise SaturationError("a bad component covers the whole torus; raise eta or enlarge n")
-    # closure of each component: members plus all their neighbours
-    neighbours = lat.star
-    closures = [set(members.tolist()) | set(neighbours[members].ravel().tolist())
-                for members in comps]
     total = 0
     # edge (axis, u) joins u to u + e_axis
-    for u, v in zip(np.tile(np.arange(lat.n_sites), lat.d).tolist(), neighbours[:, 0::2].T.ravel().tolist()):
+    for u, v in zip(np.tile(np.arange(lat.n_sites), lat.d).tolist(), lat.star[:, 0::2].T.ravel().tolist()):
         ext = {u, v}
-        if not good[u]:
-            ext |= closures[comp[u]]
-        if not good[v]:
-            ext |= closures[comp[v]]
+        if label[u] >= 0:
+            ext |= closures[label[u]]
+        if label[v] >= 0:
+            ext |= closures[label[v]]
         if origin in ext:
             total += len(ext)
     return float(total)

@@ -204,8 +204,9 @@ def decay_fit(curve, window=None):
     """Fit value ~ C t^-alpha on a log-log window of the curve.
 
     Needs at least 5 strictly positive samples in the window.  Reports a
-    bootstrap confidence interval and a quadratic-curvature flag that fires
-    on exponential-looking (non-power-law) data.
+    bootstrap confidence interval, resampled from child_rng(0), and a
+    quadratic-curvature flag that fires on exponential-looking (non-power-law)
+    data.
     """
     times, values = curve.times, curve.values
     if window is None:
@@ -221,7 +222,7 @@ def decay_fit(curve, window=None):
     lx = np.log(t) - np.mean(np.log(t))
     quad = np.polyfit(lx, np.log(v), 2)
     curvature = float(quad[0])
-    boots = _bootstrap_exponents(t, v, np.random.default_rng(0))
+    boots = _bootstrap_exponents(t, v, child_rng(0))
     lo_ci, hi_ci = np.percentile(boots, [2.5, 97.5]) if boots.size else (math.nan, math.nan)
     fit = PowerLawFit(
         exponent=float(-slope),
@@ -258,33 +259,28 @@ def _check_counts(**counts):
         raise ConfigError(bad)
 
 
-def _decay_spectral_group(args):
-    """Each field's variance curve, with its quadrature certificate: width, steps, rounding, checks."""
-    law, lat, f, kind, times, master, group = args
-    fields = [sample_field(law, lat, field_seed(master, r)) for r in group]
-    gs = [evaluate_all(f, field) for field in fields]
-    if kind == "simple":
-        quads = [Quadrature(fourier_measure(lat, g), 0.0, 0, 0.0, 0) for g in gs]
-    else:
-        quads = _quadrature_group([build_generator(field, kind) for field in fields], gs, times)
-    return [(variance_curve(q.measure, times).values,) + q[1:] for q in quads]
-
-
 def _walker_note(walks, jumps):
     return f"walker: {walks} walks, {jumps} jumps simulated"
 
 
-def _decay_mc_group(args):
-    """Each field's two-time correlation from a lockstep group's walks, with its jump count."""
-    law, lat, f, kind, times, master, group, walks = args
+def _decay_group(args):
+    """Each field of a group: its variance curve and quadrature certificate (width, steps,
+    rounding, checks), or by method mc its walks' two-time correlation and jump count."""
+    law, lat, f, kind, times, master, group, method, walks = args
     fields = [sample_field(law, lat, field_seed(master, r)) for r in group]
-    weights = [field.omega if kind == "conductance" else lat.unit_weights for field in fields]
     values = [evaluate_all(f, field) for field in fields]
-    sample_times = 2.0 * np.asarray(times)
-    runs = _field_batch(lat, weights, walks, sample_times[-1], sample_times, master,
-                        STREAM_DECAY_WALKS, group)
-    return [((vals[starts][:, None] * vals[sites]).mean(axis=0), int(jumps.sum()))
-            for vals, (starts, sites, _, jumps) in zip(values, runs)]
+    if method == "mc":
+        weights = [field.omega if kind == "conductance" else lat.unit_weights for field in fields]
+        sample_times = 2.0 * np.asarray(times)
+        runs = _field_batch(lat, weights, walks, sample_times[-1], sample_times, master,
+                            STREAM_DECAY_WALKS, group)
+        return [((vals[starts][:, None] * vals[sites]).mean(axis=0), int(jumps.sum()))
+                for vals, (starts, sites, _, jumps) in zip(values, runs)]
+    if kind == "simple":
+        quads = [Quadrature(fourier_measure(lat, g), 0.0, 0, 0.0, 0) for g in values]
+    else:
+        quads = _quadrature_group([build_generator(field, kind) for field in fields], values, times)
+    return [(variance_curve(q.measure, times).values,) + q[1:] for q in quads]
 
 
 def variance_decay_experiment(
@@ -336,13 +332,10 @@ def variance_decay_experiment(
 
     if method == "spectral":
         groups = field_groups(realizations, lat.n_sites, _QUADRATURE_ROWS, workers)
-        tasks = [(law, lat, f, kind, times, seed, g) for g in groups]
-        run = _decay_spectral_group
     else:
         groups = _field_groups(realizations, lat.n_sites, walks, workers)
-        tasks = [(law, lat, f, kind, times, seed, g, walks) for g in groups]
-        run = _decay_mc_group
-    results = [field for part in parallel_map(run, tasks, workers) for field in part]
+    tasks = [(law, lat, f, kind, times, seed, g, method, walks) for g in groups]
+    results = [field for part in parallel_map(_decay_group, tasks, workers) for field in part]
     curves = [r[0] for r in results]
     samples = np.stack(curves)
     mean, se = mean_and_stderr(samples, axis=0)
@@ -734,10 +727,11 @@ def contractivity_experiment(
 ):
     """Initial derivative of t -> E[(S_1(f_t))^2] for the square-reading functional.
 
-    The closed moment form m1 m2 - m3 + m4 - m2^2 + 2 m1 m2^2 - 2 m1 m4 is
-    evaluated from the exact truncated moments of the law with its light mass
-    at 0, and checked against a plain Monte Carlo average of S_1(Lf) S_1(f)
-    over i.i.d. 8-edge windows.  A positive value exhibits non-contractivity;
+    The formula is the exact mean of S_1(Lf) S_1(f) by moment algebra
+    (contract_exact_moments), under the law with its light mass at 0; in the
+    law's moments it is m1 m2 - m3 + m4 - m2^2 + 2 m1 m2^2 - 2 m1 m4.  It is
+    checked against a plain Monte Carlo average of S_1(Lf) S_1(f) over
+    i.i.d. 8-edge windows.  A positive value exhibits non-contractivity;
     the rate-1 walk analogue below it must stay nonincreasing.  On the ring
     of torus_n sites that analogue, E[(S_1 e^{tL} g)^2] per field, is the
     variance curve of the Fourier measure of S_1 g, exact by FFT at any
@@ -751,10 +745,7 @@ def contractivity_experiment(
     if t_grid.size < 2 or not (t_grid[0] >= 0 and np.all(np.diff(t_grid) > 0) and t_grid[-1] < np.inf):
         raise ConfigError([("t_grid", "t-grid must be at least two nonnegative, strictly increasing, finite times")])
     law = BoundedPareto(p, eps, cap)
-    moments = [p * law.pareto_moment(i) if p > 0 else 0.0 for i in range(1, 5)]
-    m1, m2, m3, m4 = moments
-    formula = m1 * m2 - m3 + m4 - m2 * m2 + 2.0 * m1 * m2 * m2 - 2.0 * m1 * m4
-    _, exact_var = contract_exact_moments(p, eps, cap)
+    formula, exact_var = contract_exact_moments(p, eps, cap)
     bp_mean = _contract_estimand_poly().expect(law.moment)
     exact_se = math.sqrt(exact_var / int(realizations))
 
@@ -893,47 +884,36 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
         torus_n = 2 * (n_list[-1] + f.radius) + 3
     lat = Lattice(d, torus_n)
     if 2 * (n_list[-1] + f.radius) >= torus_n:
-        raise ConfigError([("n", f"torus period {torus_n} too small for box {n_list[-1]} plus stencil")])
+        raise ConfigError([("torus_n", f"torus period {torus_n} too small for box {n_list[-1]} plus stencil")])
     op0 = simple_generator(lat)
-    cs = {nb: sobolev_constant(d, nb) for nb in n_list}
-    rows = {nb: [] for nb in n_list}
-    slack_min = math.inf
-    argmins = []
-    w_opts = []
     results = parallel_map(
         _nash_one_field,
         [(law, op0, f, n_list, field_seed(seed, r)) for r in range(realizations)],
         workers,
     )
-    for ef2, energy, m2s in results:
-        rhs_by_n = {}
-        best_norm = ef2
-        for nb, m2 in zip(n_list, m2s):
-            size = (2 * nb + 1) ** d
-            rhs = cs[nb] * nb * nb * energy + 2.0 * m2 / size**2
-            rhs_by_n[nb] = rhs
-            slack_min = min(slack_min, rhs - ef2)
-            rows[nb].append((ef2, rhs, m2 / size))
-            best_norm = max(best_norm, m2 / size)
-        argmins.append(min(rhs_by_n, key=rhs_by_n.get))
-        if energy > 0:
-            w_opts.append((best_norm / (2.0 * math.e * energy)) ** (1.0 / (d + 2)))
+    ef2, energy, m2 = (np.array(column) for column in zip(*results))
+    # one row per box and one column per field: a box's mean over fields sums one contiguous row
+    nb = np.array(n_list)
+    size = (2 * nb + 1) ** d
+    cs = np.array([sobolev_constant(d, b) for b in n_list])
+    rhs = (cs * nb * nb)[:, None] * energy + 2.0 * m2.T / (size**2)[:, None]
+    slack = rhs - ef2
+    best_norm = np.maximum(ef2, (m2.T / size[:, None]).max(axis=0))
+    w_opts = [(b / (2.0 * math.e * e)) ** (1.0 / (d + 2))
+              for b, e in zip(best_norm.tolist(), energy.tolist()) if e > 0]
     report = ExperimentReport("nash-check")
     if derived:
         report.notes.append(f"torus period {torus_n}: 2 (largest box + stencil radius) + 3")
-    table = []
-    for nb in n_list:
-        arr = np.array(rows[nb])
-        table.append(
-            (nb, cs[nb], arr[:, 0].mean(), arr[:, 1].mean(), float(np.min(arr[:, 1] - arr[:, 0])))
-        )
-    report.add_table("boxes", ("n_box", "c_s", "lhs_mean", "rhs_mean", "min_slack"), table)
+    report.add_table("boxes", ("n_box", "c_s", "lhs_mean", "rhs_mean", "min_slack"),
+                     zip(n_list, cs.tolist(), [ef2.mean()] * len(n_list), rhs.mean(axis=1),
+                         slack.min(axis=1).tolist()))
     report.check(
         "box-inequality",
-        slack_min >= -1e-10,
-        f"minimum slack {slack_min:.4g} across {realizations} fields x {len(n_list)} boxes",
+        slack.min() >= -1e-10,
+        f"minimum slack {slack.min():.4g} across {realizations} fields x {len(n_list)} boxes",
     )
-    counts = {nb: argmins.count(nb) for nb in n_list}
+    # each field's tightest box, the first of equals
+    counts = dict(zip(n_list, np.bincount(rhs.argmin(axis=0), minlength=len(n_list)).tolist()))
     modal = max(counts, key=counts.get)
     w_mean = float(np.mean(w_opts)) if w_opts else math.nan
     report.notes.append(

@@ -22,7 +22,6 @@ __all__ = [
     "contract_example",
     "polynomial_functional",
     "functional_by_name",
-    "evaluate_at_sites",
     "evaluate_all",
     "box_sum_field",
 ]
@@ -136,24 +135,6 @@ class LocalFunctional:
         return f"LocalFunctional({self.name!r}, {len(self.stencil)} edges, d={self.d})"
 
 
-def _check_fits(f, lat):
-    if 2 * f.radius >= lat.n:
-        raise AliasingError(f"stencil radius {f.radius} does not fit on a period-{lat.n} torus")
-    if f.d != lat.d:
-        raise ParameterError(f"functional is {f.d}-dimensional, lattice is {lat.d}-dimensional")
-
-
-def evaluate_at_sites(f, field, sites):
-    """Functional values at an array of evaluation points."""
-    lat = field.lattice
-    _check_fits(f, lat)
-    sites = np.asarray(sites)
-    reads = np.empty((len(f.stencil),) + sites.shape)
-    for k, (off, axis) in enumerate(f.stencil):
-        reads[k] = field.omega[axis][lat.offset_index(sites, off)]
-    return f.evaluator(reads)
-
-
 def evaluate_all(f, field):
     """Values of f at every site of the torus, as one array.
 
@@ -161,7 +142,10 @@ def evaluate_all(f, field):
     offset, so no site index table is built.
     """
     lat = field.lattice
-    _check_fits(f, lat)
+    if 2 * f.radius >= lat.n:
+        raise AliasingError(f"stencil radius {f.radius} does not fit on a period-{lat.n} torus")
+    if f.d != lat.d:
+        raise ParameterError(f"functional is {f.d}-dimensional, lattice is {lat.d}-dimensional")
     reads = np.empty((len(f.stencil), lat.n_sites))
     for k, (off, axis) in enumerate(f.stencil):
         reads[k] = lat.shifted(field.omega[axis], off)

@@ -27,6 +27,8 @@ __all__ = [
 
 # largest site count for which a full eigendecomposition is attempted
 DENSE_LIMIT = 4096
+# eigenvalues of -L below this are the kernel's, snapped to exactly 0
+ZERO_EIGENVALUE = 1e-12
 
 
 class TorusOperator:
@@ -68,8 +70,8 @@ class TorusOperator:
     def eigensystem(self):
         """Full eigendecomposition of -L: ascending eigenvalues, orthonormal columns.
 
-        Eigenvalues below 1e-12 are snapped to exactly 0 so downstream code
-        can treat the kernel as a clean atom.
+        Eigenvalues below ZERO_EIGENVALUE are snapped to exactly 0 so
+        downstream code can treat the kernel as a clean atom.
         """
         if self._eig is None:
             n = self.lattice.n_sites
@@ -81,7 +83,7 @@ class TorusOperator:
             dense = np.full((n, n), -0.0)
             dense[rows, self._indices] = -self._data
             lam, vec = np.linalg.eigh(dense)
-            lam = np.where(lam < 1e-12, 0.0, lam)
+            lam = np.where(lam < ZERO_EIGENVALUE, 0.0, lam)
             self._eig = (lam, vec)
         return self._eig
 

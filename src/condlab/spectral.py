@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonergodicError, ParameterError, SolverError
-from .operators import _lanczos
+from .operators import ZERO_EIGENVALUE, _lanczos
 
 __all__ = [
     "SpectralMeasure",
@@ -48,7 +48,6 @@ __all__ = [
     "tail_decay_agreement",
 ]
 
-ZERO_EIGENVALUE = 1e-12
 ZERO_WEIGHT = 1e-10
 
 
@@ -569,15 +568,10 @@ def tail_decay_agreement(m, alpha, max_exp=20):
     time_stat = np.array(
         [t**alpha * (float(w @ np.exp(-2.0 * lam * t)) + base) for t in times]
     )
-
-    def raw_tail(delta):
-        mask = lam <= delta
-        return float(np.sum(w[mask] / lam[mask]))
-
     if has_zero:
         tail_stat = np.full_like(deltas, np.inf)
     else:
-        tail_stat = np.array([d ** (1.0 - alpha) * raw_tail(d) for d in deltas])
+        tail_stat = np.array([d ** (1.0 - alpha) * spectral_tail(m, d) for d in deltas])
 
     # genuine mass at 0 makes sup t^alpha var(t) infinite outright
     time_div = has_zero or _grid_divergent(time_stat)
@@ -589,18 +583,18 @@ def tail_decay_agreement(m, alpha, max_exp=20):
         for t, stat in zip(times, time_stat):
             # dyadic lambda blocks: each block (a, 2a] contributes at most
             # e^{-2at} * 2a * tail(2a), and lambda <= 1/t contributes tail(1/t)/t
-            rhs = raw_tail(1.0 / t)
+            rhs = spectral_tail(m, 1.0 / t)
             j = 0
             while True:
                 a = 2.0**j / t
-                rhs += math.exp(-2.0 * a * t) * 2.0 * a * t * raw_tail(min(2.0 * a, lam_max))
+                rhs += math.exp(-2.0 * a * t) * 2.0 * a * t * spectral_tail(m, min(2.0 * a, lam_max))
                 if 2.0 * a >= lam_max or j > 80:
                     break
                 j += 1
             if stat > t ** (alpha - 1.0) * rhs * (1 + 1e-9) + 1e-300:
                 forward_ok = False
         for d in deltas:
-            lhs = raw_tail(d)
+            lhs = spectral_tail(m, d)
             rhs = math.e**2 * float(np.sum(w * np.exp(-2.0 * lam / d) / lam))
             if lhs > rhs * (1 + 1e-9) + 1e-300:
                 reverse_ok = False

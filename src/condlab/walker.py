@@ -11,15 +11,17 @@ walk still short of the horizon, across all fields of a group, whose jump
 tables stack into at most _GROUP_ROWS rows; ensembles keep only the
 sample-time sites and displacements (int32) and each walk's jump count, and
 a step does sample-time bookkeeping only for the walks whose jump passes a
-sample time or the horizon.  Ensembles walk the fields their caller
-samples; this module samples none.  Field r of an ensemble under master seed s
-keeps one generator, child_rng(s, stream, r) (util.STREAM_MSD_WALKS for
-msd_estimate, util.STREAM_DECAY_WALKS for the mc decay method): it draws
-the start sites, then each step exactly what the field's walks would draw
-alone, so results depend on neither grouping nor workers.  A single trajectory is the group of one walk.  On a
-shared 2-core x86-64 box, one core busy: about 2.2e7 jumps/s for criterion
-8's ensemble, run as one group (1.5e7 as four groups of six fields), and
-8e4-9e4 for a single path, as before, where numpy's per-call cost dominates.
+sample time or the horizon.  Ensembles walk the fields their caller samples;
+this module samples none, and additive_functional integrates a site array
+its caller evaluated.  Field r of an ensemble under master seed s keeps one
+generator, child_rng(s, stream, r) (util.STREAM_MSD_WALKS for msd_estimate,
+util.STREAM_DECAY_WALKS for the mc decay method): it draws the start sites,
+then each step exactly what the field's walks would draw alone, so results
+depend on neither grouping nor workers.  A single trajectory is the group of
+one walk.  On a shared 2-core x86-64 box, one core busy: about 2.2e7 jumps/s
+for criterion 8's ensemble, run as one group (1.5e7 as four groups of six
+fields), and 8e4-9e4 for a single path, as before, where numpy's per-call
+cost dominates.
 """
 
 import math
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .functionals import evaluate_at_sites
 from .util import STREAM_MSD_WALKS, child_rng, field_groups, mean_and_stderr, parallel_map
 
 __all__ = [
@@ -293,8 +294,8 @@ def simulate_srw(lattice, start, horizon, rng):
     return _simulate(lattice, lattice.unit_weights, start, horizon, rng)
 
 
-def additive_functional(field, functional, trajectory, t, t0=0.0):
-    """Exact time integral of the observable along the path over [t0, t]."""
+def additive_functional(values, trajectory, t, t0=0.0):
+    """Exact time integral of the site array values along the path over [t0, t]."""
     if not 0 <= t0 <= t:
         raise ParameterError(f"need 0 <= t0 <= t, got [{t0}, {t}]")
     if t > trajectory.horizon:
@@ -305,8 +306,7 @@ def additive_functional(field, functional, trajectory, t, t0=0.0):
     cuts = np.concatenate(([t0], jt[lo:hi], [t]))
     visited = np.concatenate(([trajectory.start if lo == 0 else trajectory.sites[lo - 1]],
                               trajectory.sites[lo:hi]))
-    values = evaluate_at_sites(functional, field, visited)
-    return math.fsum((values * np.diff(cuts)).tolist())
+    return math.fsum((np.asarray(values)[visited] * np.diff(cuts)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -443,13 +443,20 @@ def test_criterion_6_diffusivity_convergence():
 def test_criterion_7_non_contractivity():
     t0 = time.perf_counter()
     report, res = contractivity_experiment(0.25, 0.1, 1e3)
+    # a law whose exact stderr resolves the sign: the 3 sigma band around
+    # the formula excludes 0, so a sign error in the windows would fail here
+    report_r, res_r = contractivity_experiment(0.1, 0.1, 20.0)
     elapsed = time.perf_counter() - t0
+    resolved = 3.0 * res_r.exact_stderr < res_r.formula
     ok = (
         res.formula > 0
         and res.verdict == "positive-agree"
         and res.curve_monotone
         and _target(report, "derivative-agreement").passed
         and _target(report, "analogue-nonincreasing").passed
+        and resolved
+        and res_r.verdict == "positive-agree"
+        and _target(report_r, "derivative-agreement").passed
         and elapsed < 300.0
     )
     _line(
@@ -457,13 +464,19 @@ def test_criterion_7_non_contractivity():
         ok,
         f"formula {res.formula:.6f} > 0, mc {res.mc_estimate:.4f} "
         f"+/- {res.exact_stderr:.4f} (exact), analogue monotone "
-        f"{res.curve_monotone}, {elapsed:.1f}s",
+        f"{res.curve_monotone}; resolved law (0.1, 0.1, 20): formula {res_r.formula:.5f}, "
+        f"mc {res_r.mc_estimate:.4f} +/- {res_r.exact_stderr:.4f} (exact), {res_r.verdict}; "
+        f"{elapsed:.1f}s",
         formula=res.formula, mc_estimate=res.mc_estimate, exact_stderr=res.exact_stderr,
-        boundedpareto_mean=res.boundedpareto_mean, seconds=elapsed,
+        boundedpareto_mean=res.boundedpareto_mean, resolved_formula=res_r.formula,
+        resolved_mc_estimate=res_r.mc_estimate, resolved_exact_stderr=res_r.exact_stderr,
+        seconds=elapsed,
     )
     assert res.formula > 0
     assert res.verdict == "positive-agree", res
     assert res.curve_monotone
+    assert resolved, res_r
+    assert res_r.verdict == "positive-agree", res_r
     assert elapsed < 300.0
 
 

@@ -114,16 +114,18 @@ def test_bad_mu_exits_2_and_writes_nothing(tmp_path, capsys):
         (["diffusivity", "--law", "constant:1", "--mu", "1,0.5,nan"], "(--mu): mu must be finite"),
         (["diffusivity", "--law", "constant:1", "--mu", "1,0.5,-inf"], "(--mu): mu must be finite"),
         (["diffusivity", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5,0.5"],
-         "(mu): mu value 0.5 is repeated"),
+         "(--mu): mu value 0.5 is repeated"),
         (["diffusivity", "--law", "twopoint:0.5,1,4", "--mu", "0.5,1,0.25,0.5"],
-         "(mu): mu value 0.5 is repeated"),
+         "(--mu): mu value 0.5 is repeated"),
         (["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "2,1,2"],
-         "(n_list): box size 2 is repeated"),
+         "(--n-list): box size 2 is repeated"),
+        (["nash-check", "--law", "twopoint:0.5,1,4", "--n-list", "4", "--torus-n", "9"],
+         "(--torus-n): torus period 9 too small for box 4 plus stencil"),
         (["contract", "--p", "0.9", "--eps", "8.0", "--cap", "3.0", "--t-grid", "1"],
          "(--t-grid): t-grid must be at least two nonnegative, strictly increasing times"),
         # one walk in all has no standard error for the gap gates to divide by
         (["msd", "--law", "twopoint:0.5,1,4", "--d", "1", "--n", "3", "--realizations", "1", "--walks", "1",
-          "--times", "1"], "(walks): need at least 2 walks in all"),
+          "--times", "1"], "(--walks): need at least 2 walks in all"),
     ],
 )
 def test_nonfinite_and_repeated_values_exit_2(tmp_path, capsys, argv, message):

@@ -270,6 +270,91 @@ def test_cluster_bound_w_le_2d_cluster_squared():
         assert w <= 2 * d * len(c.sites) ** 2
 
 
+def _oracle_neighbours(lat):
+    """Each site's neighbours x + e_0, x - e_0, x + e_1, ..., from its coordinates."""
+    table = []
+    for x in range(lat.n_sites):
+        table.append([])
+        for axis in range(lat.d):
+            for step in (1, -1):
+                c = lat.site_coords(x)
+                c[axis] += step
+                table[x].append(lat.site_index(c))
+    return table
+
+
+def _oracle_cluster(nbrs, bad, origin):
+    """Endpoints of the paths from origin whose interior sites are all bad."""
+    reached, ends = {origin}, [origin]
+    while ends:
+        x = ends.pop()
+        # a path may pass x on its way only if x is the origin or bad
+        if x == origin or x in bad:
+            for y in nbrs[x]:
+                if y not in reached:
+                    reached.add(y)
+                    ends.append(y)
+    return reached
+
+
+def _oracle_w(nbrs, bad, origin):
+    """W from its definition: components labelled by union-find, each edge's set built literally."""
+    parent = {x: x for x in bad}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in bad:
+        for y in nbrs[x]:
+            if y in bad:
+                parent[root(x)] = root(y)
+    members = {}
+    for x in bad:
+        members.setdefault(root(x), set()).add(x)
+    total = 0
+    for u in range(len(nbrs)):
+        for forward in nbrs[u][0::2]:
+            ext = {u, forward}
+            for end in (u, forward):
+                if end in bad:
+                    component = members[root(end)]
+                    ext |= component | {y for x in component for y in nbrs[x]}
+            if origin in ext:
+                total += len(ext)
+    return total
+
+
+@pytest.mark.parametrize("law", [Uniform(1.0, 3.0), TwoPoint(0.3, 1.0, 4.0), BoundedPareto(0.3, 0.5, 50.0)],
+                         ids=["uniform", "twopoint", "boundedpareto"])
+@pytest.mark.parametrize("d, n", [(1, 13), (2, 6), (3, 4)])
+def test_bad_cluster_and_w_statistic_match_their_definitions(law, d, n):
+    lat = Lattice(d, n)
+    nbrs = _oracle_neighbours(lat)
+    saturated = 0
+    for seed in range(4):
+        field = sample_field(law, lat, 500 + seed)
+        # each site's rate, summed left to right edge by edge, (a, x) then (a, x - e_a)
+        rates = [sum(w for a in range(d) for w in (field.omega[a, x], field.omega[a, nbrs[x][2 * a + 1]]))
+                 for x in range(lat.n_sites)]
+        # eta = 1 makes every site bad, so the torus saturates
+        for eta in [1.0] + [float(np.quantile(rates, q)) for q in (0.3, 0.6, 0.85, 0.97)]:
+            bad = {x for x, rate in enumerate(rates) if rate > eta}
+            for origin in (0, lat.n_sites // 2 + 1):
+                expected = _oracle_cluster(nbrs, bad, origin)
+                cluster = bad_cluster(field, eta, origin)
+                assert cluster.sites.tolist() == sorted(expected)
+                assert cluster.saturated == (len(expected) == lat.n_sites)
+                if cluster.saturated:
+                    saturated += 1
+                    with pytest.raises(SaturationError):
+                        w_statistic(field, eta, origin)
+                else:
+                    assert w_statistic(field, eta, origin) == _oracle_w(nbrs, bad, origin)
+    assert saturated >= 8
+
+
 def test_field_save_load_round_trip(tmp_path):
     lat = Lattice(2, 6)
     field = sample_field(BoundedPareto(0.3, 0.5, 50.0), lat, 21)
@@ -287,7 +372,7 @@ def test_lattice_basics():
     x = lat.site_index((3, 4))
     assert lat.site_coords(x).tolist() == [3, 4]
     assert lat.shift(x, 1, 1) == lat.site_index((3, 0))  # wraps
-    nb = lat.neighbors(x)
+    nb = lat.star[x]
     assert len(nb) == 4
     with pytest.raises(ParameterError):
         Lattice(2, 2)

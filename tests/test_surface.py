@@ -1,5 +1,6 @@
 """The public surface: what `condlab` exports, and the README's library example."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -28,3 +29,31 @@ def test_readme_library_example_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert float(printed[0]) > 0
     assert printed[1].startswith("[")
+
+
+
+def _default_rng_callers(tree):
+    """The innermost enclosing function (None at module level) of each default_rng call."""
+    callers = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("default_rng"):
+                callers.append(func)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return callers
+
+
+def test_generators_come_only_from_the_seed_tree_helper_and_the_walker_replay():
+    # every random stream is a node of util.child_rng's seed tree; the walker's
+    # _simulate only wraps the generator (or seed) that its caller passes in
+    src = pathlib.Path(condlab.__file__).resolve().parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        found = _default_rng_callers(ast.parse(text))
+        assert len(found) == text.count("default_rng("), path.name
+        callers += [(path.stem, func) for func in found]
+    assert sorted(callers) == [("util", "child_rng"), ("walker", "_simulate")]

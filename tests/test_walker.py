@@ -20,7 +20,7 @@ from condlab.environment import (
 )
 from condlab.errors import ParameterError
 from condlab.experiments import msd_experiment, variance_decay_experiment
-from condlab.functionals import centered_edge
+from condlab.functionals import centered_edge, evaluate_all
 from condlab.operators import build_generator
 from condlab.util import child_rng, field_seed
 from condlab import walker
@@ -143,7 +143,7 @@ def test_additive_functional_is_the_exact_piecewise_integral():
     lat = Lattice(1, 5)
     omega = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
     field = ConductanceField(lat, omega)
-    f = centered_edge(1, Constant(1.0))  # reads omega[0, x] - 1
+    values = evaluate_all(centered_edge(1, Constant(1.0)), field)  # omega[0, x] - 1
     traj = Trajectory(
         start=0, horizon=4.0,
         times=np.array([1.0, 2.5]),
@@ -153,14 +153,14 @@ def test_additive_functional_is_the_exact_piecewise_integral():
     )
     # segments: site 0 on [0,1), site 1 on [1,2.5), site 2 on [2.5,4]
     expected = (1.0 - 1.0) * 1.0 + (2.0 - 1.0) * 1.5 + (3.0 - 1.0) * 1.5
-    assert additive_functional(field, f, traj, 4.0) == pytest.approx(expected)
+    assert additive_functional(values, traj, 4.0) == pytest.approx(expected)
     # a window that starts mid-segment
     expected_tail = (2.0 - 1.0) * 0.5 + (3.0 - 1.0) * 1.0
-    assert additive_functional(field, f, traj, 3.5, t0=2.0) == pytest.approx(expected_tail)
+    assert additive_functional(values, traj, 3.5, t0=2.0) == pytest.approx(expected_tail)
     with pytest.raises(ParameterError):
-        additive_functional(field, f, traj, 5.0)
+        additive_functional(values, traj, 5.0)
     with pytest.raises(ParameterError):
-        additive_functional(field, f, traj, 1.0, t0=2.0)
+        additive_functional(values, traj, 1.0, t0=2.0)
 
 
 def test_msd_estimate_is_deterministic_and_tracks_mean_rate():
