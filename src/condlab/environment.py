@@ -529,23 +529,21 @@ def w_statistic(field, eta, origin=0):
     lat = field.lattice
     origin = int(origin)
     good = classify_sites(field, eta).good
-    label, closures = _bad_closures(lat, good, range(lat.n_sites))
+    label, closures = _bad_closures(lat, good, [origin, *lat.star[origin].tolist()])
     if _cluster(lat, label, closures, origin).saturated:
         raise SaturationError(
             f"bad cluster at site {origin} covers the whole torus; raise eta or enlarge n"
         )
-    if not good.any():
-        raise SaturationError("a bad component covers the whole torus; raise eta or enlarge n")
+    # an extended set holds the origin only if its edge touches the origin or a labelled
+    # component; it is then that component's closure, or the edge if both ends are good
+    sizes = np.array([len(c) for c in closures] + [2])  # label -1: the edge's 2 sites
+    label = np.array(label)
+    sites = np.union1d(origin, np.flatnonzero(label >= 0))
     total = 0
-    # edge (axis, u) joins u to u + e_axis
-    for u, v in zip(np.tile(np.arange(lat.n_sites), lat.d).tolist(), lat.star[:, 0::2].T.ravel().tolist()):
-        ext = {u, v}
-        if label[u] >= 0:
-            ext |= closures[label[u]]
-        if label[v] >= 0:
-            ext |= closures[label[v]]
-        if origin in ext:
-            total += len(ext)
+    for a in range(lat.d):
+        # edge (a, u) joins u to u + e_a
+        u = np.union1d(sites, lat.star[sites, 2 * a + 1])
+        total += int(sizes[np.maximum(label[u], label[lat.star[u, 2 * a]])].sum())
     return float(total)
 
 

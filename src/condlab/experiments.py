@@ -35,11 +35,9 @@ from .operators import (
 from .spectral import (
     DecayCurve,
     PowerLawFit,
-    Quadrature,
     _QUADRATURE_ROWS,
-    _quadrature_group,
     diffusivity_estimators,
-    fourier_measure,
+    torus_measures,
     variance_curve,
 )
 from .util import (
@@ -276,11 +274,8 @@ def _decay_group(args):
                             STREAM_DECAY_WALKS, group)
         return [((vals[starts][:, None] * vals[sites]).mean(axis=0), int(jumps.sum()))
                 for vals, (starts, sites, _, jumps) in zip(values, runs)]
-    if kind == "simple":
-        quads = [Quadrature(fourier_measure(lat, g), 0.0, 0, 0.0, 0) for g in values]
-    else:
-        quads = _quadrature_group([build_generator(field, kind) for field in fields], values, times)
-    return [(variance_curve(q.measure, times).values,) + q[1:] for q in quads]
+    return [(variance_curve(q.measure, times).values,) + q[1:]
+            for q in torus_measures(fields, kind, values, times)]
 
 
 def variance_decay_experiment(
@@ -301,13 +296,14 @@ def variance_decay_experiment(
 ):
     """Ensemble average of E[(f_t)^2] over fields, with a power-law fit.
 
-    The spectral method evaluates atom sums per field, at any torus size: the
-    simple walk's exact measure comes from an FFT, the conductance walk's
-    from Lanczos quadrature, certified at every requested time by a
-    Gauss/Gauss-Radau bracket of relative width at most QUADRATURE_RTOL
-    (SolverError if it cannot close).  Quadratures run in lockstep groups of
-    fields, at most _QUADRATURE_ROWS sites in all unless a field alone has
-    more, and at least one group per worker; grouping changes no result.
+    The spectral method evaluates atom sums per field, at any torus size, of
+    the measures from torus_measures: the simple walk's exact by FFT, the
+    conductance walk's from Lanczos quadrature, certified at every requested
+    time by a Gauss/Gauss-Radau bracket of relative width at most
+    QUADRATURE_RTOL (SolverError if it cannot close).  Quadratures run in
+    lockstep groups of fields, at most _QUADRATURE_ROWS sites in all unless
+    a field alone has more, and at least one group per worker; grouping
+    changes no result.
     The summary notes the engine, and for quadrature the most Lanczos steps
     and bracket evaluations, the widest bracket and the largest rounding
     allowance over the fields.  The mc method estimates the
@@ -772,15 +768,11 @@ def contractivity_experiment(
     # S_1 g, which must be nonincreasing
     lat = Lattice(1, torus_n)
     f = functional_by_name("contract-example", 1, law)
-    curves = np.empty((fields, len(t_grid)))
-    monotone = True
-    for k in range(fields):
-        fld = sample_field(law, lat, field_seed(seed, k))
-        s = box_sum_field(evaluate_all(f, fld), lat, 1)
-        curves[k] = variance_curve(fourier_measure(lat, s), t_grid).values
-        steps = np.diff(curves[k])
-        if np.any(steps > 1e-10 * max(curves[k, 0], 1.0)):
-            monotone = False
+    flds = [sample_field(law, lat, field_seed(seed, k)) for k in range(fields)]
+    sums = [box_sum_field(evaluate_all(f, fld), lat, 1) for fld in flds]
+    curves = np.array([variance_curve(q.measure, t_grid).values
+                       for q in torus_measures(flds, "simple", sums, t_grid)])
+    monotone = not np.any(np.diff(curves, axis=1) > 1e-10 * np.maximum(curves[:, :1], 1.0))
     mean_curve = curves.mean(axis=0)
 
     # the empirical stderr cannot see the rare cap-scale events that carry

@@ -2,17 +2,18 @@
 
 On a finite torus the spectral measure of -L projected on a site function is
 purely atomic, so variances, resolvent moments, and effective-diffusivity
-error terms are all finite sums over (eigenvalue, weight) atoms.  Three
-engines produce such measures: dense diagonalization (exact; the oracle, and
-capped at DENSE_LIMIT sites), the Fourier transform (exact, simple walk
-only), and Lanczos quadrature (conductance walk at any size).  The last is
-the only approximation: a Gauss rule, certified at the requested times by a
+error terms are all finite sums over (eigenvalue, weight) atoms.  Dense
+diagonalization (spectral_measure) is the exact oracle, capped at
+DENSE_LIMIT sites.  At any size, torus_measures gives the fields of one
+torus their measures with certificates: the simple walk's exact by Fourier
+transform, the conductance walk's by Lanczos quadrature.  The latter is the
+only approximation: a Gauss rule, certified at the requested times by a
 Gauss-Radau bracket of relative width at most QUADRATURE_RTOL, with an
-allowance for rounding in the recurrence reported beside it.  The fields of
-one torus run their quadratures in lockstep groups (_quadrature_group): one
-sparse product per Lanczos step for the whole group, and one batched
-eigendecomposition per rule for the fields due for a bracket check, with
-each field's result bit for bit what it gets alone.
+allowance for rounding in the recurrence reported beside it.  The fields
+run their quadratures in lockstep (_quadrature_group): one sparse product
+per Lanczos step for the whole group, and one batched eigendecomposition
+per rule for the fields due for a bracket check, with each field's result
+bit for bit what it gets alone.
 """
 
 import math
@@ -22,15 +23,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonergodicError, ParameterError, SolverError
-from .operators import ZERO_EIGENVALUE, _lanczos
+from .operators import ZERO_EIGENVALUE, _lanczos, build_generator
 
 __all__ = [
     "SpectralMeasure",
     "spectral_measure",
-    "fourier_measure",
     "QUADRATURE_RTOL",
     "Quadrature",
-    "quadrature_measure",
+    "torus_measures",
     "PowerLawFit",
     "DecayCurve",
     "variance_curve",
@@ -99,7 +99,7 @@ def spectral_measure(op, g, center=True):
     return SpectralMeasure(lam, w, removed_mean=mean if center else 0.0)
 
 
-def fourier_measure(lattice, g):
+def _fourier_measure(lattice, g):
     """Exact measure of g under the rate-1 (simple) walk, by FFT.
 
     Plane waves diagonalize the simple-walk generator: the atom of wave k
@@ -132,13 +132,31 @@ _QUADRATURE_ROWS = 1 << 15
 
 
 class Quadrature(NamedTuple):
-    """A quadrature measure with its certificate."""
+    """A measure with its certificate; an exact one has width 0 and 0 steps."""
 
     measure: SpectralMeasure
     width: float  # max relative width of the bracket over the requested times
     steps: int  # Lanczos steps taken
     rounding: float  # rounding allowance, as a fraction of the mass of g - mean(g)
     checks: int  # bracket evaluations
+
+
+def torus_measures(fields, kind, gs, times):
+    """Quadrature of gs[i] under -L of the kind's walk on fields[i], certified at the times.
+
+    The fields share a torus; each measure has total mass mean(g^2), as for
+    spectral_measure(center=False).  The simple walk's is exact by FFT, with
+    width 0 and 0 steps, and builds no generator; the conductance walk's
+    comes from _quadrature_group.  times must be nonempty, finite and >= 0.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.size == 0:
+        raise ParameterError("times must not be empty")
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ParameterError("times must be finite and >= 0")
+    if kind == "simple":
+        return [Quadrature(_fourier_measure(fields[0].lattice, g), 0.0, 0, 0.0, 0) for g in gs]
+    return _quadrature_group([build_generator(field, kind) for field in fields], gs, t)
 
 
 def _gauss_radau(alphas, betas, times):
@@ -172,20 +190,57 @@ def _gauss_radau(alphas, betas, times):
 
 
 def _quadrature_group(ops, gs, times):
-    """quadrature_measure of gs[i] under ops[i] for every i, the recurrences in lockstep.
+    """Measure of gs[i] under ops[i] for every i from Lanczos quadrature, certified at the times.
 
-    The ops share a lattice.  Each Lanczos step is one product with their
-    block-diagonal matrix, and the fields due for a bracket check are
-    certified together by _gauss_radau; a field leaves the group when its
-    bracket closes.  Every row's arithmetic is what it would be alone, and
-    each field's checks are scheduled from its own bracket widths, so each
-    Quadrature is bit for bit that of its group of one.
+    The constant part of g is exact: an atom of weight mean(g)^2 at 0.  The
+    rest starts a plain Lanczos recurrence, whose Jacobi matrix gives the
+    Gauss rule: Ritz values as atoms, squared first eigenvector components
+    (times the mass) as weights.  Because e^{-2 lambda t} is completely
+    monotone, that rule undershoots the curve sum_i w_i e^{-2 lambda_i t}
+    while the Gauss-Radau rule with a node fixed at 0 <= spec(-L) overshoots
+    it.  Both are evaluated at all times at step 10, then at steps that
+    each field's own widths choose.  After a check at step k whose width
+    fell since the field's previous check, the next one goes where the line
+    through log(width) at those two checks reaches QUADRATURE_RTOL, but 10
+    to max(10, k // 2) steps on; after any other check it goes
+    max(10, k // 2) steps on.  Checks also run at steps n_sites - 1 and
+    QUADRATURE_MAX_STEPS.  The widths contract faster than that line, so it
+    places a check at or just after the close: 235-460 steps took 9-11
+    checks where every 10 steps would take 23-46.  Each check diagonalizes
+    two Jacobi matrices in O(k^3); `checks` counts them.  Only a computed
+    bracket closes a run: the recurrence stops once its relative width is
+    at most QUADRATURE_RTOL; at breakdown the rule is exact and the width is
+    0.  A bracket still open after QUADRATURE_MAX_STEPS steps raises
+    SolverError, so no uncertified measure is returned.  The operators must
+    be connected (all weights positive).
+
+    The ops share a lattice, and the recurrences run in lockstep.  Each
+    Lanczos step is one product with their block-diagonal matrix, and the
+    fields due for a bracket check are certified together by _gauss_radau;
+    a field leaves the group when its bracket closes.  Every row's
+    arithmetic is what it would be alone, and each field's checks are
+    scheduled from its own bracket widths, so each Quadrature is bit for bit
+    that of its group of one.
+
+    The recurrence is not reorthogonalized, so in floating point its vectors
+    lose orthogonality once Ritz values converge, and copies of converged
+    Ritz values appear.  The bracket still holds for a nearby measure: after
+    k steps the computed Jacobi matrix is the exact Jacobi matrix, hence
+    gives the exact Gauss and Radau rules, of a measure of the same mass
+    whose nodes lie within delta ~ k eps |L| of the eigenvalues of -L, with
+    |L| <= 2 max_rate (Greenbaum, Linear Algebra Appl. 1989; Golub and
+    Meurant, Matrices, Moments and Quadrature, 2010).  Copies split a node's
+    weight and create none.  Moving a node by delta moves e^{-2 lambda t} by
+    at most 2 t delta, so the curve of that measure lies within 2 t delta
+    mass of the true one, mass being mean((g - mean g)^2).  `rounding`
+    reports this allowance at the latest time as a fraction of that mass,
+    2 max(t) delta with delta = k eps 2 max_rate, beside `width`: each curve
+    value is certified to width times itself plus rounding times the mass.
+    It is an a priori bound, far looser than the deviation seen against the
+    dense oracle, so it neither widens the bracket nor decides when it has
+    closed.
     """
     t = np.asarray(times, dtype=float)
-    if t.size == 0:
-        raise ParameterError("times must not be empty")
-    if not np.all((t >= 0) & (t < np.inf)):
-        raise ParameterError("times must be finite and >= 0")
     v = np.array(gs, dtype=float)
     n = v.shape[1]
     mean = v.mean(axis=1)
@@ -252,54 +307,6 @@ def _quadrature_group(ops, gs, times):
         if not live.size:
             return out
         alphas, betas, exact = recurrence.send(keep)
-
-
-def quadrature_measure(op, g, times):
-    """Measure of g under -L from Lanczos quadrature, certified at the given times.
-
-    The constant part of g is exact: an atom of weight mean(g)^2 at 0.  The
-    rest starts a plain Lanczos recurrence, whose Jacobi matrix gives the
-    Gauss rule: Ritz values as atoms, squared first eigenvector components
-    (times the mass) as weights.  Because e^{-2 lambda t} is completely
-    monotone, that rule undershoots the curve sum_i w_i e^{-2 lambda_i t}
-    while the Gauss-Radau rule with a node fixed at 0 <= spec(-L) overshoots
-    it.  Both are evaluated at all times at step 10, then at steps that
-    each field's own widths choose.  After a check at step k whose width
-    fell since the field's previous check, the next one goes where the line
-    through log(width) at those two checks reaches QUADRATURE_RTOL, but 10
-    to max(10, k // 2) steps on; after any other check it goes
-    max(10, k // 2) steps on.  Checks also run at steps n_sites - 1 and
-    QUADRATURE_MAX_STEPS.  The widths contract faster than that line, so it
-    places a check at or just after the close: 235-460 steps took 9-11
-    checks where every 10 steps would take 23-46.  Each check diagonalizes
-    two Jacobi matrices in O(k^3); `checks` counts them.  Only a computed
-    bracket closes a run: the recurrence stops once its relative width is
-    at most QUADRATURE_RTOL; at breakdown the rule is exact and the width is
-    0.  A bracket still open after QUADRATURE_MAX_STEPS steps raises
-    SolverError, so no uncertified measure is returned.  As for
-    spectral_measure(center=False), the total mass is mean(g^2).  The
-    operator must be connected (all weights positive).  This is the group of
-    one of _quadrature_group, which runs the fields of a torus in lockstep.
-
-    The recurrence is not reorthogonalized, so in floating point its vectors
-    lose orthogonality once Ritz values converge, and copies of converged
-    Ritz values appear.  The bracket still holds for a nearby measure: after
-    k steps the computed Jacobi matrix is the exact Jacobi matrix, hence
-    gives the exact Gauss and Radau rules, of a measure of the same mass
-    whose nodes lie within delta ~ k eps |L| of the eigenvalues of -L, with
-    |L| <= 2 max_rate (Greenbaum, Linear Algebra Appl. 1989; Golub and
-    Meurant, Matrices, Moments and Quadrature, 2010).  Copies split a node's
-    weight and create none.  Moving a node by delta moves e^{-2 lambda t} by
-    at most 2 t delta, so the curve of that measure lies within 2 t delta
-    mass of the true one, mass being mean((g - mean g)^2).  `rounding`
-    reports this allowance at the latest time as a fraction of that mass,
-    2 max(t) delta with delta = k eps 2 max_rate, beside `width`: each curve
-    value is certified to width times itself plus rounding times the mass.
-    It is an a priori bound, far looser than the deviation seen against the
-    dense oracle, so it neither widens the bracket nor decides when it has
-    closed.
-    """
-    return _quadrature_group([op], [g], times)[0]
 
 
 def _positive_atoms(m):

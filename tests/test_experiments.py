@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from condlab import experiments, walker
+from condlab import experiments, operators, walker
 from condlab.environment import BoundedPareto, Constant, Lattice, TwoPoint, Uniform, sample_field
 from condlab.errors import ConfigError, FitError
 from condlab.experiments import (
@@ -310,6 +310,18 @@ def test_decay_experiment_is_deterministic():
     c, _ = variance_decay_experiment(LAW, 1, 16, "edge", "simple", times, 5, 8)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_simple_walk_runs_build_no_generator(monkeypatch):
+    # the rate-1 walk's measures come from the FFT; a 10^6-site simple_generator costs 133 MB
+    def no_generator(*args):
+        raise AssertionError("a generator was built for the simple walk")
+
+    monkeypatch.setattr(operators.TorusOperator, "__init__", no_generator)
+    curve, report = variance_decay_experiment(LAW, 2, 12, "edge", "simple", np.geomspace(0.5, 4.0, 6), 3, 0)
+    assert report.notes[0] == "spectral engine: exact Fourier measure of the simple walk"
+    assert np.all(curve.values > 0)
+    assert contractivity_experiment(0.25, 0.1, 1e3, realizations=1000, fields=2)[1].curve_monotone
 
 
 def test_decay_experiment_validation():

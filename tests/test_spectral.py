@@ -27,7 +27,6 @@ from condlab.operators import (
     build_generator,
     resolvent_solve,
     semigroup_apply,
-    simple_generator,
 )
 from condlab.spectral import (
     QUADRATURE_RTOL,
@@ -40,14 +39,13 @@ from condlab.spectral import (
     corrector_error_term,
     diffusivity_estimators,
     finite_time_deficit,
-    fourier_measure,
     load_measure_csv,
-    quadrature_measure,
     resolvent_second_moment,
     spectral_measure,
     spectral_tail,
     synthetic_power_measure,
     tail_decay_agreement,
+    torus_measures,
     variance_curve,
 )
 from condlab.util import field_seed
@@ -262,9 +260,9 @@ ORACLE_MAX_N = {1: 512, 2: 22, 3: 8}
 
 
 @st.composite
-def _oracle_case(draw):
-    law = ORACLE_LAWS[draw(st.sampled_from(sorted(ORACLE_LAWS)))]
-    d = draw(st.integers(1, 3))
+def _oracle_case(draw, laws=tuple(sorted(ORACLE_LAWS)), dims=(1, 2, 3)):
+    law = ORACLE_LAWS[draw(st.sampled_from(laws))]
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(3, ORACLE_MAX_N[d]))
     seed = draw(st.integers(0, 2**31 - 1))
     field = sample_field(law, Lattice(d, n), seed)
@@ -272,7 +270,7 @@ def _oracle_case(draw):
     # an uncentered g, so the exact zero atom is exercised too
     g = rng.normal(size=field.lattice.n_sites) + draw(st.sampled_from([0.0, 0.3]))
     t_max = draw(st.sampled_from([0.5, 5.0, 50.0]))
-    return build_generator(field, "conductance"), g, np.geomspace(0.01, t_max, 12)
+    return field, g, np.geomspace(0.01, t_max, 12)
 
 
 def _dense_curve(op, g, times):
@@ -282,7 +280,8 @@ def _dense_curve(op, g, times):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_oracle_case())
 def test_gauss_and_radau_rules_bracket_the_dense_curve(case):
-    op, g, times = case
+    field, g, times = case
+    op = build_generator(field, "conductance")
     v = g - g.mean()
     mass = float(v @ v) / v.size
     zero = float(g.mean()) ** 2
@@ -296,18 +295,33 @@ def test_gauss_and_radau_rules_bracket_the_dense_curve(case):
         assert np.all(exact <= zero + mass * upper + slack), len(alphas)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_oracle_case())
-def test_quadrature_curve_is_within_its_tolerance_of_the_dense_oracle(case):
-    op, g, times = case
-    quad = quadrature_measure(op, g, times)
-    exact = _dense_curve(op, g, times)
-    assert quad.width <= QUADRATURE_RTOL
-    assert 0 < quad.steps < op.lattice.n_sites
-    assert quad.measure.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-12)
-    got = variance_curve(quad.measure, times).values
-    # 1e-13 of the mass covers the dense oracle's own rounding
-    assert np.all(np.abs(got - exact) <= QUADRATURE_RTOL * exact + 1e-13 * quad.measure.total_mass)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quadrature_curve_is_within_its_tolerance_of_the_dense_oracle(law, d, data):
+    field, g, times = data.draw(_oracle_case((law,), (d,)))
+    for kind in ("simple", "conductance"):
+        op = build_generator(field, kind)
+        quad = torus_measures([field], kind, [g], times)[0]
+        dense = spectral_measure(op, g, center=False)
+        exact = variance_curve(dense, times).values
+        got = variance_curve(quad.measure, times).values
+        assert [type(x) for x in quad[1:]] == [float, int, float, int]
+        if kind == "simple":
+            # exact by FFT: no Lanczos step and no bracket
+            assert (quad.width, quad.steps) == (0.0, 0)
+            assert np.allclose(quad.measure.lambdas, dense.lambdas, rtol=0.0, atol=1e-12)
+            assert np.allclose(got, exact, rtol=1e-13, atol=1e-15)
+            assert quad.measure.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-13)
+            continue
+        assert quad.width <= QUADRATURE_RTOL
+        # without reorthogonalization the recurrence may run past n_sites - 1
+        # steps (31 on a 22-site ring) before its bracket closes
+        assert quad.steps > 0
+        assert quad.measure.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-12)
+        # 1e-13 of the mass covers the dense oracle's own rounding
+        assert np.all(np.abs(got - exact) <= QUADRATURE_RTOL * exact + 1e-13 * quad.measure.total_mass)
 
 
 SHARED_SCHEDULE_STEPS = {"twopoint": 358, "uniform": 319, "pareto": 253, "constant": 253}
@@ -318,11 +332,10 @@ def test_long_quadrature_runs_stay_within_tolerance_of_the_dense_oracle(law):
     # hundreds of steps on 512 sites: the plain recurrence has lost
     # orthogonality and holds copies of converged Ritz values
     field = sample_field(ORACLE_LAWS[law], Lattice(1, 512), 7)
-    op = build_generator(field, "conductance")
     g = np.random.default_rng(7).normal(size=512) + 0.3
     times = np.geomspace(0.01, 1000.0, 12)
-    quad = quadrature_measure(op, g, times)
-    exact = _dense_curve(op, g, times)
+    quad = torus_measures([field], "conductance", [g], times)[0]
+    exact = _dense_curve(build_generator(field, "conductance"), g, times)
     assert quad.width <= QUADRATURE_RTOL
     assert quad.steps >= 200
     got = variance_curve(quad.measure, times).values
@@ -346,7 +359,7 @@ def test_quadrature_memory_does_not_grow_with_the_steps():
     op.matrix  # built once per operator, outside the recurrence
     tracemalloc.start()
     try:
-        quad = quadrature_measure(op, g, np.geomspace(0.1, 200.0, 30))
+        quad = _quadrature_group([op], [g], np.geomspace(0.1, 200.0, 30))[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -359,8 +372,8 @@ def test_quadrature_memory_does_not_grow_with_the_steps():
 
 
 def test_quadrature_of_zero_is_the_zero_measure():
-    op = build_generator(sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 6), 0))
-    quad = quadrature_measure(op, np.zeros(36), [0.5, 1.0])
+    field = sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 6), 0)
+    quad = torus_measures([field], "conductance", [np.zeros(36)], [0.5, 1.0])[0]
     assert (quad.width, quad.steps, quad.measure.total_mass) == (0.0, 0, 0.0)
     assert np.array_equal(variance_curve(quad.measure, [0.5, 1.0]).values, [0.0, 0.0])
 
@@ -369,11 +382,12 @@ def test_quadrature_of_zero_is_the_zero_measure():
 def test_quadrature_is_exact_at_early_breakdown_on_the_constant_law(d, n):
     # the lattice Laplacian has few distinct eigenvalues, so a point mass
     # exhausts its Krylov space long before the site count
-    op = build_generator(sample_field(Constant(1.0), Lattice(d, n), 0))
+    field = sample_field(Constant(1.0), Lattice(d, n), 0)
+    op = build_generator(field)
     g = np.zeros(op.lattice.n_sites)
     g[0] = 1.0
     times = np.geomspace(0.1, 10.0, 9)
-    quad = quadrature_measure(op, g, times)
+    quad = torus_measures([field], "conductance", [g], times)[0]
     distinct = len(np.unique(np.round(op.eigensystem()[0], 9)))
     assert quad.width == 0.0
     assert quad.steps == distinct - 1
@@ -387,7 +401,7 @@ def test_quadrature_beyond_the_dense_limit_matches_expm_multiply():
     op = build_generator(field)
     g = evaluate_all(centered_edge(2, law), field)
     times = np.geomspace(0.1, 20.0, 9)
-    quad = quadrature_measure(op, g, times)
+    quad = torus_measures([field], "conductance", [g], times)[0]
     assert quad.width <= QUADRATURE_RTOL
     got = variance_curve(quad.measure, times).values
     v, prev, ref = g, 0.0, []
@@ -399,12 +413,12 @@ def test_quadrature_beyond_the_dense_limit_matches_expm_multiply():
 
 
 def test_quadrature_refuses_to_return_an_open_bracket(monkeypatch):
-    _, op, g, _ = _field_measure(2, 12, 5, fname="edge")
+    field, _, g, _ = _field_measure(2, 12, 5, fname="edge")
     times = np.geomspace(0.1, 20.0, 9)
-    assert quadrature_measure(op, g, times).steps > 10
+    assert torus_measures([field], "conductance", [g], times)[0].steps > 10
     monkeypatch.setattr(spectral, "QUADRATURE_MAX_STEPS", 10)
     with pytest.raises(SolverError, match="after 10 Lanczos steps"):
-        quadrature_measure(op, g, times)
+        torus_measures([field], "conductance", [g], times)
 
 
 def test_a_width_that_has_not_fallen_waits_half_the_steps(monkeypatch):
@@ -427,9 +441,9 @@ def test_a_width_that_has_not_fallen_waits_half_the_steps(monkeypatch):
         return nodes, weights, lower, upper
 
     # the real widths fall at step 30, and the line through them asks for 10 more steps
-    assert quadrature_measure(op, g, times).steps == 40
+    assert _quadrature_group([op], [g], times)[0].steps == 40
     monkeypatch.setattr(spectral, "_gauss_radau", stale_at_30)
-    quad = quadrature_measure(op, g, times)
+    quad = _quadrature_group([op], [g], times)[0]
     # with no line to follow, the field waits max(10, 30 // 2) steps
     assert checks == [10, 20, 30, 45]
     assert quad.steps == 45 and quad.width <= QUADRATURE_RTOL
@@ -439,11 +453,11 @@ def test_a_width_that_has_not_fallen_waits_half_the_steps(monkeypatch):
 def _quadrature_group_case(draw):
     d = draw(st.integers(1, 3))
     lat = Lattice(d, draw(st.integers(3, ORACLE_MAX_N[d])))
-    ops, gs = [], []
+    fields, gs = [], []
     for _ in range(draw(st.integers(1, 5))):
         law = ORACLE_LAWS[draw(st.sampled_from(sorted(ORACLE_LAWS)))]
         seed = draw(st.integers(0, 2**31 - 1))
-        ops.append(build_generator(sample_field(law, lat, seed)))
+        fields.append(sample_field(law, lat, seed))
         start = draw(st.sampled_from(["normal", "zero", "point"]))
         if start == "normal":
             gs.append(np.random.default_rng(seed).normal(size=lat.n_sites) + 0.3)
@@ -451,17 +465,17 @@ def _quadrature_group_case(draw):
             # zero takes no step; a point mass on the constant law breaks down early
             gs.append(np.zeros(lat.n_sites))
             gs[-1][0] = 1.0 if start == "point" else 0.0
-    return ops, gs, np.geomspace(0.01, draw(st.sampled_from([0.5, 50.0, 500.0])), 12)
+    return fields, gs, np.geomspace(0.01, draw(st.sampled_from([0.5, 50.0, 500.0])), 12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_quadrature_group_case())
 def test_each_field_of_a_group_gets_the_quadrature_it_gets_alone(case):
-    ops, gs, times = case
-    group = _quadrature_group(ops, gs, times)
-    assert len(group) == len(ops)
-    for op, g, quad in zip(ops, gs, group):
-        alone = quadrature_measure(op, g, times)
+    fields, gs, times = case
+    group = torus_measures(fields, "conductance", gs, times)
+    assert len(group) == len(fields)
+    for field, g, quad in zip(fields, gs, group):
+        alone = torus_measures([field], "conductance", [g], times)[0]
         assert np.array_equal(quad.measure.lambdas, alone.measure.lambdas)
         assert np.array_equal(quad.measure.weights, alone.measure.weights)
         assert quad[1:] == alone[1:]
@@ -496,7 +510,7 @@ def _pinned_case(name):
     if name.startswith("edge-"):
         # the fields of the perfbench `spectral` workload under seed 0
         field = sample_field(LAW, Lattice(2, 48), field_seed(0, int(name[5:])))
-        return build_generator(field), evaluate_all(centered_edge(2, LAW), field), np.geomspace(0.1, 20.0, 25)
+        return field, evaluate_all(centered_edge(2, LAW), field), np.geomspace(0.1, 20.0, 25)
     law, d, n, seed = {"uniform-3d": (Uniform(1.0, 3.0), 3, 5, 1),
                        "pareto-1d": (BoundedPareto(0.3, 0.5, 1e3), 1, 9, 2),
                        "constant-2d": (Constant(1.5), 2, 8, 3)}[name]
@@ -505,47 +519,39 @@ def _pinned_case(name):
     if name == "constant-2d":
         g = np.zeros(n**d)
         g[0] = 1.0
-    return build_generator(field), g, np.geomspace(0.01, 50.0, 12)
+    return field, g, np.geomspace(0.01, 50.0, 12)
 
 
 @pytest.mark.parametrize("name", sorted(PARENT_QUADRATURES))
 def test_runs_that_close_by_step_90_keep_their_recorded_quadrature(name):
-    quad = quadrature_measure(*_pinned_case(name))
+    field, g, times = _pinned_case(name)
+    quad = torus_measures([field], "conductance", [g], times)[0]
     m = quad.measure
     digest = hashlib.sha256(m.lambdas.tobytes() + m.weights.tobytes()).hexdigest()
     assert (quad.steps, quad.width.hex(), quad.rounding.hex(), digest) == PARENT_QUADRATURES[name]
 
 
-def test_quadrature_refuses_empty_times_and_returns_plain_scalars():
-    op = build_generator(sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(1, 3), 0))
+@pytest.mark.parametrize("kind", ["simple", "conductance"])
+def test_quadrature_refuses_empty_times_and_returns_plain_scalars(kind):
+    field = sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(1, 3), 0)
     with pytest.raises(ParameterError, match="times must not be empty"):
-        quadrature_measure(op, np.array([1.0, 0.0, 0.0]), [])
-    quad = quadrature_measure(op, np.array([1.0, 0.0, 0.0]), [0.5, 2.0])
-    assert quad.steps > 0 and quad.rounding > 0.0
+        torus_measures([field], kind, [np.array([1.0, 0.0, 0.0])], [])
+    quad = torus_measures([field], kind, [np.array([1.0, 0.0, 0.0])], [0.5, 2.0])[0]
+    if kind == "conductance":
+        assert quad.steps > 0 and quad.rounding > 0.0
     assert [type(x) for x in quad[1:]] == [float, int, float, int]
 
 
+@pytest.mark.parametrize("kind", ["simple", "conductance"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_quadrature_refuses_nonfinite_and_negative_times_before_any_step(bad, monkeypatch):
-    op = build_generator(sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 40), 0))
-    g = np.random.default_rng(1).normal(size=op.lattice.n_sites)
+def test_quadrature_refuses_nonfinite_and_negative_times_before_any_step(bad, kind, monkeypatch):
+    field = sample_field(TwoPoint(0.5, 1.0, 4.0), Lattice(2, 40), 0)
+    g = np.random.default_rng(1).normal(size=field.lattice.n_sites)
 
-    def no_lanczos(*args):
-        raise AssertionError("Lanczos ran on a refused time grid")
+    def no_engine(*args):
+        raise AssertionError("an engine ran on a refused time grid")
 
-    monkeypatch.setattr(spectral, "_lanczos", no_lanczos)
+    monkeypatch.setattr(spectral, "_lanczos", no_engine)
+    monkeypatch.setattr(spectral, "_fourier_measure", no_engine)
     with pytest.raises(ParameterError, match="times must be finite and >= 0"):
-        quadrature_measure(op, g, [1.0, bad])
-
-
-@pytest.mark.parametrize("d,n", [(1, 17), (2, 6), (3, 4)])
-def test_fourier_measure_is_the_simple_walk_spectrum(d, n):
-    lat = Lattice(d, n)
-    g = evaluate_all(centered_edge(d, LAW), sample_field(LAW, lat, 2))
-    fast = fourier_measure(lat, g)
-    dense = spectral_measure(simple_generator(lat), g, center=False)
-    assert np.allclose(fast.lambdas, dense.lambdas, rtol=0.0, atol=1e-12)
-    times = np.geomspace(0.01, 10.0, 15)
-    assert np.allclose(variance_curve(fast, times).values, variance_curve(dense, times).values,
-                       rtol=1e-13, atol=1e-15)
-    assert fast.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-13)
+        torus_measures([field], kind, [g], [1.0, bad])

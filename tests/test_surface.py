@@ -57,3 +57,20 @@ def test_generators_come_only_from_the_seed_tree_helper_and_the_walker_replay():
         assert len(found) == text.count("default_rng("), path.name
         callers += [(path.stem, func) for func in found]
     assert sorted(callers) == [("util", "child_rng"), ("walker", "_simulate")]
+
+
+def test_experiments_reach_a_spectral_engine_only_through_torus_measures():
+    # the engine follows from the walk kind inside spectral.torus_measures;
+    # no experiment picks one, runs one, or builds a certificate itself
+    path = pathlib.Path(condlab.__file__).resolve().parent / "experiments.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    engines = {"_quadrature_group", "_lanczos", "_gauss_radau", "_fourier_measure", "fft", "fftn", "Quadrature"}
+    assert sorted(names & engines) == []
+    assert "torus_measures" in names
