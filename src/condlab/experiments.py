@@ -296,14 +296,13 @@ def variance_decay_experiment(
 ):
     """Ensemble average of E[(f_t)^2] over fields, with a power-law fit.
 
-    The spectral method evaluates atom sums per field, at any torus size, of
-    the measures from torus_measures: the simple walk's exact by FFT, the
-    conductance walk's from Lanczos quadrature, certified at every requested
-    time by a Gauss/Gauss-Radau bracket of relative width at most
-    QUADRATURE_RTOL (SolverError if it cannot close).  Quadratures run in
-    lockstep groups of fields, at most _QUADRATURE_ROWS sites in all unless
-    a field alone has more, and at least one group per worker; grouping
-    changes no result.
+    The spectral method sums the atoms of torus_measures per field, at any
+    torus size: the simple walk's exact by FFT, the conductance walk's by
+    Lanczos quadrature, certified at every requested time by a
+    Gauss/Gauss-Radau bracket of relative width at most QUADRATURE_RTOL
+    (SolverError if it cannot close), in lockstep groups of fields, at most
+    _QUADRATURE_ROWS sites in all unless a field alone has more, and at
+    least one group per worker; grouping changes no result.
     The summary notes the engine, and for quadrature the most Lanczos steps
     and bracket evaluations, the widest bracket and the largest rounding
     allowance over the fields.  The mc method estimates the

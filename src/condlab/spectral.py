@@ -203,14 +203,16 @@ def _quadrature_group(ops, gs, times):
     fell since the field's previous check, the next one goes where the line
     through log(width) at those two checks reaches QUADRATURE_RTOL, but 10
     to max(10, k // 2) steps on; after any other check it goes
-    max(10, k // 2) steps on.  Checks also run at steps n_sites - 1 and
+    max(10, k // 2) steps on, and also at steps n_sites - 1 and
     QUADRATURE_MAX_STEPS.  The widths contract faster than that line, so it
     places a check at or just after the close: 235-460 steps took 9-11
     checks where every 10 steps would take 23-46.  Each check diagonalizes
-    two Jacobi matrices in O(k^3); `checks` counts them.  Only a computed
-    bracket closes a run: the recurrence stops once its relative width is
-    at most QUADRATURE_RTOL; at breakdown the rule is exact and the width is
-    0.  A bracket still open after QUADRATURE_MAX_STEPS steps raises
+    two Jacobi matrices in O(k^3); `checks` counts them.  The recurrence
+    stops once the bracket's relative width is at most QUADRATURE_RTOL; at
+    breakdown the rule is exact and the width is 0.  Still open at step
+    n_sites - 1, the recurrence has lost orthogonality on a small torus, and
+    the field gets its dense measure, spectral_measure(center=False), with
+    width 0; still open after QUADRATURE_MAX_STEPS steps, it raises
     SolverError, so no uncertified measure is returned.  The operators must
     be connected (all weights positive).
 
@@ -273,7 +275,7 @@ def _quadrature_group(ops, gs, times):
             upper = zero[fields, None] + mass[fields, None] * upper
             width = np.max(np.abs(upper - lower) / np.maximum(upper, np.finfo(float).tiny), axis=1)
             width[exact[rows]] = 0.0
-            closed = width <= QUADRATURE_RTOL
+            closed = (width <= QUADRATURE_RTOL) | (k == n - 1)
             if k >= QUADRATURE_MAX_STEPS and not closed.all():
                 raise SolverError(
                     f"quadrature bracket still {width[~closed].max():.3e} wide after {k} Lanczos "
@@ -296,11 +298,12 @@ def _quadrature_group(ops, gs, times):
             for i in np.flatnonzero(closed):
                 field = fields[i]
                 delta = k * np.finfo(float).eps * 2.0 * ops[field].max_rate
-                out[field] = Quadrature(
-                    SpectralMeasure(np.concatenate(([0.0], nodes[i])),
-                                    np.concatenate(([zero[field]], mass[field] * weights[i]))),
-                    float(width[i]), k, float(2.0 * t.max() * delta), int(checks[field]),
-                )
+                measure = SpectralMeasure(np.concatenate(([0.0], nodes[i])),
+                                          np.concatenate(([zero[field]], mass[field] * weights[i])))
+                if width[i] > QUADRATURE_RTOL:  # open at step n_sites - 1
+                    measure, width[i] = spectral_measure(ops[field], gs[field], center=False), 0.0
+                out[field] = Quadrature(measure, float(width[i]), k, float(2.0 * t.max() * delta),
+                                        int(checks[field]))
             keep = np.ones(live.size, dtype=bool)
             keep[rows[closed]] = False
             live = live[keep]

@@ -316,9 +316,7 @@ def test_quadrature_curve_is_within_its_tolerance_of_the_dense_oracle(law, d, da
             assert quad.measure.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-13)
             continue
         assert quad.width <= QUADRATURE_RTOL
-        # without reorthogonalization the recurrence may run past n_sites - 1
-        # steps (31 on a 22-site ring) before its bracket closes
-        assert quad.steps > 0
+        assert 0 < quad.steps < op.lattice.n_sites
         assert quad.measure.total_mass == pytest.approx(float(np.mean(g * g)), rel=1e-12)
         # 1e-13 of the mass covers the dense oracle's own rounding
         assert np.all(np.abs(got - exact) <= QUADRATURE_RTOL * exact + 1e-13 * quad.measure.total_mass)
@@ -393,6 +391,18 @@ def test_quadrature_is_exact_at_early_breakdown_on_the_constant_law(d, n):
     assert quad.steps == distinct - 1
     exact = _dense_curve(op, g, times)
     assert np.allclose(variance_curve(quad.measure, times).values, exact, rtol=1e-12, atol=0.0)
+
+
+def test_a_bracket_still_open_at_n_sites_minus_1_gives_the_dense_measure():
+    # the recurrence has lost orthogonality on this ring: at step 21, where
+    # the rule would be exact without rounding, the bracket is still open
+    field = sample_field(ORACLE_LAWS["twopoint"], Lattice(1, 22), 0)
+    g = np.random.default_rng(0).normal(size=22)
+    quad = torus_measures([field], "conductance", [g], np.geomspace(0.01, 50.0, 12))[0]
+    dense = spectral_measure(build_generator(field), g, center=False)
+    assert (quad.width, quad.steps, quad.checks) == (0.0, 21, 3)
+    assert np.array_equal(quad.measure.lambdas, dense.lambdas)
+    assert np.array_equal(quad.measure.weights, dense.weights)
 
 
 def test_quadrature_beyond_the_dense_limit_matches_expm_multiply():
