@@ -42,6 +42,7 @@ from .errors import (
     SolverError,
 )
 from .experiments import (
+    _DECAY_METHODS,
     ExperimentReport,
     contractivity_experiment,
     diffusivity_experiment,
@@ -51,7 +52,7 @@ from .experiments import (
     write_report,
 )
 from .functionals import evaluate_all, functional_by_name
-from .operators import build_generator
+from .operators import _WALK_WEIGHTS, build_generator
 from .spectral import asymptotic_variance, spectral_measure
 from .util import STREAM_SIMULATE_WALK, child_rng, field_seed, float_text
 from .walker import simulate_srw, simulate_vsrw
@@ -78,8 +79,10 @@ _KEYS = {
     "d": ("int", lambda v: v >= 1, "d must be >= 1", "lattice dimension"),
     "n": ("int", lambda v: v >= 3, "n must be >= 3", "torus period per axis (>= 3)"),
     "functional": ("str", None, None, "drift | edge | contract-example | poly:EXPR"),
-    "kind": ("choice:conductance,simple", None, None, "walk kind: conductance (rates = edges) or simple (rate 1)"),
-    "method": ("choice:spectral,mc", None, None, "decay estimator: spectral (exact atoms) or mc (walk ensemble)"),
+    "kind": ("choice:" + ",".join(_WALK_WEIGHTS), None, None,
+             "walk kind: conductance (rates = edges) or simple (rate 1)"),
+    "method": ("choice:" + ",".join(_DECAY_METHODS), None, None,
+               "decay estimator: spectral (exact atoms) or mc (walk ensemble)"),
     "times": ("floats", lambda v: _increasing(v) and v[0] > 0,
               "times must be positive and strictly increasing", "comma-separated sampling times, increasing"),
     "mu": ("floats", lambda v: len(v) > 0 and bool(np.all(np.array(v) > 0)), "all mu values must be > 0",
@@ -109,7 +112,7 @@ _KEYS = {
     "sigma2": ("float", lambda v: v > 0, "sigma2 must be > 0",
                "effective diffusivity to compare against (skips the torus solves; the gap is then unpaired)"),
     "no-trend": ("flag", None, None, "skip the gap trend target (in a config file: no-trend=true)"),
-    "workers": ("int", lambda v: v >= 1, "workers must be >= 1", "process pool size (default: all cores)"),
+    "workers": ("int", lambda v: v >= 1, "workers must be >= 1", "process pool size (default: 1)"),
     "out": ("str", None, None, "output directory (default: condlab-out/<command>)"),
     "experiment": ("str", None, None, None),
 }
@@ -202,8 +205,8 @@ _Command = namedtuple("_Command", "defaults required runner help epilog")
 
 
 def _library_args(cfg):
-    """The resolved config minus out: for decay, contract and nash-check, its keys
-    are exactly the keyword parameters of the experiment the command runs."""
+    """The resolved config minus out: for each experiment command, its keys are
+    exactly the keyword parameters of the experiment the command runs."""
     return {k: v for k, v in cfg.items() if k != "out"}
 
 
@@ -225,24 +228,6 @@ def _run_simulate(cfg):
     jumps = zip(traj.times.tolist(), traj.sites.tolist(), traj.displacements.tolist())
     report.add_table("trajectory", ["time", "site"] + [f"dx{i}" for i in range(lat.d)],
                      [(0, traj.start) + (0,) * lat.d] + [(t, s, *dx) for t, s, dx in jumps])
-    return report
-
-
-def _run_diffusivity(cfg):
-    report, _, _ = diffusivity_experiment(
-        cfg["law"], cfg["d"], cfg["n"], cfg["mu"], cfg["realizations"], cfg["seed"],
-        expected_order=cfg["expected_order"], order_tol=cfg["order_tol"],
-        workers=cfg["workers"],
-    )
-    return report
-
-
-def _run_msd(cfg):
-    report, _ = msd_experiment(
-        cfg["law"], cfg["d"], cfg["n"], cfg["times"], cfg["realizations"],
-        cfg["walks"], cfg["seed"], sigma2=cfg["sigma2"],
-        trend_check=not cfg["no_trend"], workers=cfg["workers"],
-    )
     return report
 
 
@@ -319,7 +304,7 @@ _COMMANDS = {
          "mu": [1.0, 0.7071067811865476, 0.5, 0.3535533905932738, 0.25, 0.17677669529663687, 0.01],
          "realizations": 8, "expected_order": None, "order_tol": 0.35},
         ["law"],
-        _run_diffusivity,
+        lambda cfg: diffusivity_experiment(**_library_args(cfg))[0],
         "regularized corrector sweep and exact torus diffusivity",
         "writes estimators.csv (mu,a0,a1,a2,a2_stderr,phi_sq,a2_minus_torus,diff_stderr), one row per mu "
         "and one at mu=0, and fields.csv (field,sigma2_torus) with each field's 2 A2(0)",
@@ -328,7 +313,7 @@ _COMMANDS = {
         {"law": None, "d": 2, "n": 24, "times": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
          "realizations": 8, "walks": 64, "sigma2": None, "no_trend": False},
         ["law"],
-        _run_msd,
+        lambda cfg: msd_experiment(**_library_args(cfg))[0],
         "mean square displacement against the diffusive limit",
         "writes msd.csv (time,msd_over_t,stderr,gap,gap_stderr); without --sigma2, each walked "
         "field's torus diffusivity 2 A2(0) is solved and listed in fields.csv (field,sigma2_torus), "
@@ -388,7 +373,7 @@ def _build_parser():
 
 def _assemble(args):
     spec = _COMMANDS[args.command]
-    cfg = {"seed": 0, "workers": None, "out": None, **spec.defaults}
+    cfg = {"seed": 0, "workers": 1, "out": None, **spec.defaults}
     errors = []
     if args.config is not None:
         try:
@@ -422,8 +407,6 @@ def _assemble(args):
             errors.append((f"--{key.replace('_', '-')}", "required (flag or config file)"))
     if errors:
         raise ConfigError(errors)
-    if cfg["workers"] is None:
-        cfg["workers"] = os.cpu_count() or 1
     if cfg["out"] is None:
         cfg["out"] = os.path.join("condlab-out", args.command)
     return cfg

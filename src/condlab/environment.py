@@ -220,7 +220,7 @@ class ConductanceLaw:
 
 @dataclass(frozen=True)
 class Constant(ConductanceLaw):
-    value: float = 1.0
+    value: float
 
     def __post_init__(self):
         if self.value < 1:
@@ -301,11 +301,13 @@ class BoundedPareto(ConductanceLaw):
         heavy = rng.random(size) < self.p
         k = int(np.count_nonzero(heavy))
         if k:
-            a = self.tail_index
-            u = rng.random(k)
-            # inverse CDF of the truncated Pareto on [1, cap]
-            out[heavy] = (1.0 - u * (1.0 - self.cap**-a)) ** (-1.0 / a)
+            out[heavy] = self.pareto_quantile(rng.random(k))
         return out
+
+    def pareto_quantile(self, u):
+        """Inverse CDF of the truncated Pareto component on [1, cap], at the uniforms u."""
+        a = self.tail_index
+        return (1.0 - u * (1.0 - self.cap**-a)) ** (-1.0 / a)
 
     def pareto_moment(self, k):
         """k-th moment of the truncated Pareto component alone.
@@ -324,10 +326,12 @@ class BoundedPareto(ConductanceLaw):
 
 
 def parse_law(text):
-    """Build a law from a descriptor like 'twopoint:0.5,1,4'.
+    """Build a law from a descriptor like 'twopoint:0.5,1,4', as descriptor() writes it.
 
-    Formats: constant:V | uniform:A,B | twopoint:P,LO,HI | boundedpareto:P,EPS,CAP
-    (the cap may be omitted and defaults to 1000).
+    Every dataclass subclassing ConductanceLaw is a law: its lowercased class
+    name, then its fields in order, those with a default optional.  Formats:
+    constant:V | uniform:A,B | twopoint:P,LO,HI | boundedpareto:P,EPS[,CAP]
+    (the cap defaults to 1000).
     """
     text = text.strip().lower()
     name, _, argstr = text.partition(":")
@@ -335,19 +339,14 @@ def parse_law(text):
         args = [float(tok) for tok in argstr.split(",")] if argstr else []
     except ValueError:
         raise ParameterError(f"non-numeric law parameters in {text!r}")
-    counts = {"constant": (1, 1), "uniform": (2, 2), "twopoint": (3, 3), "boundedpareto": (2, 3)}
-    if name not in counts:
-        raise ParameterError(f"unknown law {name!r} (expected constant, uniform, twopoint, boundedpareto)")
-    lo, hi = counts[name]
-    if not (lo <= len(args) <= hi):
-        raise ParameterError(f"law {name!r} takes {lo}..{hi} parameters, got {len(args)}")
-    if name == "constant":
-        return Constant(*args)
-    if name == "uniform":
-        return Uniform(*args)
-    if name == "twopoint":
-        return TwoPoint(*args)
-    return BoundedPareto(*args)
+    laws = {cls.__name__.lower(): cls for cls in ConductanceLaw.__subclasses__()}
+    if name not in laws:
+        raise ParameterError(f"unknown law {name!r} (expected {', '.join(laws)})")
+    params = dataclasses.fields(laws[name])
+    lo = sum(f.default is dataclasses.MISSING for f in params)
+    if not (lo <= len(args) <= len(params)):
+        raise ParameterError(f"law {name!r} takes {lo}..{len(params)} parameters, got {len(args)}")
+    return laws[name](*args)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .functionals import (
     local_drift,
 )
 from .operators import (
+    _walk_weights,
     build_generator,
     dirichlet_form,
     resolvent_solve,
@@ -268,7 +269,7 @@ def _decay_group(args):
     fields = [sample_field(law, lat, field_seed(master, r)) for r in group]
     values = [evaluate_all(f, field) for field in fields]
     if method == "mc":
-        weights = [field.omega if kind == "conductance" else lat.unit_weights for field in fields]
+        weights = [_walk_weights(field, kind) for field in fields]
         sample_times = 2.0 * np.asarray(times)
         runs = _field_batch(lat, weights, walks, sample_times[-1], sample_times, master,
                             STREAM_DECAY_WALKS, group)
@@ -276,6 +277,10 @@ def _decay_group(args):
                 for vals, (starts, sites, _, jumps) in zip(values, runs)]
     return [(variance_curve(q.measure, times).values,) + q[1:]
             for q in torus_measures(fields, kind, values, times)]
+
+
+# the decay estimators: exact spectral atoms, or a Monte Carlo walk ensemble
+_DECAY_METHODS = ("spectral", "mc")
 
 
 def variance_decay_experiment(
@@ -314,15 +319,10 @@ def variance_decay_experiment(
     times = _check_times(times)
     _check_counts(realizations=realizations, walks=walks)
     lat = Lattice(d, n)
-    if isinstance(functional, str):
-        fname, f = functional, functional_by_name(functional, d, law)
-    else:
-        fname, f = functional.name, functional
+    f = functional_by_name(functional, d, law)
     if f.mean_hint is not None and abs(f.mean_hint) > 0:
-        raise ConfigError(
-            [("functional", f"{fname!r} has nonzero mean {f.mean_hint:g}; center it first")]
-        )
-    if method not in ("spectral", "mc"):
+        raise ConfigError([("functional", f"{f.name!r} has nonzero mean {f.mean_hint:g}; center it first")])
+    if method not in _DECAY_METHODS:
         raise ConfigError([("method", f"unknown method {method!r}")])
 
     if method == "spectral":
@@ -427,7 +427,7 @@ def diffusivity_experiment(
     law,
     d,
     n,
-    mus,
+    mu,
     realizations,
     seed,
     expected_order=None,
@@ -447,7 +447,7 @@ def diffusivity_experiment(
     with fewer than 2 mus, a vanishing corrector or a difference that is
     not positive, a note says why there is no fit.
     """
-    mus = np.sort(np.asarray(mus, dtype=float))[::-1]
+    mus = np.sort(np.asarray(mu, dtype=float))[::-1]
     if not np.all(mus > 0):
         raise ConfigError([("mu", "all mu values must be > 0")])
     repeated = mus[1:][np.diff(mus) == 0]
@@ -532,7 +532,7 @@ def msd_experiment(
     seed,
     sigma2=None,
     sigma2_se=0.0,
-    trend_check=True,
+    no_trend=False,
     workers=1,
 ):
     """Measure MSD/t and its gap above d sigma^2.
@@ -548,7 +548,8 @@ def msd_experiment(
     chain-identity check of the solves is carried over.  A supplied sigma2,
     or the constant law's exact 2 w, is compared unpaired: its sigma2_se is
     combined with the walks' standard error.  A single sampling time has no
-    gap trend, so the gap-decreasing target is skipped with a note.
+    gap trend, so the gap-decreasing target is skipped with a note; no_trend
+    skips it always.
     """
     times = _check_times(times)
     _check_counts(realizations=realizations, walks=walks)
@@ -608,9 +609,9 @@ def msd_experiment(
         worst >= -3.0,
         f"min gap = {worst:.2f} stderr above -3 cutoff" if worst >= -3.0 else f"gap dips to {worst:.2f} stderr",
     )
-    if trend_check and not constant_law and len(times) < 2:
+    if not no_trend and not constant_law and len(times) < 2:
         report.notes.append("one sampling time: no gap trend to check")
-    elif trend_check and not constant_law:
+    elif not no_trend and not constant_law:
         k = int(np.argmax(gap))
         ok = k <= len(times) // 2 and gap[-1] < gap[k]
         report.check(
@@ -693,11 +694,10 @@ def _contract_uniforms(seed, chunk_idx, size):
 
 def _contract_mc_chunk(args):
     p, eps, cap, seed, chunk_idx, size = args
-    a = 4.0 + eps
+    law = BoundedPareto(p, eps, cap)
     h_sums, h2_sums = [], []
     for u, v in _contract_uniforms(seed, chunk_idx, size):
-        heavy = u < p
-        e = np.where(heavy, (1.0 - v * (1.0 - cap**-a)) ** (-1.0 / a), 0.0)
+        e = np.where(u < p, law.pareto_quantile(v), 0.0)
         f = _contract_window_values(e)
         s1f = f[-1] + f[0] + f[1]
         s1lf = np.zeros(len(e))
@@ -869,7 +869,7 @@ def nash_chain_check(law, d, n_list, functional, realizations, seed, torus_n=Non
     repeated = [a for a, b in zip(n_list, n_list[1:]) if a == b]
     if repeated:
         raise ConfigError([("n_list", f"box size {repeated[0]} is repeated")])
-    f = functional_by_name(functional, d, law) if isinstance(functional, str) else functional
+    f = functional_by_name(functional, d, law)
     derived = torus_n is None
     if derived:
         torus_n = 2 * (n_list[-1] + f.radius) + 3

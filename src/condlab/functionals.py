@@ -230,7 +230,9 @@ def polynomial_functional(expr, d, law=None):
 
 
 def functional_by_name(name, d, law=None):
-    """Look up a functional by its registry name or poly: descriptor."""
+    """Look up a functional by its registry name or poly: descriptor; a LocalFunctional is returned as it is."""
+    if isinstance(name, LocalFunctional):
+        return name
     name = name.strip()
     if name == "drift":
         return local_drift(d, law)

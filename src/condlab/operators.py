@@ -91,13 +91,20 @@ class TorusOperator:
         return f"TorusOperator(kind={self.kind!r}, {self.lattice!r})"
 
 
+# walk kind -> its edge weights on a field: the one declaration of the walk kinds
+_WALK_WEIGHTS = {"conductance": lambda field: field.omega, "simple": lambda field: field.lattice.unit_weights}
+
+
+def _walk_weights(field, kind):
+    """Edge weights of the kind's walk on the field: its conductances, or all ones."""
+    if kind not in _WALK_WEIGHTS:
+        raise ParameterError(f"kind must be {' or '.join(map(repr, _WALK_WEIGHTS))}, got {kind!r}")
+    return _WALK_WEIGHTS[kind](field)
+
+
 def build_generator(field, kind="conductance"):
     """Generator of the conductance walk, or of the simple walk on its torus."""
-    if kind == "conductance":
-        return TorusOperator(field.lattice, field.omega, kind)
-    if kind == "simple":
-        return simple_generator(field.lattice)
-    raise ParameterError(f"kind must be 'conductance' or 'simple', got {kind!r}")
+    return TorusOperator(field.lattice, _walk_weights(field, kind), kind)
 
 
 def simple_generator(lattice):

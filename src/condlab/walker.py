@@ -250,7 +250,7 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
 def _simulate(lattice, weights, start, horizon, rng):
     """One walk's path, as the group of one field and one walk, whose table rows are its sites."""
     _, times, sites, columns = _simulate_batch(lattice, weights, [int(start)], horizon,
-                                               [np.random.default_rng(rng)], path=True).path
+                                               [rng], path=True).path
     return Trajectory(
         start=int(start),
         horizon=float(horizon),

@@ -269,14 +269,14 @@ def test_argparse_failures_map_to_exit_codes(capsys):
 # sha256 of each --help text at 80 columns, as Python 3.11's argparse lays it out
 HELP_SHA256 = {
     "": "9a270c73746b79166dff6fa5ac84e57e51ef8ca539701d1dd75221757d127d55",
-    "simulate": "4c270e7c6a3f0287a8451b4fc375ff87fd53e1d4498a06baa4feb0573e2e55eb",
-    "decay": "681bd023963f614668507b97859c79b61fbc533a9192f8927e64856ccb1b2809",
-    "diffusivity": "c3d0b9d5beb4825160fbcfa138c5cec0508ef25f9bea03f1d703f264e3b935e1",
-    "msd": "df70307900f93e5b8840b648de18baa0449a30f82233aebe6ecdb6f7d0902a34",
-    "spectrum": "e1400cda288d4f95a58068d433d7ce2cf5968f62591215077319c378d2a8a2a9",
-    "contract": "83689e4f2428a7dde2dc8b8ee0d753e78418d74692ae7eac8de5b021c1d861c0",
-    "nash-check": "a73424289c2cdfc39fa197829bdce55cf6db3bdc08e849ea37b083c1ba862b7a",
-    "field-dump": "89eaa2df13d5ced46d9ad1f45df904b2cf27e6525e78e4f64bdd64b62ab2726c",
+    "simulate": "3cf0290f81fd6900c16ba13ab6d0cb1b5dc80e6d1093f9184b79b04148fbdfed",
+    "decay": "9d1f5f2a44807c22ad2d2422fcff1f5e7e01d81579349098b17e558bf417306f",
+    "diffusivity": "309f8ae5407eda35f9af6ef122c5c960a3376bb88024823602444ef7943bac31",
+    "msd": "63c804ceb79a8edff36638e25a70168d4f4dc426b2dd0d1ec2152ff47f87bcf7",
+    "spectrum": "44759779927975c6599907878e1a66b402aa143c21a07c2b8b356b705b89fffe",
+    "contract": "4f5f771e9830296b3425dea75efcdc068854e6f3a270d19a08616a9c6ccd2bea",
+    "nash-check": "273d024a9e80002c4e8091d8cb0923117ef5d7866c560d313309dd2348c72bf8",
+    "field-dump": "4169ed630b1e924ef8ec09d7da4a8c25760766fa6512e0ebed55ce1fb7503c39",
 }
 
 

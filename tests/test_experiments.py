@@ -10,7 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from condlab import experiments, operators, walker
 from condlab.environment import BoundedPareto, Constant, Lattice, TwoPoint, Uniform, sample_field
-from condlab.errors import ConfigError, FitError
+from condlab.errors import ConfigError, FitError, ParameterError
 from condlab.experiments import (
     _CONTRACT_BLOCK,
     ExperimentReport,
@@ -293,6 +293,17 @@ def test_contract_chunk_memory_stays_within_a_few_blocks():
     assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize("method", ["spectral", "mc"])
+def test_decay_refuses_an_unknown_kind_before_any_walk(method, monkeypatch):
+    # the mc method once walked every kind but conductance as the simple walk
+    def no_walks(*args):
+        raise AssertionError("walks simulated for an unknown kind")
+
+    monkeypatch.setattr(experiments, "_field_batch", no_walks)
+    with pytest.raises(ParameterError, match="kind must be 'conductance' or 'simple', got 'bogus'"):
+        variance_decay_experiment(LAW, 1, 12, "edge", "bogus", [1, 2, 4], 2, 0, method=method, walks=4)
+
+
 def test_decay_spectral_and_mc_methods_agree_on_shared_fields():
     times = np.array([0.5, 1.0, 2.0])
     spec, _ = variance_decay_experiment(LAW, 1, 12, "edge", "conductance",
@@ -457,7 +468,7 @@ def test_msd_report_does_not_depend_on_workers(tmp_path):
     _assert_report_does_not_depend_on_workers(
         tmp_path,
         lambda workers: msd_experiment(LAW, 1, 12, (0.5, 1.0, 2.0), realizations=2, walks=20,
-                                       seed=4, trend_check=False, workers=workers)[0],
+                                       seed=4, no_trend=True, workers=workers)[0],
         ["msd", "fields"],
     )
 
@@ -615,7 +626,7 @@ def test_msd_of_one_field_uses_its_exact_diffusivity_and_the_walks_stderr():
 
 def test_msd_carries_over_a_failed_chain_identity(monkeypatch):
     monkeypatch.setattr(experiments, "_CHAIN_TOL", 0.0)
-    report, _ = msd_experiment(LAW, 1, 12, (0.5, 1.0), 2, 8, 4, trend_check=False)
+    report, _ = msd_experiment(LAW, 1, 12, (0.5, 1.0), 2, 8, 4, no_trend=True)
     assert not _target(report, "chain-identity").passed
     assert not report.passed
 
@@ -636,7 +647,7 @@ def test_msd_samples_each_field_once(monkeypatch):
     realizations = 3
     for law, sigma2 in ((LAW, None), (LAW, 4.0), (Constant(2.0), None)):
         calls.clear()
-        msd_experiment(law, 2, 8, MSD_TIMES, realizations, 8, 5, sigma2=sigma2, trend_check=False)
+        msd_experiment(law, 2, 8, MSD_TIMES, realizations, 8, 5, sigma2=sigma2, no_trend=True)
         assert len(calls) == realizations, (law, sigma2)
         assert [seed for _, _, seed in calls] == [field_seed(5, r) for r in range(realizations)]
 

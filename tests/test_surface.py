@@ -6,6 +6,8 @@ import inspect
 import pathlib
 import re
 
+import pytest
+
 import condlab
 
 MODULES = ("environment", "errors", "experiments", "functionals", "operators", "spectral", "walker")
@@ -46,9 +48,8 @@ def _default_rng_callers(tree):
     return callers
 
 
-def test_generators_come_only_from_the_seed_tree_helper_and_the_walker_replay():
-    # every random stream is a node of util.child_rng's seed tree; the walker's
-    # _simulate only wraps the generator (or seed) that its caller passes in
+def test_generators_come_only_from_the_seed_tree_helper():
+    # every random stream is a node of util.child_rng's seed tree
     src = pathlib.Path(condlab.__file__).resolve().parent
     callers = []
     for path in sorted(src.glob("*.py")):
@@ -56,7 +57,20 @@ def test_generators_come_only_from_the_seed_tree_helper_and_the_walker_replay():
         found = _default_rng_callers(ast.parse(text))
         assert len(found) == text.count("default_rng("), path.name
         callers += [(path.stem, func) for func in found]
-    assert sorted(callers) == [("util", "child_rng"), ("walker", "_simulate")]
+    assert sorted(callers) == [("util", "child_rng")]
+
+
+@pytest.mark.parametrize("command, experiment", [
+    ("decay", "variance_decay_experiment"), ("diffusivity", "diffusivity_experiment"),
+    ("msd", "msd_experiment"), ("contract", "contractivity_experiment"), ("nash-check", "nash_chain_check"),
+])
+def test_experiment_commands_pass_their_config_keys_as_parameters(command, experiment):
+    # the command runs experiment(**config): each of its keys names a parameter
+    from condlab.cli import _COMMANDS
+
+    params = inspect.signature(getattr(condlab, experiment)).parameters
+    keys = [*_COMMANDS[command].defaults, "seed", "workers"]
+    assert [key for key in keys if key not in params] == []
 
 
 def test_experiments_reach_a_spectral_engine_only_through_torus_measures():

@@ -494,7 +494,7 @@ def test_walker_notes_count_the_jumps_of_batches_of_one():
         return jumps
 
     report, _ = msd_experiment(LAW, d, n, (0.5, 2.0), realizations, 1, seed,
-                               sigma2=4.0, sigma2_se=0.1, trend_check=False)
+                               sigma2=4.0, sigma2_se=0.1, no_trend=True)
     assert _walker_note(report) == f"walker: {realizations} walks, {replay(1, 2.0)} jumps simulated"
     _, report = variance_decay_experiment(LAW, d, n, "edge", "conductance", [0.5, 1.5],
                                           realizations, seed, method="mc", walks=1)
