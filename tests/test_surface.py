@@ -9,6 +9,7 @@ import re
 import pytest
 
 import condlab
+from condlab.cli import _COMMANDS
 
 MODULES = ("environment", "errors", "experiments", "functionals", "operators", "spectral", "walker")
 
@@ -66,8 +67,6 @@ def test_generators_come_only_from_the_seed_tree_helper():
 ])
 def test_experiment_commands_pass_their_config_keys_as_parameters(command, experiment):
     # the command runs experiment(**config): each of its keys names a parameter
-    from condlab.cli import _COMMANDS
-
     params = inspect.signature(getattr(condlab, experiment)).parameters
     keys = [*_COMMANDS[command].defaults, "seed", "workers"]
     assert [key for key in keys if key not in params] == []
