@@ -24,6 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .environment import (
+    ConductanceField,
     ConductanceLaw,
     Lattice,
     classify_sites,
@@ -52,10 +53,10 @@ from .experiments import (
     write_report,
 )
 from .functionals import evaluate_all, functional_by_name
-from .operators import _WALK_WEIGHTS, build_generator
+from .operators import _WALK_WEIGHTS, _walk_weights, build_generator
 from .spectral import asymptotic_variance, spectral_measure
 from .util import STREAM_SIMULATE_WALK, child_rng, field_seed, float_text
-from .walker import simulate_srw, simulate_vsrw
+from .walker import simulate_vsrw
 
 __all__ = ["main", "parse_config"]
 
@@ -215,11 +216,8 @@ def _run_simulate(cfg):
     if cfg["start"] >= lat.n_sites:
         raise ConfigError([("--start", f"start site {cfg['start']} out of range (torus has {lat.n_sites} sites)")])
     field = sample_field(cfg["law"], lat, field_seed(cfg["seed"], 0))
-    rng = child_rng(cfg["seed"], STREAM_SIMULATE_WALK)
-    if cfg["kind"] == "conductance":
-        traj = simulate_vsrw(field, cfg["start"], cfg["horizon"], rng)
-    else:
-        traj = simulate_srw(lat, cfg["start"], cfg["horizon"], rng)
+    walked = ConductanceField(lat, _walk_weights(field, cfg["kind"]))  # the simple walk's are all ones
+    traj = simulate_vsrw(walked, cfg["start"], cfg["horizon"], child_rng(cfg["seed"], STREAM_SIMULATE_WALK))
     report = ExperimentReport("simulate", field=field)
     final = traj.displacement_at(traj.horizon)  # the start for a walk that never jumps
     report.notes.append(f"{traj.jump_count} jumps in time {cfg['horizon']:g}")

@@ -52,13 +52,13 @@ class Lattice:
 
     Everything the walks need is derived from this one structure.  Rolls of
     the grid give the edge increments of a site array (gradient, the signed
-    incidence matrix B applied), the sites' jump rates (jump_rates), the
-    generator's entries (generator_entries; the walker's cumulative rates
-    are their partial sums) and the values of local functionals
-    (functionals.evaluate_all).  The one index table, generator_pattern, is
-    built on first use: sparse and dense products read it as the generator's
-    CSR layout, and the walker, bad_cluster and w_statistic read its
-    neighbour columns as star.
+    incidence matrix B applied), the generator's entries (generator_entries:
+    the sites' jump rates, jump_rates, are its negated diagonal and the
+    walker's cumulative rates the partial sums of the rest of a row) and the
+    values of local functionals (functionals.evaluate_all).  The one index
+    table, generator_pattern, is built on first use: sparse and dense
+    products read it as the generator's CSR layout, and the walker,
+    bad_cluster and w_statistic read its neighbour columns as star.
     """
 
     def __init__(self, d, n):
@@ -113,19 +113,25 @@ class Lattice:
         """
         return self.generator_pattern[1].reshape(self.n_sites, -1)[:, 1:]
 
-    def generator_entries(self, weights, diagonal):
+    def generator_entries(self, weights):
         """Values stored over generator_pattern, written in its order.
 
-        diagonal[x] at (x, x), then w(a, x) and w(a, x - e_a), the weights of
-        the edges to x + e_a and x - e_a, for a = 0, 1, ...  Weights stacked
-        on a leading axis give one block of n_sites rows per field.
+        -rate(x) at (x, x), then w(a, x) and w(a, x - e_a), the weights of
+        the edges to x + e_a and x - e_a, for a = 0, 1, ...; rate(x) sums
+        them left to right in that order, as the walker's cumulative rates
+        do.  Weights stacked on a leading axis give one block of n_sites rows
+        per field.
         """
-        w = np.asarray(weights).reshape(-1, self.d, self.n_sites)
+        w = np.asarray(weights, dtype=float).reshape(-1, self.d, self.n_sites)
         out = np.empty((w.shape[0], self.n_sites, 2 * self.d + 1))
-        out[..., 0] = diagonal
+        rates = np.zeros((w.shape[0], self.n_sites))
         for axis, unit in enumerate(np.eye(self.d, dtype=int)):
+            back = self.shifted(w[:, axis], -unit)
             out[..., 2 * axis + 1] = w[:, axis]
-            out[..., 2 * axis + 2] = self.shifted(w[:, axis], -unit)
+            out[..., 2 * axis + 2] = back
+            rates += w[:, axis]
+            rates += back
+        np.negative(rates, out=out[..., 0])
         return out.ravel()
 
     def gradient(self, g):
@@ -151,18 +157,8 @@ class Lattice:
         return ones
 
     def jump_rates(self, weights):
-        """Total weight of the edges at each site, |B|^T w.
-
-        Summed left to right in star order, w(a, x) then w(a, x - e_a) for
-        a = 0, 1, ..., as the walker accumulates its jump table.
-        """
-        w = np.asarray(weights, dtype=float).reshape(self.d, self.n_sites)
-        rates = w[0].copy()
-        for axis, unit in enumerate(np.eye(self.d, dtype=int)):
-            if axis:
-                rates += w[axis]
-            rates += self.shifted(w[axis], -unit)
-        return rates
+        """Total weight of the edges at each site, |B|^T w: the negated diagonal of generator_entries."""
+        return -self.generator_entries(weights)[:: 2 * self.d + 1]
 
     def site_index(self, coords):
         """Index of the site at the given integer coordinates, wrapped."""
@@ -400,16 +396,8 @@ class SiteClassification:
     bad_fraction: float
 
 
-def classify_sites(field, eta=None):
-    """Flag each site good when its total jump rate is at most eta.
-
-    With eta omitted, the threshold comes from default_eta for the field's
-    law.  Also reports the empirical bad fraction.
-    """
-    if eta is None:
-        if field.law is None:
-            raise ParameterError("field has no attached law; pass eta explicitly")
-        eta = default_eta(field.law, field.lattice.d)
+def classify_sites(field, eta):
+    """Flag each site good when its total jump rate is at most eta, and report the bad fraction."""
     if eta <= 0:
         raise ParameterError(f"threshold must be > 0, got {eta}")
     good = field.rates() <= eta

@@ -223,7 +223,7 @@ def decay_fit(curve, window=None):
     curvature = float(quad[0])
     boots = _bootstrap_exponents(t, v, child_rng(0))
     lo_ci, hi_ci = np.percentile(boots, [2.5, 97.5]) if boots.size else (math.nan, math.nan)
-    fit = PowerLawFit(
+    return PowerLawFit(
         exponent=float(-slope),
         intercept=float(intercept),
         window=(lo, hi),
@@ -233,8 +233,6 @@ def decay_fit(curve, window=None):
         curvature=curvature,
         curved=abs(curvature) > 0.1,
     )
-    curve.fit = fit
-    return fit
 
 
 # ---------------------------------------------------------------------------

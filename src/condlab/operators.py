@@ -34,26 +34,27 @@ ZERO_EIGENVALUE = 1e-12
 class TorusOperator:
     """Walk generator L on one torus, kept as its entries in the lattice's CSR layout.
 
-    Rows sum to zero and off-diagonal entries are the edge weights, so -L is
-    positive semidefinite with the constants as its kernel.  The entries are
-    written per field (`Lattice.generator_entries`) in the order of the
-    lattice's one index table, `Lattice.generator_pattern`: row x holds the
-    diagonal, then the edges to x + e_0, x - e_0, x + e_1, ... in star
-    order, unsorted by column.  The scipy matrix over them (`matrix`) is
-    built only when a sparse product asks for it.
+    weights are the walk's edge weights: a field's conductances or, for the
+    simple walk, all ones.  Off-diagonal entries are the edge weights and
+    the diagonal is -rates, so rows sum to zero and -L is positive
+    semidefinite with the constants as its kernel.  The entries are written
+    per field (`Lattice.generator_entries`) in the order of the lattice's one
+    index table, `Lattice.generator_pattern`: row x holds the diagonal, then
+    the edges to x + e_0, x - e_0, x + e_1, ... in star order, unsorted by
+    column.  The scipy matrix over them (`matrix`) is built only when a
+    sparse product asks for it.
     """
 
-    def __init__(self, lattice, weights, kind):
+    def __init__(self, lattice, weights):
         self.lattice = lattice
-        self.kind = kind
         weights = np.asarray(weights, dtype=float)
         weights.setflags(write=False)
         self.weights = weights
         # L = -B^T diag(w) B: the weight of the edge joining x and y off the
         # diagonal, and -rates, summed in star order, on it
-        self.rates = lattice.jump_rates(weights)
         self._indptr, self._indices = lattice.generator_pattern
-        self._data = lattice.generator_entries(weights, -self.rates)
+        self._data = lattice.generator_entries(weights)
+        self.rates = -self._data[self._indptr[:-1]]
         self.max_rate = float(self.rates.max())
         self._eig = None
 
@@ -88,7 +89,7 @@ class TorusOperator:
         return self._eig
 
     def __repr__(self):
-        return f"TorusOperator(kind={self.kind!r}, {self.lattice!r})"
+        return f"TorusOperator({self.lattice!r})"
 
 
 # walk kind -> its edge weights on a field: the one declaration of the walk kinds
@@ -104,12 +105,12 @@ def _walk_weights(field, kind):
 
 def build_generator(field, kind="conductance"):
     """Generator of the conductance walk, or of the simple walk on its torus."""
-    return TorusOperator(field.lattice, _walk_weights(field, kind), kind)
+    return TorusOperator(field.lattice, _walk_weights(field, kind))
 
 
 def simple_generator(lattice):
     """Rate-1 walk generator; needs no field."""
-    return TorusOperator(lattice, lattice.unit_weights, "simple")
+    return TorusOperator(lattice, lattice.unit_weights)
 
 
 def semigroup_apply(op, g, t):

@@ -337,12 +337,11 @@ class PowerLawFit:
 
 @dataclass
 class DecayCurve:
-    """Sampled values of a decaying time curve, with an optional power-law fit."""
+    """Sampled values of a decaying time curve, with their stderrs."""
 
     times: np.ndarray
     values: np.ndarray
     stderrs: Optional[np.ndarray] = None
-    fit: Optional[PowerLawFit] = None
     label: str = ""
 
     def __post_init__(self):

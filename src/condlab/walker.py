@@ -3,8 +3,8 @@
 Simulation is event-driven: holding times are exponential at the site's total
 rate and the destination is chosen proportional to the incident conductances,
 so there is no time-discretization bias anywhere downstream.  The simple
-(rate-1) walk runs through the same kernel, which makes matched-seed
-comparisons against a constant field exact.
+(rate-1) walk is the walk on unit conductances, a field whose omega is
+Lattice.unit_weights; it has no walker of its own.
 
 One lockstep kernel, _simulate_batch, makes one numpy step per jump of every
 walk still short of the horizon, across all fields of a group, whose jump
@@ -35,7 +35,6 @@ from .util import STREAM_MSD_WALKS, child_rng, field_groups, mean_and_stderr, pa
 __all__ = [
     "Trajectory",
     "simulate_vsrw",
-    "simulate_srw",
     "additive_functional",
     "MsdCurve",
     "msd_estimate",
@@ -102,10 +101,11 @@ def _walk_tables(lattice, weights):
     Both are the generator's rows without the diagonal: Lattice.star, the
     neighbour columns of its index table, and the cumulative sums of
     Lattice.generator_entries, w_a(x) in column 2a and w_a(x - e_a) in
-    column 2a + 1, summed left to right as Lattice.jump_rates sums them.
-    weights may stack several fields, field i filling rows i * n_sites.
+    column 2a + 1, summed left to right, so the last is the negated
+    diagonal, the site's rate, bit for bit.  weights may stack several
+    fields, field i filling rows i * n_sites.
     """
-    rows = lattice.generator_entries(weights, 0.0)
+    rows = lattice.generator_entries(weights)
     return lattice.star, rows.reshape(-1, 2 * lattice.d + 1)[:, 1:].cumsum(axis=1)
 
 
@@ -247,20 +247,6 @@ def _simulate_batch(lattice, weights, starts, horizon, rngs, times=(), path=Fals
     return Batch(sites, displacements, jumps, record)
 
 
-def _simulate(lattice, weights, start, horizon, rng):
-    """One walk's path, as the group of one field and one walk, whose table rows are its sites."""
-    _, times, sites, columns = _simulate_batch(lattice, weights, [int(start)], horizon,
-                                               [rng], path=True).path
-    return Trajectory(
-        start=int(start),
-        horizon=float(horizon),
-        times=times,
-        sites=sites,
-        displacements=np.cumsum(_moves(lattice.d)[columns], axis=0),
-        lattice=lattice,
-    )
-
-
 # Most table rows (fields x sites), and most walks, in one lockstep group unless a field
 # alone has more: at d=3 0.9 MB of table, within a 2 MB per-core L2; at criterion 8's
 # size all 24 fields, 6144 walks a step
@@ -285,13 +271,22 @@ def _field_batch(lattice, weights, walks, horizon, times, seed, stream, group):
 
 
 def simulate_vsrw(field, start, horizon, rng):
-    """Walk with jump rate across each edge equal to its conductance."""
-    return _simulate(field.lattice, field.omega, start, horizon, rng)
+    """Walk with jump rate across each edge equal to its conductance.
 
-
-def simulate_srw(lattice, start, horizon, rng):
-    """Rate-1 walk; takes no field at all."""
-    return _simulate(lattice, lattice.unit_weights, start, horizon, rng)
+    One walk's path, as the group of one field and one walk, whose table
+    rows are its sites.  On unit conductances it is the simple walk.
+    """
+    lattice = field.lattice
+    _, times, sites, columns = _simulate_batch(lattice, field.omega, [int(start)], horizon,
+                                               [rng], path=True).path
+    return Trajectory(
+        start=int(start),
+        horizon=float(horizon),
+        times=times,
+        sites=sites,
+        displacements=np.cumsum(_moves(lattice.d)[columns], axis=0),
+        lattice=lattice,
+    )
 
 
 def additive_functional(values, trajectory, t, t0=0.0):

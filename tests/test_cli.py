@@ -16,13 +16,13 @@ import pytest
 
 import condlab
 from condlab.cli import main, parse_config
-from condlab.environment import Lattice, load_field, parse_law, sample_field
+from condlab.environment import ConductanceField, Lattice, load_field, parse_law, sample_field
 from condlab.errors import ConfigError
 from condlab.functionals import evaluate_all, functional_by_name
 from condlab.operators import build_generator
 from condlab.spectral import load_measure_csv, spectral_measure
 from condlab.util import STREAM_SIMULATE_WALK, child_rng, field_seed
-from condlab.walker import simulate_srw
+from condlab.walker import simulate_vsrw
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,21 @@ def test_msd_has_no_mu_flag(tmp_path, capsys):
     assert main(["msd", "--law", "twopoint:0.5,1,4", "--mu", "1,0.5", "--out", str(out)]) == 2
     assert not out.exists()
     assert "unrecognized arguments: --mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a site past the torus, refused before any field is sampled
+    (["simulate", "--law", "constant:1", "--d", "2", "--n", "4", "--start", "16"],
+     "config error (--start): start site 16 out of range (torus has 16 sites)"),
+    (["decay", "--functional", "edge"], "config error (--law): required (flag or config file)"),
+    # a ParameterError from the library names no key
+    (["decay", "--law", "constant:1", "--functional", "bogus"], "config error: unknown functional 'bogus'"),
+])
+def test_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -608,7 +623,8 @@ def test_trajectory_csv_layout(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--law", "constant:1", "--kind", "simple", "--d", "2", "--n", "6",
                  "--start", "4", "--horizon", "3", "--seed", "2", "--out", str(out)]) == 0
-    traj = simulate_srw(Lattice(2, 6), 4, 3.0, child_rng(2, STREAM_SIMULATE_WALK))
+    lat = Lattice(2, 6)
+    traj = simulate_vsrw(ConductanceField(lat, lat.unit_weights), 4, 3.0, child_rng(2, STREAM_SIMULATE_WALK))
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "# condlab-csv v1 trajectory"
     assert lines[1] == "time,site,dx0,dx1"

@@ -59,7 +59,6 @@ def test_decay_fit_recovers_an_exact_power_law():
     assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-9)
     assert not fit.curved
     assert fit.ci_low <= 0.7 <= fit.ci_high
-    assert curve.fit is fit
 
 
 def test_decay_fit_flags_exponential_curvature():
@@ -166,6 +165,15 @@ def test_contract_mc_matches_formula_when_tails_are_light():
     assert res.verdict == "inconclusive"
     assert res.curve_monotone
     assert _target(rep, "analogue-nonincreasing").passed
+
+
+def test_contract_without_tail_mass_has_a_zero_derivative():
+    # p = 0: every edge is 0, so the formula and every window's product vanish
+    rep, res = contractivity_experiment(0.0, 0.1, 1e3, realizations=2000, fields=2)
+    assert res.verdict == "zero-derivative"
+    assert res.formula == 0.0
+    assert res.mc_estimate == 0.0
+    assert _target(rep, "derivative-agreement").passed
 
 
 @pytest.mark.parametrize("torus_n", [12, 64, 8192])

@@ -9,7 +9,10 @@ import re
 import pytest
 
 import condlab
+from condlab import walker
 from condlab.cli import _COMMANDS
+from condlab.environment import Lattice
+from condlab.operators import TorusOperator
 
 MODULES = ("environment", "errors", "experiments", "functionals", "operators", "spectral", "walker")
 
@@ -87,3 +90,11 @@ def test_experiments_reach_a_spectral_engine_only_through_torus_measures():
     engines = {"_quadrature_group", "_lanczos", "_gauss_radau", "_fourier_measure", "fft", "fftn", "Quadrature"}
     assert sorted(names & engines) == []
     assert "torus_measures" in names
+
+
+def test_the_simple_walk_has_no_route_of_its_own():
+    # the simple walk is the walk on unit conductances: no operator kind, no
+    # walker of its own, and the generator's diagonal is derived, not passed
+    assert "kind" not in inspect.signature(TorusOperator.__init__).parameters
+    assert "diagonal" not in inspect.signature(Lattice.generator_entries).parameters
+    assert "simulate_srw" not in walker.__all__

@@ -31,18 +31,22 @@ from condlab.walker import (
     _simulate_batch,
     additive_functional,
     msd_estimate,
-    simulate_srw,
     simulate_vsrw,
 )
 
 LAW = TwoPoint(0.5, 1.0, 4.0)
 
 
+def _unit(lat):
+    """The simple walk's field: every conductance 1."""
+    return ConductanceField(lat, lat.unit_weights)
+
+
 def test_simple_walk_jump_count_is_poisson_2dt():
     lat = Lattice(2, 15)
     horizon = 20.0
     rng = np.random.default_rng(0)
-    counts = [simulate_srw(lat, 0, horizon, rng).jump_count for _ in range(300)]
+    counts = [simulate_vsrw(_unit(lat), 0, horizon, rng).jump_count for _ in range(300)]
     mean = np.mean(counts)
     expected = 2 * lat.d * horizon
     se = math.sqrt(expected / len(counts))  # Poisson variance equals its mean
@@ -62,7 +66,7 @@ def test_matched_seed_unit_field_walk_equals_simple_walk():
     lat = Lattice(2, 9)
     field = sample_field(Constant(1.0), lat, 0)
     a = simulate_vsrw(field, 5, 12.0, np.random.default_rng(42))
-    b = simulate_srw(lat, 5, 12.0, np.random.default_rng(42))
+    b = simulate_vsrw(_unit(lat), 5, 12.0, np.random.default_rng(42))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.sites, b.sites)
     assert np.array_equal(a.displacements, b.displacements)
@@ -82,7 +86,7 @@ def test_seeded_conductance_walk_path_is_pinned():
 def test_walks_reject_a_nonfinite_or_empty_horizon(horizon):
     lat = Lattice(1, 8)
     with pytest.raises(ParameterError):
-        simulate_srw(lat, 0, horizon, np.random.default_rng(0))
+        simulate_vsrw(_unit(lat), 0, horizon, np.random.default_rng(0))
 
 
 def test_heavier_edges_attract_jumps():
@@ -98,7 +102,7 @@ def test_heavier_edges_attract_jumps():
 
 def test_trajectory_queries_before_first_jump_and_validation():
     lat = Lattice(2, 7)
-    traj = simulate_srw(lat, 3, 5.0, np.random.default_rng(7))
+    traj = simulate_vsrw(_unit(lat), 3, 5.0, np.random.default_rng(7))
     assert traj.site_at(0.0) == 3
     assert np.array_equal(traj.displacement_at(0.0), [0, 0])
     t_mid = traj.times[0] / 2.0
@@ -113,7 +117,7 @@ def test_trajectory_queries_before_first_jump_and_validation():
 
 
 def test_a_walk_without_jumps_sits_at_its_start():
-    traj = simulate_srw(Lattice(2, 4), 3, 1e-6, np.random.default_rng(0))
+    traj = simulate_vsrw(_unit(Lattice(2, 4)), 3, 1e-6, np.random.default_rng(0))
     assert traj.jump_count == 0
     assert traj.site_at(1e-6) == 3
     assert traj.site_at(np.array([0.0, 1e-6])).tolist() == [3, 3]
@@ -122,7 +126,7 @@ def test_a_walk_without_jumps_sits_at_its_start():
 
 def test_site_at_is_right_continuous_at_jump_times():
     lat = Lattice(1, 11)
-    traj = simulate_srw(lat, 0, 6.0, np.random.default_rng(9))
+    traj = simulate_vsrw(_unit(lat), 0, 6.0, np.random.default_rng(9))
     k = traj.jump_count // 2
     assert traj.site_at(traj.times[k]) == traj.sites[k]
     eps = (traj.times[k] - traj.times[k - 1]) / 4.0
@@ -232,7 +236,7 @@ def test_batch_of_one_replays_recorded_conductance_paths(law, d, n, seed, start,
 
 @pytest.mark.parametrize("d, n, jumps, site, disp, last_time, site_sum", RECORDED_SIMPLE_PATHS)
 def test_batch_of_one_replays_recorded_simple_paths(d, n, jumps, site, disp, last_time, site_sum):
-    traj = simulate_srw(Lattice(d, n), 5, 6.0, np.random.default_rng(77))
+    traj = simulate_vsrw(_unit(Lattice(d, n)), 5, 6.0, np.random.default_rng(77))
     _assert_path(traj, jumps, site, disp, last_time, site_sum)
 
 
